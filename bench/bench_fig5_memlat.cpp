@@ -1,6 +1,7 @@
 // Figure 5: memory-latency axis. The paper's point is 200 cycles; the sweep
-// traces the whole axis, recording each (workload, version) cell's trace
-// tape at the first point and replaying it for the rest.
+// traces the whole axis. Its points differ only in memory latency, so the
+// default engine interprets and simulates each (workload, version) cell
+// once and prices that one structural pass at every latency.
 #include "figure_common.h"
 
 int main(int argc, char** argv) {

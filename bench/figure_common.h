@@ -186,7 +186,9 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
 
   // Shared-decode engine (the default for taped multi-point axes): every
   // (workload, version) cell's tape is decoded ONCE and its batches fan out
-  // to all machine points, instead of a full decode per point. The tables
+  // to all machine points, instead of a full decode per point; points that
+  // differ only in memory latency also share one structural simulation,
+  // priced at each latency. The tables
   // are bit-identical to the per-point loop below (same rows, same store
   // cells); only the timing footers differ — and the figure equivalence
   // test strips those before diffing.

@@ -1,5 +1,6 @@
 #include "core/runner.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
@@ -67,6 +68,8 @@ memsys::HierarchyConfig hierarchy_config(const MachineConfig& m,
   return hcfg;
 }
 
+bool share_structure(const MachineConfig& a, const MachineConfig& b);
+
 /// All mutable machine state one simulation owns: hierarchy + scheme +
 /// controller + timing model, with the optional fault injector and phase
 /// recorder attached. Shared by the interpret, record, and replay paths so
@@ -75,6 +78,12 @@ memsys::HierarchyConfig hierarchy_config(const MachineConfig& m,
 /// bit-identical contract — the recorder is attached BEFORE the initial
 /// force() so the timeline starts with the synthetic Toggle event, and the
 /// stat sources register in hierarchy, cpu, controller, injector order).
+///
+/// One Simulation prices a group of machines that share_structure(): the
+/// hierarchy, scheme and controller are built from group.front() and run
+/// once, and the timing model prices every member at its own memory
+/// latency. Traced, fault-armed and degrade-armed runs use one-machine
+/// groups.
 struct Simulation {
   memsys::Hierarchy hierarchy;
   std::unique_ptr<memsys::HwScheme> scheme;
@@ -84,14 +93,19 @@ struct Simulation {
   std::optional<trace::Recorder> rec;
   cpu::TimingModel cpu;
 
-  Simulation(const MachineConfig& m, Version v, const RunOptions& opt,
-             trace::Recording* trace_out)
-      : hierarchy(hierarchy_config(m, opt)),
+  Simulation(const std::vector<MachineConfig>& group, Version v,
+             const RunOptions& opt, trace::Recording* trace_out)
+      : hierarchy(hierarchy_config(group.front(), opt)),
         scheme(v == Version::Base || v == Version::PureSoftware
                    ? nullptr
-                   : make_scheme(opt.scheme, m)),
+                   : make_scheme(opt.scheme, group.front())),
         controller(scheme.get()),
-        cpu(m.cpu, hierarchy, controller) {
+        cpu(price_points(group), hierarchy, controller) {
+    SELCACHE_CHECK_MSG(trace_out == nullptr || group.size() == 1,
+                       "a traced simulation prices one machine");
+    for (const MachineConfig& m : group)
+      SELCACHE_CHECK_MSG(share_structure(group.front(), m),
+                         "simulation group differs beyond memory latency");
     hierarchy.attach_hw(scheme.get());
     // Optional run supervision (stop token / wall-clock deadline): exports
     // no stats and changes no results — only adds exit paths — so it is
@@ -132,26 +146,42 @@ struct Simulation {
     }
   }
 
-  /// Finish the phase recording (if any) and harvest the run's results.
-  RunResult collect() {
+  /// Finish the phase recording (if any) and harvest the run's results,
+  /// one per machine of the group, in group order.
+  std::vector<RunResult> collect() {
     if (rec) rec->finish();
-    RunResult r;
-    r.cycles = cpu.cycles();
-    r.instructions = cpu.instructions();
-    r.l1_miss_rate = hierarchy.l1_miss_rate();
-    r.l2_miss_rate = hierarchy.l2_miss_rate();
+    // Everything but the cpu.* counters is structural: the same at every
+    // priced point.
+    RunResult shared;
+    shared.instructions = cpu.instructions();
+    shared.l1_miss_rate = hierarchy.l1_miss_rate();
+    shared.l2_miss_rate = hierarchy.l2_miss_rate();
     if (const auto* c = hierarchy.classifier())
-      r.conflict_share = c->conflict_share();
-    r.toggles = controller.toggles_executed();
-    r.degradations = controller.degradations();
-    hierarchy.export_stats(r.stats);
-    cpu.export_stats(r.stats);
-    controller.export_stats(r.stats);
+      shared.conflict_share = c->conflict_share();
+    shared.toggles = controller.toggles_executed();
+    shared.degradations = controller.degradations();
+    hierarchy.export_stats(shared.stats);
+    controller.export_stats(shared.stats);
     if (injector) {
-      r.faults_injected = injector->injected();
-      injector->export_stats(r.stats);
+      shared.faults_injected = injector->injected();
+      injector->export_stats(shared.stats);
     }
-    return r;
+    std::vector<RunResult> out(cpu.points(), shared);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i].cycles = cpu.cycles(i);
+      cpu.export_stats(out[i].stats, i);
+    }
+    return out;
+  }
+
+ private:
+  static std::vector<cpu::PricePoint> price_points(
+      const std::vector<MachineConfig>& group) {
+    std::vector<cpu::PricePoint> points;
+    points.reserve(group.size());
+    for (const MachineConfig& m : group)
+      points.push_back({m.cpu, m.hierarchy.mem.access_latency});
+    return points;
   }
 };
 
@@ -187,10 +217,10 @@ std::uint64_t stream_fingerprint(const RunOptions& opt) {
   return fnv1a(h, o.method_predictor_fingerprint);
 }
 
-/// Fingerprint of every machine parameter a simulation's outputs depend
-/// on. Scheme *configurations* are pure functions of (kind, machine) — see
-/// make_scheme — so hashing the kind plus these fields covers them too.
-std::uint64_t machine_fingerprint(const MachineConfig& m) {
+namespace {
+
+/// machine_fingerprint, optionally without the main-memory latency.
+std::uint64_t fold_machine(const MachineConfig& m, bool with_mem_latency) {
   std::uint64_t h = kFnv1aOffset;
   for (const memsys::CacheConfig* c :
        {&m.hierarchy.l1d, &m.hierarchy.l1i, &m.hierarchy.l2}) {
@@ -205,7 +235,7 @@ std::uint64_t machine_fingerprint(const MachineConfig& m) {
     h = fnv1a(h, t->page_size);
     h = fnv1a(h, t->miss_penalty);
   }
-  h = fnv1a(h, m.hierarchy.mem.access_latency);
+  if (with_mem_latency) h = fnv1a(h, m.hierarchy.mem.access_latency);
   h = fnv1a(h, m.hierarchy.mem.bus_width);
   h = fnv1a(h, m.cpu.issue_width);
   h = fnv1a(h, m.cpu.ruu_entries);
@@ -217,6 +247,15 @@ std::uint64_t machine_fingerprint(const MachineConfig& m) {
   h = fnv1a(h, m.cpu.toggle_latency);
   h = fnv1a(h, m.cpu.model_ifetch ? 1 : 0);
   return h;
+}
+
+}  // namespace
+
+/// Fingerprint of every machine parameter a simulation's outputs depend
+/// on. Scheme *configurations* are pure functions of (kind, machine) — see
+/// make_scheme — so hashing the kind plus these fields covers them too.
+std::uint64_t machine_fingerprint(const MachineConfig& m) {
+  return fold_machine(m, /*with_mem_latency=*/true);
 }
 
 namespace {
@@ -234,6 +273,32 @@ bool store_eligible(const RunOptions& opt, const trace::Recording* trace_out) {
   return opt.result_store != nullptr && trace_out == nullptr &&
          !opt.fault.enabled() && opt.watchdog_accesses == 0 &&
          !opt.degrade.armed();
+}
+
+/// May one structural pass serve both machines? Only when they differ in
+/// nothing but main-memory latency. No cache, TLB, MAT/SLDT, bypass-buffer
+/// or victim state depends on it — MainMemory::fetch_latency is the only
+/// place it enters, and make_scheme never reads it — so the hierarchy
+/// evolves identically and only the pricing differs. Compared as the
+/// store's machine identity with the latency left out.
+bool share_structure(const MachineConfig& a, const MachineConfig& b) {
+  return fold_machine(a, /*with_mem_latency=*/false) ==
+         fold_machine(b, /*with_mem_latency=*/false);
+}
+
+/// Can this run's points share Simulations at all? Fault campaigns,
+/// watchdogs and degrade policies keep one point per Simulation.
+bool pricing_shareable(const RunOptions& opt) {
+  return !opt.fault.enabled() && opt.watchdog_accesses == 0 &&
+         !opt.degrade.armed();
+}
+
+std::vector<MachineConfig> pick(const std::vector<MachineConfig>& machines,
+                                const std::vector<std::size_t>& idx) {
+  std::vector<MachineConfig> out;
+  out.reserve(idx.size());
+  for (std::size_t i : idx) out.push_back(machines[i]);
+  return out;
 }
 
 store::StoredResult to_stored(const RunResult& r) {
@@ -285,10 +350,14 @@ std::string store_key(const workloads::WorkloadInfo& w, const MachineConfig& m,
          std::to_string(store::kStoreFormatVersion);
 }
 
-tape::Tape record_tape(const workloads::WorkloadInfo& w,
-                       const MachineConfig& m, Version v,
-                       const RunOptions& opt, RunResult* result,
-                       trace::Recording* trace_out) {
+namespace {
+
+/// record_tape over a group of machines that share_structure(): one
+/// interpretation and one structural pass, priced at every member.
+tape::Tape record_group(const workloads::WorkloadInfo& w,
+                        const std::vector<MachineConfig>& group, Version v,
+                        const RunOptions& opt, std::vector<RunResult>* results,
+                        trace::Recording* trace_out) {
   SELCACHE_CHECK_MSG(!opt.fault.enabled() && opt.watchdog_accesses == 0,
                      "cannot record a tape under a fault campaign");
   // Code product (§4.4), then the instrumented interpretation: the
@@ -297,21 +366,34 @@ tape::Tape record_tape(const workloads::WorkloadInfo& w,
   // are ordinary simulation results.
   const ir::Program base = w.build();
   ir::Program product = prepare_program(base, v, opt.optimize);
-  Simulation sim(m, v, opt, trace_out);
+  Simulation sim(group, v, opt, trace_out);
   codegen::DataEnv env(product, {.seed = opt.data_seed});
   tape::TapeBuilder builder;
   tape::RecordingTimingModel shim(sim.cpu, builder);
   codegen::BasicTraceEngine<tape::RecordingTimingModel> engine(product, env,
                                                                shim);
   engine.run();
-  RunResult r = sim.collect();  // always: finishes the phase recording too
-  if (result != nullptr) *result = std::move(r);
+  // Always collect: it finishes the phase recording too.
+  std::vector<RunResult> r = sim.collect();
+  if (results != nullptr) *results = std::move(r);
   return builder.take();
+}
+
+}  // namespace
+
+tape::Tape record_tape(const workloads::WorkloadInfo& w,
+                       const MachineConfig& m, Version v,
+                       const RunOptions& opt, RunResult* result,
+                       trace::Recording* trace_out) {
+  std::vector<RunResult> r;
+  tape::Tape t = record_group(w, {m}, v, opt, &r, trace_out);
+  if (result != nullptr) *result = std::move(r.front());
+  return t;
 }
 
 RunResult replay_tape(const tape::Tape& t, const MachineConfig& m, Version v,
                       const RunOptions& opt, trace::Recording* trace_out) {
-  Simulation sim(m, v, opt, trace_out);
+  Simulation sim({m}, v, opt, trace_out);
   if (opt.batch > 0) {
     // Batched decode loop: same op stream, delivered batch by batch.
     const std::vector<cpu::TimingModel*> sinks{&sim.cpu};
@@ -319,7 +401,7 @@ RunResult replay_tape(const tape::Tape& t, const MachineConfig& m, Version v,
   } else {
     tape::TapeReplayer::replay(t, sim.cpu);
   }
-  return sim.collect();
+  return std::move(sim.collect().front());
 }
 
 std::vector<RunResult> multi_replay_tape(
@@ -328,29 +410,52 @@ std::vector<RunResult> multi_replay_tape(
     const std::vector<trace::Recording*>* traces) {
   SELCACHE_CHECK_MSG(traces == nullptr || traces->size() == machines.size(),
                      "multi_replay_tape: traces/machines size mismatch");
-  // One full Simulation per machine point: each owns all mutable state, so
-  // the fan-out below never shares anything but the immutable batch.
-  std::vector<std::unique_ptr<Simulation>> sims;
-  sims.reserve(machines.size());
-  std::vector<cpu::TimingModel*> sinks;
-  sinks.reserve(machines.size());
+  const auto trace_of = [traces](std::size_t i) {
+    return traces != nullptr ? (*traces)[i] : nullptr;
+  };
+  // Untraced points that share_structure() ride one Simulation, priced at
+  // each of their latencies; every other point gets its own. Each
+  // Simulation owns all of its mutable state, so the fan-out below never
+  // shares anything but the immutable batch.
+  std::vector<std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < machines.size(); ++i) {
-    sims.push_back(std::make_unique<Simulation>(
-        machines[i], v, opt, traces != nullptr ? (*traces)[i] : nullptr));
+    const auto joins = [&](const std::vector<std::size_t>& g) {
+      return pricing_shareable(opt) && trace_of(i) == nullptr &&
+             trace_of(g.front()) == nullptr &&
+             share_structure(machines[g.front()], machines[i]);
+    };
+    const auto g = std::find_if(groups.begin(), groups.end(), joins);
+    if (g != groups.end()) {
+      g->push_back(i);
+    } else {
+      groups.push_back({i});
+    }
+  }
+  std::vector<std::unique_ptr<Simulation>> sims;
+  sims.reserve(groups.size());
+  std::vector<cpu::TimingModel*> sinks;
+  sinks.reserve(groups.size());
+  for (const std::vector<std::size_t>& g : groups) {
+    sims.push_back(std::make_unique<Simulation>(pick(machines, g), v, opt,
+                                                trace_of(g.front())));
     sinks.push_back(&sims.back()->cpu);
   }
-  if (par.num_threads > 1 && machines.size() > 1) {
+  if (par.num_threads > 1 && machines.size() > 1)
     SELCACHE_CHECK_MSG(opt.run_guard == nullptr,
                        "multi_replay_tape: a RunGuard is not thread-safe "
                        "across the parallel fan-out");
+  if (par.num_threads > 1 && sims.size() > 1) {
     support::ThreadPool pool(par.num_threads);
     tape::multi_replay(t, sinks, &pool, opt.batch);
   } else {
     tape::multi_replay(t, sinks, nullptr, opt.batch);
   }
-  std::vector<RunResult> out;
-  out.reserve(sims.size());
-  for (auto& s : sims) out.push_back(s->collect());
+  std::vector<RunResult> out(machines.size());
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    std::vector<RunResult> rs = sims[gi]->collect();
+    for (std::size_t k = 0; k < groups[gi].size(); ++k)
+      out[groups[gi][k]] = std::move(rs[k]);
+  }
   return out;
 }
 
@@ -391,11 +496,11 @@ RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
     // Plain interpretation: code product (§4.4), machine, execute, collect.
     const ir::Program base = w.build();
     ir::Program product = prepare_program(base, v, opt.optimize);
-    Simulation sim(m, v, opt, trace_out);
+    Simulation sim({m}, v, opt, trace_out);
     codegen::DataEnv env(product, {.seed = opt.data_seed});
     codegen::TraceEngine engine(product, env, sim.cpu);
     engine.run();
-    return sim.collect();
+    return std::move(sim.collect().front());
   }();
 
   if (stored) opt.result_store->save(skey, to_stored(result));
@@ -489,10 +594,12 @@ namespace {
 
 /// One (workload, version) cell of a shared-decode axis sweep: results for
 /// every machine point from ONE decode of the cell's tape. Store hits are
-/// served per point; the tape is recorded at the first un-served point (the
-/// recording run IS that point's simulation, exactly as in run_version);
-/// every remaining point rides the multi-replay fan-out. Fresh results are
-/// persisted under the same store keys run_version would use.
+/// served per point; the tape is recorded at the first un-served point,
+/// and the recording run prices every un-served point that
+/// share_structure()s with it (exactly the simulation run_version would
+/// run at each). Every remaining point rides the multi-replay fan-out.
+/// Fresh results are persisted under the same store keys run_version would
+/// use.
 void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
                             const std::vector<MachineConfig>& machines,
                             const RunOptions& opt,
@@ -516,15 +623,18 @@ void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
   }
   if (pending.empty()) return;
 
+  std::vector<std::size_t> rec_group;
+  for (std::size_t pi : pending)
+    if (share_structure(machines[pending.front()], machines[pi]))
+      rec_group.push_back(pi);
   tape::TapeCache& cache =
       opt.tape_cache != nullptr ? *opt.tape_cache : tape::TapeCache::global();
-  std::optional<RunResult> recorded;
-  const std::size_t rec_pi = pending.front();
+  std::optional<std::vector<RunResult>> recorded;
   const tape::TapeCache::TapePtr t =
       cache.get_or_record(tape_key(w, v, opt), [&] {
-        RunResult r;
-        tape::Tape fresh = record_tape(w, machines[rec_pi], v, opt, &r,
-                                       /*trace_out=*/nullptr);
+        std::vector<RunResult> r;
+        tape::Tape fresh = record_group(w, pick(machines, rec_group), v, opt,
+                                        &r, /*trace_out=*/nullptr);
         recorded = std::move(r);
         return fresh;
       });
@@ -532,20 +642,20 @@ void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
   std::vector<std::size_t> replayed;
   replayed.reserve(pending.size());
   if (recorded) {
-    out[rec_pi] = std::move(*recorded);
+    for (std::size_t i = 0; i < rec_group.size(); ++i)
+      out[rec_group[i]] = std::move((*recorded)[i]);
     for (std::size_t pi : pending)
-      if (pi != rec_pi) replayed.push_back(pi);
+      if (std::find(rec_group.begin(), rec_group.end(), pi) == rec_group.end())
+        replayed.push_back(pi);
   } else {
     replayed = pending;  // tape existed (preloaded / earlier cell of a rerun)
   }
   if (!replayed.empty()) {
-    std::vector<MachineConfig> ms;
-    ms.reserve(replayed.size());
-    for (std::size_t pi : replayed) ms.push_back(machines[pi]);
     // Serial fan-out inside the cell: axis-level parallelism (one task per
     // cell) already saturates the pool, and interleaving on one thread
     // keeps every simulation's call order trivially deterministic.
-    std::vector<RunResult> rr = multi_replay_tape(*t, ms, v, opt, {});
+    std::vector<RunResult> rr =
+        multi_replay_tape(*t, pick(machines, replayed), v, opt, {});
     for (std::size_t i = 0; i < replayed.size(); ++i)
       out[replayed[i]] = std::move(rr[i]);
   }

@@ -147,15 +147,19 @@ RunResult replay_tape(const tape::Tape& t, const MachineConfig& m, Version v,
                       trace::Recording* trace_out = nullptr);
 
 /// Replay one tape across N machine configurations with a SINGLE decode:
-/// the tape expands once into op batches, and every batch drives one
-/// Simulation per machine before the next batch is decoded. Results are in
-/// machines order and bit-identical to N separate replay_tape calls — at
-/// any par.num_threads (each simulation is driven by one task at a time, in
-/// strict tape order) and any opt.batch. `traces` (optional) supplies one
-/// Recording* per machine (entries may be nullptr); traced simulations
-/// record exactly what a solo traced replay would. With par.num_threads > 1
-/// opt.run_guard must be nullptr (a RunGuard is not thread-safe, and here
-/// it would be polled by every machine's simulation concurrently).
+/// the tape expands once into op batches, and every batch drives each
+/// Simulation before the next batch is decoded. Untraced machines that
+/// differ only in main-memory latency share one Simulation: one structural
+/// pass, priced at each machine's latency. Every other machine — traced,
+/// or in a fault-, watchdog- or degrade-armed run — gets its own. Results
+/// are in machines order and bit-identical to N separate replay_tape calls
+/// — at any par.num_threads (each simulation is driven by one task at a
+/// time, in strict tape order) and any opt.batch. `traces` (optional)
+/// supplies one Recording* per machine (entries may be nullptr); traced
+/// simulations record exactly what a solo traced replay would. With
+/// par.num_threads > 1 opt.run_guard must be nullptr (a RunGuard is not
+/// thread-safe, and here it would be polled by every simulation
+/// concurrently).
 std::vector<RunResult> multi_replay_tape(
     const tape::Tape& t, const std::vector<MachineConfig>& machines, Version v,
     const RunOptions& opt = {}, const ParallelSweepOptions& par = {},
@@ -223,8 +227,11 @@ std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
 
 /// Whole-AXIS sweep with shared decode: the full suite over every machine
 /// point of a figure axis, decoding each (workload, version) cell's tape
-/// ONCE and fanning the batches out to one simulation per pending machine
-/// point (tape::MultiReplayer) instead of re-decoding per point. Returns
+/// ONCE and fanning the batches out to the pending machine points
+/// (tape::MultiReplayer) instead of re-decoding per point. Points that
+/// differ only in main-memory latency share one structural simulation; the
+/// recording run prices the whole group of the first pending point, so a
+/// pure latency axis interprets and simulates each cell once. Returns
 /// rows[point] exactly as `machines.size()` sweep_suite calls would — same
 /// rows, same stats, same store cells — just cheaper. Requires a
 /// tape-eligible configuration (opt.reuse_tape set, no fault campaign or

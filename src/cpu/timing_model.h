@@ -18,6 +18,16 @@
 // previous load) serialize fully, which is what gives irregular codes their
 // low MLP. This reproduces the first-order behavior the paper's results
 // depend on: miss counts translate to cycles, streams get MLP, chains don't.
+//
+// Structure vs. pricing: the model has two halves. The structural half
+// drives the controller and the hierarchy once per op; nothing it touches
+// depends on main-memory latency. The pricing half — issue cycles, stalls,
+// the MLP shadow, the branch predictor, the CpuConfig — turns each access
+// outcome into cycles. One model can hold k pricing states (PricePoint):
+// point i pays each main-memory fetch at its own latency L_i, so an access
+// that made f fetches and took `lat` cycles on the hierarchy (whose memory
+// latency is L_0) costs lat + f*(L_i - L_0) at point i — exactly what a
+// hierarchy built with L_i would have returned. A plain run is k = 1.
 #pragma once
 
 #include <algorithm>
@@ -65,23 +75,37 @@ struct CpuConfig {
   bool model_ifetch = true;  ///< simulate the instruction-fetch stream
 };
 
+/// One point a TimingModel prices: the core, and the main-memory access
+/// latency of that point's machine.
+struct PricePoint {
+  CpuConfig cpu;
+  Cycle mem_latency = 100;
+};
+
 class TimingModel {
  public:
+  /// One point, priced at the hierarchy's own memory latency.
   TimingModel(CpuConfig cfg, memsys::Hierarchy& hierarchy,
               hw::Controller& controller);
+
+  /// k points over one structural pass. Every point must agree on
+  /// model_ifetch: it decides which accesses reach the hierarchy.
+  TimingModel(const std::vector<PricePoint>& points,
+              memsys::Hierarchy& hierarchy, hw::Controller& controller);
 
   // The six entry points are defined inline: every simulated instruction
   // passes through exactly one of them, and together with the inline
   // hierarchy hit path this keeps the whole hit-case event in one call
   // frame — the throughput floor of both the IR interpreter and the
-  // trace-tape replay loop.
+  // trace-tape replay loop. A hit fetched nothing from memory, so it costs
+  // the same at every point and returns before the pricing loop.
 
   /// `n` plain ALU instructions.
   void compute(std::uint64_t n) {
     if (trace_ != nullptr)
       trace_->push_back({TraceEvent::Kind::Compute, 0,
                          static_cast<std::uint32_t>(n), 0});
-    retire_slots(n);
+    instructions_ += n;
   }
 
   /// One load instruction. `dependent` marks address-dependent loads
@@ -91,24 +115,24 @@ class TimingModel {
       trace_->push_back({TraceEvent::Kind::Load,
                          static_cast<std::uint8_t>(dependent ? 1 : 0), 0,
                          addr});
-    retire_slots(1);
+    ++instructions_;
     controller_.tick();
-    const Cycle lat = hierarchy_.access(addr, memsys::AccessKind::Load);
-    charge_memory(lat, hierarchy_.config().l1d.latency, dependent);
+    const Outcome o = access(addr, memsys::AccessKind::Load);
+    if (o.fetches == 0 && o.lat <= hierarchy_.config().l1d.latency) return;
+    price_data(o, /*halve=*/false, dependent);
   }
 
   /// One store instruction (write-allocate; retires through the LSQ).
   void store(Addr addr) {
     if (trace_ != nullptr)
       trace_->push_back({TraceEvent::Kind::Store, 0, 0, addr});
-    retire_slots(1);
+    ++instructions_;
     controller_.tick();
-    const Cycle lat = hierarchy_.access(addr, memsys::AccessKind::Store);
+    const Outcome o = access(addr, memsys::AccessKind::Store);
+    if (o.fetches == 0 && o.lat <= hierarchy_.config().l1d.latency) return;
     // Stores retire through the store queue; they only expose latency when
     // the LSQ would back up. Approximate by halving the exposed latency.
-    const Cycle l1 = hierarchy_.config().l1d.latency;
-    const Cycle extra = lat > l1 ? (lat - l1) / 2 : 0;
-    charge_memory(l1 + extra, l1, /*dependent=*/false);
+    price_data(o, /*halve=*/true, /*dependent=*/false);
   }
 
   /// One conditional branch at `pc` with actual outcome `taken`.
@@ -116,9 +140,10 @@ class TimingModel {
     if (trace_ != nullptr)
       trace_->push_back({TraceEvent::Kind::Branch,
                          static_cast<std::uint8_t>(taken ? 1 : 0), 0, pc});
-    retire_slots(1);
-    if (!bpred_.predict_and_train(pc, taken))
-      branch_stall_ += cfg_.mispredict_penalty;
+    ++instructions_;
+    for (Pricing& p : points_)
+      if (!p.bpred.predict_and_train(pc, taken))
+        p.branch_stall += p.cfg.mispredict_penalty;
   }
 
   /// One activate/deactivate instruction: flips the controller and pays the
@@ -132,8 +157,8 @@ class TimingModel {
       trace_->push_back({TraceEvent::Kind::Toggle,
                          static_cast<std::uint8_t>(on ? 1 : 0),
                          static_cast<std::uint32_t>(region + 1), 0});
-    retire_slots(1);
-    toggle_stall_ += cfg_.toggle_latency;
+    ++instructions_;
+    ++toggles_;
     controller_.toggle(on, region);
   }
 
@@ -141,7 +166,7 @@ class TimingModel {
   void touch_code(Addr pc, std::uint32_t n_instr) {
     if (trace_ != nullptr)
       trace_->push_back({TraceEvent::Kind::Ifetch, 0, n_instr, pc});
-    if (!cfg_.model_ifetch) return;
+    if (!model_ifetch_) return;
     // 4 bytes per instruction; touch each I-cache block the group spans.
     // Block size is validated power-of-two, so the span bounds are shifts.
     const std::uint32_t bytes = n_instr * 4;
@@ -150,10 +175,9 @@ class TimingModel {
     const Addr end = pc + (bytes > 0 ? bytes - 1 : 0);
     const Addr last = (end >> l1i_shift_) << l1i_shift_;
     for (Addr a = first; a <= last; a += bs) {
-      const Cycle lat = hierarchy_.access(a, memsys::AccessKind::IFetch);
-      const Cycle l1 = hierarchy_.config().l1i.latency;
-      // Frontend stalls are partly absorbed by the fetch queue.
-      if (lat > l1) mem_stall_ += (lat - l1) / 2;
+      const Outcome o = access(a, memsys::AccessKind::IFetch);
+      if (o.fetches == 0 && o.lat <= hierarchy_.config().l1i.latency) continue;
+      price_ifetch(o);
     }
   }
 
@@ -165,58 +189,95 @@ class TimingModel {
   /// Tee every subsequent event into `sink` (nullptr stops recording).
   void set_trace_sink(Trace* sink) { trace_ = sink; }
 
-  Cycle cycles() const {
-    const Cycle issue = (slots_ + cfg_.issue_width - 1) / cfg_.issue_width;
-    return issue + mem_stall_ + branch_stall_ + toggle_stall_;
-  }
+  /// Number of points this model prices (k).
+  std::size_t points() const { return points_.size(); }
+
+  Cycle cycles(std::size_t point = 0) const { return cycles(points_[point]); }
   InstrCount instructions() const { return instructions_; }
   /// Cycles lost to exposed memory latency (diagnostic).
-  Cycle memory_stall_cycles() const { return mem_stall_; }
-  Cycle branch_penalty_cycles() const { return branch_stall_; }
+  Cycle memory_stall_cycles(std::size_t point = 0) const {
+    return points_[point].mem_stall;
+  }
+  Cycle branch_penalty_cycles(std::size_t point = 0) const {
+    return points_[point].branch_stall;
+  }
 
-  const BimodalPredictor& predictor() const { return bpred_; }
-  const CpuConfig& config() const { return cfg_; }
+  const BimodalPredictor& predictor(std::size_t point = 0) const {
+    return points_[point].bpred;
+  }
+  const CpuConfig& config(std::size_t point = 0) const {
+    return points_[point].cfg;
+  }
 
-  void export_stats(StatSet& out) const;
+  void export_stats(StatSet& out, std::size_t point = 0) const;
 
  private:
-  /// Cycles the RUU window can hide under a fresh miss shadow.
-  Cycle hide_window() const { return cfg_.ruu_entries / cfg_.issue_width; }
+  /// What one hierarchy access did: its latency at the hierarchy's own
+  /// memory latency, and how many main-memory fetches it made.
+  struct Outcome {
+    Cycle lat;
+    std::uint64_t fetches;
+  };
 
-  void retire_slots(std::uint64_t n) {
-    slots_ += n;
-    instructions_ += n;
+  /// One point's pricing state.
+  struct Pricing {
+    explicit Pricing(const PricePoint& p)
+        : cfg(p.cpu),
+          mem_latency(p.mem_latency),
+          bpred(p.cpu.bimodal_entries) {}
+
+    CpuConfig cfg;
+    Cycle mem_latency;
+    BimodalPredictor bpred;
+    Cycle mem_stall = 0;
+    Cycle branch_stall = 0;
+    Cycle shadow_end = 0;        ///< cycle when outstanding misses resolve
+    std::uint32_t inflight = 0;  ///< misses overlapped in current shadow
+    std::uint64_t overlapped_misses = 0;
+    std::uint64_t serialized_misses = 0;
+  };
+
+  Outcome access(Addr addr, memsys::AccessKind kind) {
+    const std::uint64_t reads = hierarchy_.memory().reads();
+    const Cycle lat = hierarchy_.access(addr, kind);
+    return {lat, hierarchy_.memory().reads() - reads};
   }
 
-  /// Charge an access whose total latency was `lat`; `pipelined_lat` is the
-  /// portion absorbed by the pipeline (L1 hit time). Inline: the early
-  /// return (fully pipelined hit) is the overwhelmingly common case.
-  void charge_memory(Cycle lat, Cycle pipelined_lat, bool dependent) {
-    const Cycle extra = lat > pipelined_lat ? lat - pipelined_lat : 0;
-    if (extra == 0) return;
-    charge_memory_slow(extra, dependent);
+  /// The latency `o` has at point `p`: each fetch repriced from the
+  /// hierarchy's memory latency to the point's. Never underflows — every
+  /// fetch contributed at least the hierarchy's latency to o.lat.
+  Cycle latency_at(const Pricing& p, Outcome o) const {
+    return o.lat - o.fetches * mem_latency_ + o.fetches * p.mem_latency;
   }
 
-  /// Miss accounting (interval/MLP model); out of line.
-  void charge_memory_slow(Cycle extra, bool dependent);
+  Cycle cycles(const Pricing& p) const {
+    const Cycle issue =
+        (instructions_ + p.cfg.issue_width - 1) / p.cfg.issue_width;
+    return issue + p.mem_stall + p.branch_stall +
+           toggles_ * p.cfg.toggle_latency;
+  }
 
-  CpuConfig cfg_;
-  unsigned l1i_shift_ = 0;  ///< log2(l1i block size); validated pow2
+  /// Price a load/store beyond the pipelined L1D hit time at every point
+  /// (out of line: misses only). `halve` is the store-queue discount.
+  void price_data(Outcome o, bool halve, bool dependent);
+  /// Price an I-fetch beyond the L1I hit time at every point; frontend
+  /// stalls are partly absorbed by the fetch queue.
+  void price_ifetch(Outcome o);
+  /// Miss accounting (interval/MLP model) of `extra` exposed cycles.
+  void charge_memory(Pricing& p, Cycle extra, bool dependent);
+
   memsys::Hierarchy& hierarchy_;
   hw::Controller& controller_;
-  BimodalPredictor bpred_;
+  std::vector<Pricing> points_;
+  Cycle mem_latency_ = 0;  ///< the hierarchy's memory latency (L_0)
+  bool model_ifetch_ = true;
+  unsigned l1i_shift_ = 0;  ///< log2(l1i block size); validated pow2
   Trace* trace_ = nullptr;
 
-  std::uint64_t slots_ = 0;        ///< issued instruction slots
-  Cycle mem_stall_ = 0;
-  Cycle branch_stall_ = 0;
-  Cycle toggle_stall_ = 0;
+  // Shared by every point: instruction and toggle counts are structural
+  // (one instruction is one issue slot at any point).
   InstrCount instructions_ = 0;
-
-  Cycle shadow_end_ = 0;           ///< cycle when outstanding misses resolve
-  std::uint32_t inflight_ = 0;     ///< misses overlapped in current shadow
-  std::uint64_t overlapped_misses_ = 0;
-  std::uint64_t serialized_misses_ = 0;
+  std::uint64_t toggles_ = 0;
 };
 
 }  // namespace selcache::cpu

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/timing_model.h"
+#include "hw/bypass_scheme.h"
 #include "hw/victim_scheme.h"
 #include "support/rng.h"
 
@@ -161,6 +162,107 @@ TEST(Timing, MonotoneInMemoryLatency) {
   const Cycle c400 = run(400);
   EXPECT_LT(c100, c200);
   EXPECT_LT(c200, c400);
+}
+
+/// A machine with the bypass scheme attached, its controller driven by the
+/// stream's toggles.
+struct BypassMachine {
+  memsys::Hierarchy hierarchy;
+  hw::BypassScheme scheme;
+  hw::Controller controller;
+  TimingModel cpu;
+
+  BypassMachine(Cycle mem_latency, const std::vector<PricePoint>& points)
+      : hierarchy(with_mem_latency(mem_latency)),
+        scheme(hw::BypassSchemeConfig{}),
+        controller(&scheme),
+        cpu(points, hierarchy, controller) {
+    hierarchy.attach_hw(&scheme);
+  }
+
+  static memsys::HierarchyConfig with_mem_latency(Cycle lat) {
+    memsys::HierarchyConfig hc;
+    hc.mem.access_latency = lat;
+    return hc;
+  }
+
+  StatSet stats(std::size_t point) const {
+    StatSet s;
+    hierarchy.export_stats(s);
+    controller.export_stats(s);
+    cpu.export_stats(s, point);
+    return s;
+  }
+};
+
+/// A seeded mix of every entry point: hot-set hits, far misses (dependent
+/// and independent), a sequential stream, stores, I-fetch spans, branches,
+/// compute runs and ON/OFF toggles.
+void drive_random_stream(TimingModel& cpu) {
+  Rng rng(2024);
+  Addr stream = 0x100000;
+  for (int i = 0; i < 60000; ++i) {
+    const std::uint64_t r = rng.below(100);
+    const Addr hot = 0x10000 + rng.below(8 * 1024);
+    const Addr far = 0x4000000 + rng.below(4 << 20);
+    if (r < 25) {
+      cpu.load(hot, rng.chance(0.3));
+    } else if (r < 40) {
+      cpu.load(far, rng.chance(0.5));
+    } else if (r < 50) {
+      cpu.load(stream, false);
+      stream += 8;
+    } else if (r < 60) {
+      cpu.store(rng.chance(0.5) ? hot : far);
+    } else if (r < 72) {
+      cpu.touch_code(0x400000 + rng.below(256 * 1024),
+                     static_cast<std::uint32_t>(rng.below(24)));
+    } else if (r < 88) {
+      cpu.branch(0x400000 + 4 * rng.below(4096), rng.chance(0.7));
+    } else if (r < 96) {
+      cpu.compute(rng.below(8) + 1);
+    } else {
+      cpu.toggle(rng.chance(0.6), static_cast<std::int32_t>(rng.range(-1, 7)));
+    }
+  }
+}
+
+TEST(Timing, OneModelPricesEveryLatencyLikeSeparateModels) {
+  // The priced model's own hierarchy sits at 200 cycles, so two points
+  // reprice each fetch downwards and one upwards.
+  const std::vector<Cycle> lats = {100, 150, 200, 300};
+  std::vector<PricePoint> points;
+  for (Cycle lat : lats) points.push_back({CpuConfig{}, lat});
+  BypassMachine priced(200, points);
+  drive_random_stream(priced.cpu);
+  ASSERT_EQ(priced.cpu.points(), lats.size());
+
+  for (std::size_t i = 0; i < lats.size(); ++i) {
+    SCOPED_TRACE("mem latency " + std::to_string(lats[i]));
+    BypassMachine solo(lats[i], {{CpuConfig{}, lats[i]}});
+    drive_random_stream(solo.cpu);
+    EXPECT_EQ(priced.cpu.cycles(i), solo.cpu.cycles());
+    EXPECT_EQ(priced.stats(i).all(), solo.stats(0).all());
+  }
+
+  // The stream exercised what the pricing has to get right.
+  const StatSet s = priced.stats(0);
+  EXPECT_GT(s.get("mem.reads"), 1000u);
+  EXPECT_GT(s.get("bypass.bypasses"), 0u);
+  EXPECT_GT(s.get("cpu.overlapped_misses"), 0u);
+  EXPECT_GT(s.get("bpred.mispredicted"), 0u);
+  EXPECT_GT(s.get("controller.effective_toggles"), 0u);
+  for (std::size_t i = 1; i < lats.size(); ++i)
+    EXPECT_LT(priced.cpu.cycles(i - 1), priced.cpu.cycles(i));
+}
+
+TEST(Timing, PricedPointsMustAgreeOnIfetchModeling) {
+  CpuConfig no_ifetch;
+  no_ifetch.model_ifetch = false;
+  memsys::Hierarchy h((memsys::HierarchyConfig()));
+  hw::Controller ctl(nullptr);
+  EXPECT_THROW(TimingModel({{CpuConfig{}, 100}, {no_ifetch, 200}}, h, ctl),
+               std::logic_error);
 }
 
 TEST(Timing, StatsExportComplete) {

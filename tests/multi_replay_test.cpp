@@ -158,6 +158,47 @@ TEST(MultiReplay, ForcedScalarKernelsProduceIdenticalResults) {
   }
 }
 
+/// Only points that differ in nothing but memory latency may share one
+/// structural pass. An axis that mixes latency-only points with points one
+/// other timing parameter away — the L2 hit time, the DTLB walk, I-fetch
+/// modeling — must still replay exactly like every point on its own, so a
+/// grouping rule that is too loose fails here.
+TEST(MultiReplay, GroupingSeparatesPointsBeyondMemoryLatency) {
+  const auto at_latency = [](MachineConfig m, Cycle lat) {
+    m.hierarchy.mem.access_latency = lat;
+    return m;
+  };
+  MachineConfig slow_l2 = base_machine();
+  slow_l2.hierarchy.l2.latency = 20;
+  MachineConfig slow_walk = base_machine();
+  slow_walk.hierarchy.dtlb.miss_penalty = 60;
+  MachineConfig no_ifetch = base_machine();
+  no_ifetch.cpu.model_ifetch = false;
+  const std::vector<MachineConfig> machines = {
+      at_latency(base_machine(), 100), at_latency(slow_l2, 100),
+      at_latency(base_machine(), 300), at_latency(slow_walk, 100),
+      at_latency(no_ifetch, 150),      at_latency(slow_l2, 300),
+      at_latency(no_ifetch, 100),      at_latency(base_machine(), 150),
+      at_latency(slow_walk, 200)};
+
+  for (const char* name : {"Perl", "TPC-C"}) {
+    SCOPED_TRACE(name);
+    const auto& w = workloads::workload(name);
+    for (Version v : kAllVersions) {
+      SCOPED_TRACE(to_string(v));
+      const tape::Tape t = record_tape(w, base_machine(), v);
+      const std::vector<RunResult> grouped =
+          multi_replay_tape(t, machines, v, RunOptions{},
+                            ParallelSweepOptions{.num_threads = 4});
+      ASSERT_EQ(grouped.size(), machines.size());
+      for (std::size_t i = 0; i < machines.size(); ++i) {
+        SCOPED_TRACE("machine " + std::to_string(i));
+        expect_results_identical(replay_tape(t, machines[i], v), grouped[i]);
+      }
+    }
+  }
+}
+
 /// The shared-decode axis engine is the sweep-level wrapper: rows for each
 /// machine point must equal the per-point sweep_suite rows — and the
 /// result-store cells it persists must carry the exact same fingerprinted

@@ -306,10 +306,17 @@ TEST(TapeRoundTrip, RejectsCorruptOpcodeAndVersion) {
 
 // --- file round-trip ------------------------------------------------------
 
+// ctest runs every test case in its own process, possibly concurrently, so
+// each test gets its own file: a shared path lets one test's TearDown
+// delete or overwrite another's file mid-test.
 class TapeFileTest : public ::testing::Test {
  protected:
   std::string path_ = (std::filesystem::temp_directory_path() /
-                       "selcache_tape_test.tape")
+                       ("selcache_tape_test_" +
+                        std::string(::testing::UnitTest::GetInstance()
+                                        ->current_test_info()
+                                        ->name()) +
+                        ".tape"))
                           .string();
   void TearDown() override {
     std::error_code ec;
