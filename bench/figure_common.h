@@ -6,9 +6,11 @@
 //   --threads N       worker threads for the (workload, version) fan-out
 //                     (default: SELCACHE_THREADS env, else serial)
 //   --no-reuse-tape   interpret every point instead of record-once/
-//                     replay-many (the default records each (workload,
-//                     version) cell at the first machine point and replays
-//                     the tape for every other point)
+//                     replay-many (the default simulates each (workload,
+//                     version) cell once, at the first machine point, and
+//                     replays its tape at every point that differs from it
+//                     in more than memory latency; a single-point run
+//                     always interprets)
 //   --max-points N    truncate a sweep axis to its first N points (smoke
 //                     tests / CI)
 //   --store DIR       persistent result store: cells already in DIR are
@@ -138,9 +140,12 @@ inline void maybe_write_csv(const std::string& title,
 }  // namespace detail
 
 /// Run the full suite over every machine point of one axis. With
-/// fopt.reuse_tape (the default) the 13x5 cell tapes are recorded at the
-/// first point and replayed — bit-identically — for every later point, so
-/// an N-point axis pays the IR pipeline once, not N times.
+/// fopt.reuse_tape (the default) and more than one point, each of the 13x5
+/// cells is interpreted once, at the first point; points that differ from
+/// it only in memory latency are priced by that same simulation. A cell's
+/// tape is recorded only when something reads it — a later point that
+/// replays it (bit-identically) or a --store that persists it — so an
+/// N-point axis pays the IR pipeline once, not N times.
 inline int run_figure_sweep(std::vector<SweepPoint> points,
                             hw::SchemeKind scheme, const FigureOptions& fopt) {
   if (fopt.max_points >= 0 &&
@@ -188,10 +193,10 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
   // (workload, version) cell's tape is decoded ONCE and its batches fan out
   // to all machine points, instead of a full decode per point; points that
   // differ only in memory latency also share one structural simulation,
-  // priced at each latency. The tables
-  // are bit-identical to the per-point loop below (same rows, same store
-  // cells); only the timing footers differ — and the figure equivalence
-  // test strips those before diffing.
+  // priced at each latency, and a cell whose tape nothing reads records
+  // none. The tables are bit-identical to the per-point loop below (same
+  // rows, same store cells); only the timing footers differ — and the
+  // figure equivalence test strips those before diffing.
   if (opt.reuse_tape && points.size() > 1 && fopt.batch > 0) {
     opt.batch = fopt.batch;
     std::vector<core::MachineConfig> machines;

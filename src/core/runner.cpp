@@ -352,31 +352,32 @@ std::string store_key(const workloads::WorkloadInfo& w, const MachineConfig& m,
 
 namespace {
 
-/// record_tape over a group of machines that share_structure(): one
-/// interpretation and one structural pass, priced at every member.
-tape::Tape record_group(const workloads::WorkloadInfo& w,
-                        const std::vector<MachineConfig>& group, Version v,
-                        const RunOptions& opt, std::vector<RunResult>* results,
-                        trace::Recording* trace_out) {
-  SELCACHE_CHECK_MSG(!opt.fault.enabled() && opt.watchdog_accesses == 0,
+/// Interpret one cell over a group of machines that share_structure(): code
+/// product (§4.4), then one interpretation and one structural pass, priced
+/// at every member. With a `builder` the RecordingTimingModel shim tees
+/// every timing-model call into the tape while the real model simulates, so
+/// a recording run's results are ordinary simulation results.
+std::vector<RunResult> simulate_group(const workloads::WorkloadInfo& w,
+                                      const std::vector<MachineConfig>& group,
+                                      Version v, const RunOptions& opt,
+                                      trace::Recording* trace_out,
+                                      tape::TapeBuilder* builder) {
+  SELCACHE_CHECK_MSG(builder == nullptr || (!opt.fault.enabled() &&
+                                            opt.watchdog_accesses == 0),
                      "cannot record a tape under a fault campaign");
-  // Code product (§4.4), then the instrumented interpretation: the
-  // RecordingTimingModel shim tees every timing-model call into the tape
-  // builder while the real model simulates, so the recording run's results
-  // are ordinary simulation results.
   const ir::Program base = w.build();
   ir::Program product = prepare_program(base, v, opt.optimize);
   Simulation sim(group, v, opt, trace_out);
   codegen::DataEnv env(product, {.seed = opt.data_seed});
-  tape::TapeBuilder builder;
-  tape::RecordingTimingModel shim(sim.cpu, builder);
-  codegen::BasicTraceEngine<tape::RecordingTimingModel> engine(product, env,
-                                                               shim);
-  engine.run();
+  if (builder != nullptr) {
+    tape::RecordingTimingModel shim(sim.cpu, *builder);
+    codegen::BasicTraceEngine<tape::RecordingTimingModel>(product, env, shim)
+        .run();
+  } else {
+    codegen::TraceEngine(product, env, sim.cpu).run();
+  }
   // Always collect: it finishes the phase recording too.
-  std::vector<RunResult> r = sim.collect();
-  if (results != nullptr) *results = std::move(r);
-  return builder.take();
+  return sim.collect();
 }
 
 }  // namespace
@@ -385,10 +386,11 @@ tape::Tape record_tape(const workloads::WorkloadInfo& w,
                        const MachineConfig& m, Version v,
                        const RunOptions& opt, RunResult* result,
                        trace::Recording* trace_out) {
-  std::vector<RunResult> r;
-  tape::Tape t = record_group(w, {m}, v, opt, &r, trace_out);
+  tape::TapeBuilder builder;
+  std::vector<RunResult> r =
+      simulate_group(w, {m}, v, opt, trace_out, &builder);
   if (result != nullptr) *result = std::move(r.front());
-  return t;
+  return builder.take();
 }
 
 RunResult replay_tape(const tape::Tape& t, const MachineConfig& m, Version v,
@@ -493,14 +495,9 @@ RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
       return replay_tape(*t, m, v, opt, trace_out);
     }
 
-    // Plain interpretation: code product (§4.4), machine, execute, collect.
-    const ir::Program base = w.build();
-    ir::Program product = prepare_program(base, v, opt.optimize);
-    Simulation sim({m}, v, opt, trace_out);
-    codegen::DataEnv env(product, {.seed = opt.data_seed});
-    codegen::TraceEngine engine(product, env, sim.cpu);
-    engine.run();
-    return std::move(sim.collect().front());
+    return std::move(
+        simulate_group(w, {m}, v, opt, trace_out, /*builder=*/nullptr)
+            .front());
   }();
 
   if (stored) opt.result_store->save(skey, to_stored(result));
@@ -594,12 +591,15 @@ namespace {
 
 /// One (workload, version) cell of a shared-decode axis sweep: results for
 /// every machine point from ONE decode of the cell's tape. Store hits are
-/// served per point; the tape is recorded at the first un-served point,
-/// and the recording run prices every un-served point that
-/// share_structure()s with it (exactly the simulation run_version would
-/// run at each). Every remaining point rides the multi-replay fan-out.
-/// Fresh results are persisted under the same store keys run_version would
-/// use.
+/// served per point. The first un-served point's group — every un-served
+/// point that share_structure()s with it — is interpreted and simulated
+/// once (exactly the simulation run_version would run at each). The run
+/// records the cell's tape only when something reads it: a pending point
+/// outside the group, which rides the multi-replay fan-out below, or a
+/// writable store, through which the caller keeps it with
+/// ResultStore::persist_tapes. A tape already in the cache is replayed at
+/// every pending point. Fresh results are persisted under the same store
+/// keys run_version would use.
 void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
                             const std::vector<MachineConfig>& machines,
                             const RunOptions& opt,
@@ -623,30 +623,39 @@ void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
   }
   if (pending.empty()) return;
 
-  std::vector<std::size_t> rec_group;
-  for (std::size_t pi : pending)
-    if (share_structure(machines[pending.front()], machines[pi]))
-      rec_group.push_back(pi);
+  std::vector<std::size_t> group;
+  std::vector<std::size_t> replayed;
+  for (std::size_t pi : pending) {
+    if (share_structure(machines[pending.front()], machines[pi])) {
+      group.push_back(pi);
+    } else {
+      replayed.push_back(pi);
+    }
+  }
   tape::TapeCache& cache =
       opt.tape_cache != nullptr ? *opt.tape_cache : tape::TapeCache::global();
-  std::optional<std::vector<RunResult>> recorded;
-  const tape::TapeCache::TapePtr t =
-      cache.get_or_record(tape_key(w, v, opt), [&] {
-        std::vector<RunResult> r;
-        tape::Tape fresh = record_group(w, pick(machines, rec_group), v, opt,
-                                        &r, /*trace_out=*/nullptr);
-        recorded = std::move(r);
-        return fresh;
-      });
+  const std::string key = tape_key(w, v, opt);
+  // Within one sweep each tape key belongs to this one cell, so find()
+  // cannot miss a tape another task is still recording.
+  const bool read_later =
+      !replayed.empty() || (stored && !opt.result_store->read_only());
+  tape::TapeCache::TapePtr t;
+  std::optional<std::vector<RunResult>> fresh;
+  if (read_later) {
+    t = cache.get_or_record(key, [&] {
+      tape::TapeBuilder builder;
+      fresh = simulate_group(w, pick(machines, group), v, opt,
+                             /*trace_out=*/nullptr, &builder);
+      return builder.take();
+    });
+  } else if ((t = cache.find(key)) == nullptr) {
+    fresh = simulate_group(w, pick(machines, group), v, opt,
+                           /*trace_out=*/nullptr, /*builder=*/nullptr);
+  }
 
-  std::vector<std::size_t> replayed;
-  replayed.reserve(pending.size());
-  if (recorded) {
-    for (std::size_t i = 0; i < rec_group.size(); ++i)
-      out[rec_group[i]] = std::move((*recorded)[i]);
-    for (std::size_t pi : pending)
-      if (std::find(rec_group.begin(), rec_group.end(), pi) == rec_group.end())
-        replayed.push_back(pi);
+  if (fresh) {
+    for (std::size_t i = 0; i < group.size(); ++i)
+      out[group[i]] = std::move((*fresh)[i]);
   } else {
     replayed = pending;  // tape existed (preloaded / earlier cell of a rerun)
   }

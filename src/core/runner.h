@@ -230,8 +230,13 @@ std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
 /// ONCE and fanning the batches out to the pending machine points
 /// (tape::MultiReplayer) instead of re-decoding per point. Points that
 /// differ only in main-memory latency share one structural simulation; the
-/// recording run prices the whole group of the first pending point, so a
-/// pure latency axis interprets and simulates each cell once. Returns
+/// cell's one interpreted run prices the whole group of the first pending
+/// point, so a pure latency axis interprets and simulates each cell once.
+/// That run records the cell's tape only when something reads it: a
+/// pending point outside the group replays it, or a writable
+/// opt.result_store lets the caller keep it (ResultStore::persist_tapes).
+/// Otherwise opt.tape_cache is left without it. A tape already in the cache
+/// is replayed at every pending point. Returns
 /// rows[point] exactly as `machines.size()` sweep_suite calls would — same
 /// rows, same stats, same store cells — just cheaper. Requires a
 /// tape-eligible configuration (opt.reuse_tape set, no fault campaign or

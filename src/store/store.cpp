@@ -177,6 +177,15 @@ std::string read_key_sidecar(const fs::path& p) {
   return key;
 }
 
+/// A saved tape, or nullopt when the file is missing, truncated or corrupt.
+std::optional<tape::Tape> load_tape_or_miss(const std::string& path) {
+  try {
+    return tape::load_tape(path);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 }  // namespace
 
 ResultStore::ResultStore(std::string dir)
@@ -282,20 +291,21 @@ std::size_t ResultStore::preload_tapes(tape::TapeCache& cache) {
   std::size_t loaded = 0;
   for (const fs::path& kp : sidecars) {
     const std::string key = read_key_sidecar(kp);
-    if (key.empty()) continue;
-    fs::path tp = kp;
-    tp.replace_extension(".tape");
-    // A corrupt or truncated tape file is a miss: skip it; the cell will
-    // re-record and persist_tapes will rewrite it.
-    try {
-      tape::Tape t = tape::load_tape(tp.string());
-      bool recorded = false;
-      cache.get_or_record(
-          key, [&t] { return std::move(t); }, &recorded);
-      if (recorded) ++loaded;
-    } catch (const std::exception&) {
+    fs::path stem = kp;
+    stem.replace_extension();
+    std::optional<tape::Tape> t;
+    if (!key.empty()) t = load_tape_or_miss(stem.string() + ".tape");
+    if (!t) {
+      // A corrupt or truncated pair is a miss: skip it, and remember it so
+      // the next persist_tapes rewrites it once the cell has re-recorded.
+      std::lock_guard<std::mutex> lock(mu_);
+      rejected_tapes_.insert(stem.string());
       continue;
     }
+    bool recorded = false;
+    cache.get_or_record(
+        key, [&t] { return std::move(*t); }, &recorded);
+    if (recorded) ++loaded;
   }
   return loaded;
 }
@@ -309,8 +319,11 @@ std::size_t ResultStore::persist_tapes(const tape::TapeCache& cache) {
     std::error_code ec;
     // The .key sidecar is written last, so its presence implies a complete
     // pair; a crash between the two leaves an orphan .tape that is simply
-    // rewritten next time.
-    if (fs::exists(stem + ".key", ec)) continue;
+    // rewritten next time. A pair preload_tapes rejected is rewritten too.
+    if (fs::exists(stem + ".key", ec)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!rejected_tapes_.contains(stem)) continue;
+    }
     const support::WriteStatus tape_st =
         tape::save_tape_status(*tp, stem + ".tape");
     if (!tape_st.ok()) {
@@ -320,7 +333,10 @@ std::size_t ResultStore::persist_tapes(const tape::TapeCache& cache) {
     const support::WriteStatus key_st =
         support::write_file_atomic(stem + ".key", key + "\n");
     note_write(key_st);
-    if (key_st.ok()) ++written;
+    if (!key_st.ok()) continue;
+    ++written;
+    std::lock_guard<std::mutex> lock(mu_);
+    rejected_tapes_.erase(stem);
   }
   return written;
 }

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -101,11 +102,13 @@ class ResultStore {
   /// the same bytes for the same key).
   void save(const std::string& key, const StoredResult& r);
 
-  /// Load every readable tape in the store into `cache` (corrupt tape
-  /// files are skipped). Returns the number of tapes inserted.
+  /// Load every readable tape in the store into `cache`. Corrupt tape
+  /// files are skipped and remembered by this handle. Returns the number of
+  /// tapes inserted.
   std::size_t preload_tapes(tape::TapeCache& cache);
 
-  /// Write every finished tape of `cache` not already on disk (no-op when
+  /// Write every finished tape of `cache` that is not already on disk, or
+  /// whose file this handle's preload_tapes rejected (no-op when
   /// read-only). Returns the number of tapes written.
   std::size_t persist_tapes(const tape::TapeCache& cache);
 
@@ -145,9 +148,12 @@ class ResultStore {
 
   std::string dir_;
   Options opt_;
-  mutable std::mutex mu_;  ///< guards counters_ (file ops are lock-free)
+  /// Guards the members below it (file ops are lock-free).
+  mutable std::mutex mu_;
   StoreCounters counters_;
   std::string last_write_error_;
+  /// Tape paths (without extension) preload_tapes could not load.
+  std::set<std::string> rejected_tapes_;
 };
 
 }  // namespace selcache::store

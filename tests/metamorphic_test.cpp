@@ -6,8 +6,10 @@
 //     at 300 cycles, under the bypass and the victim scheme;
 //   * the hardware scheme (none, bypass, victim) never changes the
 //     instruction count or the L1 demand accesses — the scheme invariance
-//     the tape key rests on.
-// One pointer-chasing, one indexed and one array code, all five versions.
+//     the tape key rests on;
+//   * LRU inclusion: without a scheme, L1 caches with twice the ways over
+//     the same sets never miss more than the base machine's.
+// One pointer-chasing, one indexed and one array code.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -62,6 +64,32 @@ TEST_P(Metamorphic, LatencyMovesOnlyCyclesAndSchemeKeepsTheStream) {
                 demand_accesses(plain.stats, "l1d"));
       EXPECT_EQ(demand_accesses(fast.stats, "l1i"),
                 demand_accesses(plain.stats, "l1i"));
+    }
+  }
+}
+
+/// Doubling an L1's size and ways keeps its set count, so under LRU each
+/// wider set holds the eight most recently used blocks that map to it where
+/// the base set holds four: every base hit is a hit in the wider cache.
+/// Base and PureSoftware build no scheme, so nothing but LRU decides what
+/// the L1s keep.
+TEST_P(Metamorphic, DoubledL1WaysNeverAddMisses) {
+  const workloads::WorkloadInfo& w = workloads::workload(GetParam());
+  MachineConfig wide = base_machine();
+  for (memsys::CacheConfig* c : {&wide.hierarchy.l1d, &wide.hierarchy.l1i}) {
+    c->size_bytes *= 2;
+    c->assoc *= 2;
+  }
+  for (Version v : {Version::Base, Version::PureSoftware}) {
+    SCOPED_TRACE(to_string(v));
+    const RunResult base = run_version(w, base_machine(), v);
+    const RunResult wider = run_version(w, wide, v);
+    for (const char* cache : {"l1d", "l1i"}) {
+      SCOPED_TRACE(cache);
+      EXPECT_EQ(demand_accesses(wider.stats, cache),
+                demand_accesses(base.stats, cache));
+      EXPECT_LE(wider.stats.get(std::string(cache) + ".misses"),
+                base.stats.get(std::string(cache) + ".misses"));
     }
   }
 }

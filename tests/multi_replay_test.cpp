@@ -25,6 +25,10 @@ std::vector<MachineConfig> axis_machines() {
           higher_l1_assoc()};
 }
 
+std::size_t suite_cells() {
+  return workloads::all_workloads().size() * kAllVersions.size();
+}
+
 void expect_results_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.instructions, b.instructions);
@@ -236,6 +240,8 @@ TEST(MultiReplay, SharedDecodeAxisMatchesPerPointSweepAndStoreCells) {
     const auto shared = sweep_axis_shared_decode(
         machines, axis_opt, ParallelSweepOptions{.num_threads = threads});
     ASSERT_EQ(shared.size(), machines.size());
+    // Mixed points replay the tape, and the writable store keeps it too.
+    EXPECT_EQ(axis_cache.size(), suite_cells());
     for (std::size_t i = 0; i < machines.size(); ++i) {
       SCOPED_TRACE("machine " + std::to_string(i));
       expect_rows_identical(per_point[i], shared[i]);
@@ -262,6 +268,70 @@ TEST(MultiReplay, SharedDecodeAxisMatchesPerPointSweepAndStoreCells) {
 
   std::filesystem::remove_all(solo_dir);
   std::filesystem::remove_all(axis_dir);
+}
+
+/// A cell records its tape only when something reads it. On a latency-only
+/// axis every point is priced by the cell's one simulation, so no point
+/// replays: without a store nothing is recorded; a writable store keeps
+/// every tape for persist_tapes; and a cache preloaded with those tapes
+/// replays every cell without recording. A cell's row does not depend on
+/// which route served it.
+TEST(MultiReplay, LatencyAxisRecordsOnlyTapesSomethingReads) {
+  std::vector<MachineConfig> machines;
+  for (const unsigned lat : {100u, 300u}) {
+    MachineConfig m = base_machine();
+    m.hierarchy.mem.access_latency = lat;
+    machines.push_back(m);
+  }
+  const ParallelSweepOptions par{.num_threads = 4};
+  const auto taped = [](tape::TapeCache& cache, store::ResultStore* s) {
+    RunOptions opt;
+    opt.reuse_tape = true;
+    opt.tape_cache = &cache;
+    opt.result_store = s;
+    return opt;
+  };
+  const auto tmp = std::filesystem::temp_directory_path();
+  const std::string kept_dir = (tmp / "selcache_mr_reader_kept").string();
+  const std::string fresh_dir = (tmp / "selcache_mr_reader_fresh").string();
+  std::filesystem::remove_all(kept_dir);
+  std::filesystem::remove_all(fresh_dir);
+
+  // 1. No store: nothing reads a tape, so none is recorded.
+  tape::TapeCache bare;
+  const auto plain =
+      sweep_axis_shared_decode(machines, taped(bare, nullptr), par);
+  EXPECT_EQ(bare.size(), 0u);
+
+  // 2. A writable store: every tape is recorded and persisted.
+  tape::TapeCache kept;
+  store::ResultStore kept_store(kept_dir);
+  const auto stored =
+      sweep_axis_shared_decode(machines, taped(kept, &kept_store), par);
+  EXPECT_EQ(kept.size(), suite_cells());
+  EXPECT_EQ(kept_store.persist_tapes(kept), suite_cells());
+
+  // 3. A fresh store and sweep 2's tapes: every cell replays, none records.
+  tape::TapeCache preloaded;
+  ASSERT_EQ(store::ResultStore(kept_dir).preload_tapes(preloaded),
+            suite_cells());
+  const auto before = preloaded.snapshot();
+  store::ResultStore fresh_store(fresh_dir);
+  const auto replayed =
+      sweep_axis_shared_decode(machines, taped(preloaded, &fresh_store), par);
+  EXPECT_EQ(preloaded.snapshot(), before);
+  EXPECT_EQ(fresh_store.counters().writes, machines.size() * suite_cells());
+
+  ASSERT_EQ(plain.size(), machines.size());
+  ASSERT_EQ(stored.size(), machines.size());
+  ASSERT_EQ(replayed.size(), machines.size());
+  for (std::size_t i = 0; i < machines.size(); ++i) {
+    SCOPED_TRACE("machine " + std::to_string(i));
+    expect_rows_identical(plain[i], stored[i]);
+    expect_rows_identical(plain[i], replayed[i]);
+  }
+  std::filesystem::remove_all(kept_dir);
+  std::filesystem::remove_all(fresh_dir);
 }
 
 }  // namespace

@@ -236,12 +236,13 @@ TEST_F(StoreTest, PersistsAndPreloadsTapes) {
 }
 
 TEST_F(StoreTest, CorruptTapeIsSkippedOnPreload) {
-  tape::TapeCache cache;
-  cache.get_or_record("tape/x", [] {
+  const auto record = [] {
     tape::TapeBuilder b;
     b.load(0x1000, false);
     return b.take();
-  });
+  };
+  tape::TapeCache cache;
+  cache.get_or_record("tape/x", record);
   ResultStore s(dir_);
   ASSERT_EQ(s.persist_tapes(cache), 1u);
   // Truncate the tape body; its .key sidecar stays intact.
@@ -250,6 +251,13 @@ TEST_F(StoreTest, CorruptTapeIsSkippedOnPreload) {
       fs::resize_file(e.path(), fs::file_size(e.path()) / 2);
   tape::TapeCache warm;
   EXPECT_EQ(s.preload_tapes(warm), 0u);
+
+  // The cell re-records, and the next persist heals the pair on disk (once).
+  warm.get_or_record("tape/x", record);
+  EXPECT_EQ(s.persist_tapes(warm), 1u);
+  EXPECT_EQ(s.persist_tapes(warm), 0u);
+  tape::TapeCache healed;
+  EXPECT_EQ(ResultStore(dir_).preload_tapes(healed), 1u);
 }
 
 // --- runner integration ---------------------------------------------------

@@ -1,9 +1,12 @@
 #!/bin/sh
 # End-to-end tape smoke: a figure sweep's published output must be
-# byte-identical whether the machine points are interpreted directly or
-# replayed from the tape recorded at the first point. Any drift here means
-# the record/replay contract broke somewhere between the IR walker and the
-# stats printer. Truncated to 2 machine points so the test stays fast.
+# byte-identical whether the machine points are interpreted directly,
+# replayed from the tape recorded at the first point (--batch 0), or priced
+# by the default engine's one simulation per cell. The two fig5 points
+# differ only in memory latency and no store keeps a tape, so the default
+# engine records none. Any drift here means the record/replay or pricing
+# contract broke somewhere between the IR walker and the stats printer.
+# Truncated to 2 machine points so the test stays fast.
 set -eu
 
 BENCH="${1:?usage: run_tape_figure_test.sh PATH_TO_bench_fig5_memlat}"
@@ -17,13 +20,14 @@ strip_timing() {
   grep -v -e '^(simulated in ' -e '^axis total: ' "$1" > "$2"
 }
 
-# Default mode: shared decode (one decode per cell, batched fan-out to all
-# machine points).
+# Default mode: one interpreted simulation per cell, priced at both
+# latencies; nothing replays, so no tape is recorded.
 "$BENCH" --max-points 2 --threads 1 > "$TMP/tape_raw.txt"
 "$BENCH" --max-points 2 --threads 1 --no-reuse-tape > "$TMP/interp_raw.txt"
 # Classic per-point replay (the pre-batching engine).
 "$BENCH" --max-points 2 --threads 1 --batch 0 > "$TMP/perpoint_raw.txt"
-# Shared decode on the scalar probe kernels (vectorization force-disabled).
+# The default engine on the scalar probe kernels (vectorization
+# force-disabled).
 "$BENCH" --max-points 2 --threads 1 --no-simd > "$TMP/scalar_raw.txt"
 for mode in tape interp perpoint scalar; do
   strip_timing "$TMP/${mode}_raw.txt" "$TMP/${mode}.txt"
