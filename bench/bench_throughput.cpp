@@ -1,19 +1,18 @@
 // Engine-throughput benchmark: simulated accesses/second for the full
 // 13-benchmark DATE-2003 sweep — serial vs. the parallel experiment engine,
-// interpreted vs. the trace-tape record/replay path, vectorized vs. scalar
-// probe kernels, and per-point vs. shared-decode multi-config replay.
+// interpreted vs. the trace-tape record/replay path, and per-point vs.
+// shared-decode multi-config replay.
 //
 //   bench_throughput [--threads N] [--out FILE] [--scheme bypass|victim]
 //
 // Reports wall-clock, simulated-accesses/second, the parallel speedup, the
-// probe-kernel (SIMD vs forced-scalar) speedup measured in-process, the tape
-// record/replay throughput plus encoded density, the batched multi-config
-// replay throughput over a 4-point memory-latency axis (per-point replay vs
-// shared decode), and the persistent result store's cold-fill vs warm-serve
-// suite times. Verifies every pass is bit-identical to the serial
-// interpreted one, and writes a JSON baseline (default
-// results/BENCH_throughput.json) that tools/check_bench_regression.py
-// compares future runs against.
+// tape record/replay throughput plus encoded density, the batched
+// multi-config replay throughput over a 4-point memory-latency axis
+// (per-point replay vs shared decode), and the persistent result store's
+// cold-fill vs warm-serve suite times. Verifies every pass is
+// bit-identical to the serial interpreted one, and writes a JSON baseline
+// (default results/BENCH_throughput.json) that
+// tools/check_bench_regression.py compares future runs against.
 //
 // Every timing section records the worker-thread count it actually used;
 // `hardware_threads` reports the host so the regression checker can skip
@@ -26,7 +25,6 @@
 
 #include "core/report.h"
 #include "core/runner.h"
-#include "memsys/probe_kernels.h"
 #include "store/store.h"
 #include "support/thread_pool.h"
 #include "tape/cache.h"
@@ -90,30 +88,15 @@ int main(int argc, char** argv) {
 
   std::printf("engine throughput: full 13-benchmark sweep, scheme=%s\n",
               selcache::hw::to_string(scheme));
-  std::printf("host: %u hardware thread(s), probe kernels: %s\n", hw_threads,
-              selcache::memsys::kernels::active_kernel());
+  std::printf("host: %u hardware thread(s)\n", hw_threads);
 
   auto t0 = std::chrono::steady_clock::now();
   const auto serial_rows = selcache::core::sweep_suite(machine, opt);
   const double serial_s = seconds_since(t0);
   const std::uint64_t accesses = total_accesses(serial_rows);
   const double serial_aps = static_cast<double>(accesses) / serial_s;
-  std::printf("serial:    %6.2fs  %12.0f accesses/s  (%s kernels)\n",
-              serial_s, serial_aps,
-              selcache::memsys::kernels::active_kernel());
-
-  // Probe-kernel A/B in ONE process: force the scalar fallback, repeat the
-  // serial sweep, restore the startup selection. In-process comparison
-  // avoids most of the host noise a pair of separate runs would carry.
-  selcache::memsys::kernels::force_scalar(true);
-  t0 = std::chrono::steady_clock::now();
-  const auto scalar_rows = selcache::core::sweep_suite(machine, opt);
-  const double scalar_s = seconds_since(t0);
-  selcache::memsys::kernels::force_scalar(false);
-  const double scalar_aps = static_cast<double>(accesses) / scalar_s;
-  const double simd_speedup = scalar_s > 0 ? scalar_s / serial_s : 0.0;
-  std::printf("scalar:    %6.2fs  %12.0f accesses/s  (simd probe: %.2fx)\n",
-              scalar_s, scalar_aps, simd_speedup);
+  std::printf("serial:    %6.2fs  %12.0f accesses/s\n", serial_s,
+              serial_aps);
 
   t0 = std::chrono::steady_clock::now();
   const auto parallel_rows = selcache::core::sweep_suite(
@@ -226,15 +209,14 @@ int main(int argc, char** argv) {
   std::error_code ec;
   std::filesystem::remove_all(store_dir, ec);
 
-  const bool deterministic = identical(serial_rows, scalar_rows) &&
-                             identical(serial_rows, parallel_rows) &&
+  const bool deterministic = identical(serial_rows, parallel_rows) &&
                              identical(serial_rows, recorded_rows) &&
                              identical(serial_rows, replayed_rows) &&
                              identical(serial_rows, store_cold_rows) &&
                              identical(serial_rows, store_warm_rows) &&
                              multi_replay_identical;
-  std::printf("determinism: scalar + parallel + tape + multi-replay + store "
-              "rows %s serial rows\n",
+  std::printf("determinism: parallel + tape + multi-replay + store rows %s "
+              "serial rows\n",
               deterministic ? "IDENTICAL to" : "DIFFER from");
 
   char json[4096];
@@ -246,13 +228,9 @@ int main(int argc, char** argv) {
                 "  \"hardware_threads\": %u,\n"
                 "  \"threads\": %u,\n"
                 "  \"simulated_accesses\": %llu,\n"
-                "  \"simd_probe\": \"%s\",\n"
-                "  \"simd_probe_speedup\": %.3f,\n"
                 "  \"serial_seconds\": %.3f,\n"
                 "  \"serial_accesses_per_sec\": %.0f,\n"
                 "  \"serial_threads_used\": 1,\n"
-                "  \"scalar_serial_seconds\": %.3f,\n"
-                "  \"scalar_serial_accesses_per_sec\": %.0f,\n"
                 "  \"parallel_seconds\": %.3f,\n"
                 "  \"parallel_accesses_per_sec\": %.0f,\n"
                 "  \"parallel_threads_used\": %u,\n"
@@ -272,10 +250,9 @@ int main(int argc, char** argv) {
                 "}\n",
                 selcache::hw::to_string(scheme), serial_rows.size(),
                 hw_threads, threads,
-                static_cast<unsigned long long>(accesses),
-                selcache::memsys::kernels::active_kernel(), simd_speedup,
-                serial_s, serial_aps, scalar_s, scalar_aps, parallel_s,
-                parallel_aps, threads, speedup, record_aps, replay_aps,
+                static_cast<unsigned long long>(accesses), serial_s,
+                serial_aps, parallel_s, parallel_aps, threads, speedup,
+                record_aps, replay_aps,
                 tape_bytes_per_access, axis.size(), mr_threads,
                 multi_replay_aps, per_point_s, shared_s, shared_speedup,
                 store_cold_s, store_warm_s, deterministic ? "true" : "false");

@@ -4,7 +4,8 @@
 //
 // Every figure bench accepts the same flags (strict — unknown flags exit 2):
 //   --threads N       worker threads for the (workload, version) fan-out
-//                     (default: SELCACHE_THREADS env, else serial)
+//                     (default: SELCACHE_THREADS env, else serial; max
+//                     4096)
 //   --no-reuse-tape   interpret every point instead of record-once/
 //                     replay-many (the default simulates each (workload,
 //                     version) cell once, at the first machine point, and
@@ -23,11 +24,15 @@
 //                     axis then decodes each cell's tape ONCE and fans the
 //                     batches out to every machine point. 0 restores the
 //                     classic per-point replay loop.
-//   --no-simd         force the scalar probe kernels (same results, no
-//                     vectorized tag compare) — see memsys/probe_kernels.h
+//
+// Numeric values are strict: anything but a plain non-negative decimal
+// number in range exits 2, never a silent 0 that changes the run.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,7 +42,6 @@
 
 #include "core/report.h"
 #include "core/runner.h"
-#include "memsys/probe_kernels.h"
 #include "store/store.h"
 #include "support/signal_guard.h"
 #include "tape/cache.h"
@@ -66,17 +70,28 @@ inline FigureOptions parse_figure_options(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [--threads N] [--no-reuse-tape]"
                  " [--max-points N] [--store DIR] [--store-readonly]"
-                 " [--store-clear] [--batch N] [--no-simd]\n",
+                 " [--store-clear] [--batch N]\n",
                  argv[0]);
     std::exit(2);
   };
+  // A plain non-negative decimal no larger than `max`, else exit 2: junk
+  // such as "abc", "x" or "-3" must not quietly become 0 or a huge count.
+  const auto count = [&usage](const char* s, unsigned long max) {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long v = std::strtoul(s, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' ||
+        errno == ERANGE || v > max)
+      usage();
+    return v;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      f.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      f.threads = static_cast<unsigned>(count(argv[++i], 4096));
     } else if (std::strcmp(argv[i], "--no-reuse-tape") == 0) {
       f.reuse_tape = false;
     } else if (std::strcmp(argv[i], "--max-points") == 0 && i + 1 < argc) {
-      f.max_points = std::atoi(argv[++i]);
+      f.max_points = static_cast<int>(count(argv[++i], INT_MAX));
     } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
       f.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--store-readonly") == 0) {
@@ -84,14 +99,8 @@ inline FigureOptions parse_figure_options(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--store-clear") == 0) {
       f.store_clear = true;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      // Strict: a batch size that does not parse as a plain number must
-      // fail loudly, not silently become 0 (which flips the engine).
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v > 0xffffffffUL) usage();
-      f.batch = static_cast<std::uint32_t>(v);
-    } else if (std::strcmp(argv[i], "--no-simd") == 0) {
-      memsys::kernels::force_scalar(true);
+      // 0 is valid and flips the engine, so junk must not become it.
+      f.batch = static_cast<std::uint32_t>(count(argv[++i], 0xffffffffUL));
     } else {
       usage();
     }
@@ -214,9 +223,8 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
                            std::chrono::steady_clock::now() - sweep_t0)
                            .count();
     std::printf("axis total: %zu machine points in %.1fs "
-                "(shared-decode, batch=%u, kernels=%s)\n",
-                points.size(), total, fopt.batch,
-                memsys::kernels::active_kernel());
+                "(shared-decode, batch=%u)\n",
+                points.size(), total, fopt.batch);
     if (rstore != nullptr) {
       std::size_t persisted = rstore->persist_tapes(cache);
       const auto c = rstore->counters();

@@ -30,22 +30,32 @@ std::uint64_t l1_accesses(const RunResult& r) {
 
 }  // namespace
 
-/// Assemble one figure row from the five per-version results. Shared by the
-/// serial, parallel, and checkpoint paths so their outputs are bit-identical.
-ImprovementRow make_improvement_row(const workloads::WorkloadInfo& w,
-                                    const std::array<RunResult, 5>& results) {
+ImprovementRow make_row_partial(
+    const workloads::WorkloadInfo& w,
+    const std::array<std::optional<RunResult>, 5>& results) {
   ImprovementRow row;
   row.benchmark = w.name;
   row.category = w.category;
-  row.base_cycles = results[0].cycles;
+  row.base_cycles = results[0] ? results[0]->cycles : 0;
   for (std::size_t i = 0; i < kAllVersions.size(); ++i) {
     const Version v = kAllVersions[i];
     if (v != Version::Base)
-      row.pct[v] = improvement_pct(row.base_cycles, results[i].cycles);
-    row.accesses += l1_accesses(results[i]);
-    row.stats.merge(results[i].stats, std::string(version_key(v)) + ".");
+      row.pct[v] = results[0] && results[i]
+                       ? improvement_pct(row.base_cycles, results[i]->cycles)
+                       : 0.0;
+    if (results[i]) {
+      row.accesses += l1_accesses(*results[i]);
+      row.stats.merge(results[i]->stats, std::string(version_key(v)) + ".");
+    }
   }
   return row;
+}
+
+ImprovementRow make_improvement_row(const workloads::WorkloadInfo& w,
+                                    const std::array<RunResult, 5>& results) {
+  std::array<std::optional<RunResult>, 5> present;
+  std::copy(results.begin(), results.end(), present.begin());
+  return make_row_partial(w, present);
 }
 
 const char* version_key(Version v) {
@@ -313,6 +323,8 @@ store::StoredResult to_stored(const RunResult& r) {
           .stats = r.stats};
 }
 
+}  // namespace
+
 RunResult from_stored(const store::StoredResult& s) {
   RunResult r;
   r.cycles = s.cycles;
@@ -324,8 +336,6 @@ RunResult from_stored(const store::StoredResult& s) {
   r.stats = s.stats;
   return r;
 }
-
-}  // namespace
 
 std::string tape_key(const workloads::WorkloadInfo& w, Version v,
                      const RunOptions& opt) {
@@ -787,30 +797,6 @@ CellRun run_cell_guarded(const workloads::WorkloadInfo& w,
       if (attempt >= fopt.max_retries) return cell;
     }
   }
-}
-
-/// make_row over possibly-missing per-version results. A quarantined cell
-/// contributes 0.0 improvement (figure tables always render a full row);
-/// the FailureReport tells readers which numbers to trust.
-ImprovementRow make_row_partial(
-    const workloads::WorkloadInfo& w,
-    const std::array<std::optional<RunResult>, 5>& results) {
-  ImprovementRow row;
-  row.benchmark = w.name;
-  row.category = w.category;
-  row.base_cycles = results[0] ? results[0]->cycles : 0;
-  for (std::size_t i = 0; i < kAllVersions.size(); ++i) {
-    const Version v = kAllVersions[i];
-    if (v != Version::Base)
-      row.pct[v] = results[0] && results[i]
-                       ? improvement_pct(row.base_cycles, results[i]->cycles)
-                       : 0.0;
-    if (results[i]) {
-      row.accesses += l1_accesses(*results[i]);
-      row.stats.merge(results[i]->stats, std::string(version_key(v)) + ".");
-    }
-  }
-  return row;
 }
 
 /// Shared body of the resilient entry points: guard every (workload,

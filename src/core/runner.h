@@ -11,6 +11,7 @@
 
 #include <array>
 #include <map>
+#include <optional>
 
 #include "core/versions.h"
 #include "fault/fault.h"
@@ -25,6 +26,7 @@ class TapeCache;
 
 namespace selcache::store {
 class ResultStore;
+struct StoredResult;
 }
 
 namespace selcache::support {
@@ -188,12 +190,22 @@ struct ImprovementRow {
   StatSet stats;
 };
 
-/// Assemble one figure row from the five per-version results (kAllVersions
-/// order). This is the exact row constructor the sweep engines use, exposed
-/// so the checkpoint engine can rebuild rows from per-cell results (stored
-/// or fresh) and stay bit-identical to an uninterrupted sweep.
+/// Assemble one figure row from the per-version results (kAllVersions
+/// order). A missing (failed or quarantined) cell contributes 0.0
+/// improvement and no accesses or stats, so a figure table always renders
+/// a full row. Every sweep engine, the checkpoint engine included, builds
+/// its rows here; that shared path keeps their outputs bit-identical.
+ImprovementRow make_row_partial(
+    const workloads::WorkloadInfo& w,
+    const std::array<std::optional<RunResult>, 5>& results);
+
+/// make_row_partial with all five results present.
 ImprovementRow make_improvement_row(const workloads::WorkloadInfo& w,
                                     const std::array<RunResult, 5>& results);
+
+/// The RunResult a persistent-store cell holds (faults_injected and
+/// degradations are 0: only runs without them are stored).
+RunResult from_stored(const store::StoredResult& s);
 
 /// Fingerprint of every RunOptions field the recorded access stream depends
 /// on (data seed + optimization pipeline + method-predictor config). One

@@ -40,26 +40,6 @@
 
 namespace selcache::cpu {
 
-/// One recorded event of the instruction/memory stream (see
-/// codegen/trace_io.h for capture/replay helpers).
-struct TraceEvent {
-  enum class Kind : std::uint8_t {
-    Compute,  ///< value = instruction count
-    Load,     ///< addr; flags bit0 = dependent
-    Store,    ///< addr
-    Branch,   ///< addr = pc; flags bit0 = taken
-    Toggle,   ///< flags bit0 = on; value = static region id + 1 (0 = none)
-    Ifetch    ///< addr = pc; value = instruction count
-  };
-  Kind kind = Kind::Compute;
-  std::uint8_t flags = 0;
-  std::uint32_t value = 0;
-  Addr addr = 0;
-
-  bool operator==(const TraceEvent&) const = default;
-};
-using Trace = std::vector<TraceEvent>;
-
 struct CpuConfig {
   std::uint32_t issue_width = 4;
   std::uint32_t ruu_entries = 64;
@@ -101,20 +81,11 @@ class TimingModel {
   // the same at every point and returns before the pricing loop.
 
   /// `n` plain ALU instructions.
-  void compute(std::uint64_t n) {
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Compute, 0,
-                         static_cast<std::uint32_t>(n), 0});
-    instructions_ += n;
-  }
+  void compute(std::uint64_t n) { instructions_ += n; }
 
   /// One load instruction. `dependent` marks address-dependent loads
   /// (pointer chasing) that cannot overlap with outstanding misses.
   void load(Addr addr, bool dependent = false) {
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Load,
-                         static_cast<std::uint8_t>(dependent ? 1 : 0), 0,
-                         addr});
     ++instructions_;
     controller_.tick();
     const Outcome o = access(addr, memsys::AccessKind::Load);
@@ -124,8 +95,6 @@ class TimingModel {
 
   /// One store instruction (write-allocate; retires through the LSQ).
   void store(Addr addr) {
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Store, 0, 0, addr});
     ++instructions_;
     controller_.tick();
     const Outcome o = access(addr, memsys::AccessKind::Store);
@@ -137,9 +106,6 @@ class TimingModel {
 
   /// One conditional branch at `pc` with actual outcome `taken`.
   void branch(Addr pc, bool taken) {
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Branch,
-                         static_cast<std::uint8_t>(taken ? 1 : 0), 0, pc});
     ++instructions_;
     for (Pricing& p : points_)
       if (!p.bpred.predict_and_train(pc, taken))
@@ -151,12 +117,6 @@ class TimingModel {
   /// instructions have also been taken into account"). `region` is the
   /// static source-region id the marker belongs to (-1 = unattributed).
   void toggle(bool on, std::int32_t region = -1) {
-    // The captured trace stores region + 1 in `value` so a region-less
-    // toggle (region -1) round-trips through the unsigned field as 0.
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Toggle,
-                         static_cast<std::uint8_t>(on ? 1 : 0),
-                         static_cast<std::uint32_t>(region + 1), 0});
     ++instructions_;
     ++toggles_;
     controller_.toggle(on, region);
@@ -164,8 +124,6 @@ class TimingModel {
 
   /// Fetch the code block(s) for `n_instr` instructions located at `pc`.
   void touch_code(Addr pc, std::uint32_t n_instr) {
-    if (trace_ != nullptr)
-      trace_->push_back({TraceEvent::Kind::Ifetch, 0, n_instr, pc});
     if (!model_ifetch_) return;
     // 4 bytes per instruction; touch each I-cache block the group spans.
     // Block size is validated power-of-two, so the span bounds are shifts.
@@ -185,9 +143,6 @@ class TimingModel {
   /// will probe. A pure performance hint for batched-replay lookahead — no
   /// simulator state, statistics, or trace events.
   void prefetch_data(Addr addr) const { hierarchy_.prefetch_data(addr); }
-
-  /// Tee every subsequent event into `sink` (nullptr stops recording).
-  void set_trace_sink(Trace* sink) { trace_ = sink; }
 
   /// Number of points this model prices (k).
   std::size_t points() const { return points_.size(); }
@@ -272,7 +227,6 @@ class TimingModel {
   Cycle mem_latency_ = 0;  ///< the hierarchy's memory latency (L_0)
   bool model_ifetch_ = true;
   unsigned l1i_shift_ = 0;  ///< log2(l1i block size); validated pow2
-  Trace* trace_ = nullptr;
 
   // Shared by every point: instruction and toggle counts are structural
   // (one instruction is one issue slot at any point).

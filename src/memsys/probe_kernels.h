@@ -17,15 +17,16 @@
 //                           the same slot data the tag-compare already
 //                           loaded, so a miss no longer walks the set twice.
 //
-// match_way is vectorized (SSE2 on x86-64, NEON on AArch64) with a scalar
-// fallback that is always compiled; victim_way is a branch-lean scalar scan
-// (conditional selects, no data-dependent branches) shared by both modes.
-// Which path runs is decided once at startup — build capability gated by
-// the SELCACHE_NO_SIMD environment variable — and can be overridden with
-// force_scalar() (the CLI's --no-simd, and the equivalence tests that pin
-// both paths against each other). Both paths implement the exact same
-// first-match / first-free / min-LRU semantics, so switching kernels never
-// changes a simulation result — only how fast it is produced.
+// The build target picks the kernels; nothing switches them at run time.
+// With SSE2 (every x86-64 build) match_way is vectorized and the 4-way
+// probe_way is fused; every other target compiles the scalar kernels.
+// detail::match_way_scalar is always compiled: it is the portable path and
+// the reference the kernel tests compare the vector path against. The
+// SSE2 and scalar kernels implement the exact same first-match /
+// first-free / min-LRU semantics, so the target never changes a simulation
+// result — only its speed.
+// victim_way is a branch-lean scalar scan (conditional selects, no
+// data-dependent branches) on every target.
 #pragma once
 
 #include <cstddef>
@@ -34,10 +35,6 @@
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
-#define SELCACHE_SIMD_SSE2 1
-#elif defined(__aarch64__)
-#include <arm_neon.h>
-#define SELCACHE_SIMD_NEON 1
 #endif
 
 namespace selcache::memsys::kernels {
@@ -51,32 +48,7 @@ inline constexpr std::size_t kSlotKeyOff = 0;
 inline constexpr std::size_t kSlotLruOff = 8;
 inline constexpr std::size_t kSlotValidOff = 12;
 
-/// True when this build carries a vector path at all.
-constexpr bool simd_compiled() {
-#if defined(SELCACHE_SIMD_SSE2) || defined(SELCACHE_SIMD_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Name of the vector path compiled in (independent of runtime selection).
-constexpr const char* simd_isa() {
-#if defined(SELCACHE_SIMD_SSE2)
-  return "sse2";
-#elif defined(SELCACHE_SIMD_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
-
 namespace detail {
-/// Startup-resolved dispatch: simd_compiled() && !SELCACHE_NO_SIMD. Written
-/// only by force_scalar() — call it before simulations start, never while
-/// they run (the hot path reads this without synchronization).
-extern bool g_use_simd;
-
 inline std::uint64_t slot_key(const unsigned char* s) {
   std::uint64_t k;
   std::memcpy(&k, s + kSlotKeyOff, sizeof(k));
@@ -98,7 +70,7 @@ inline std::uint32_t match_way_scalar(const unsigned char* p, std::uint32_t n,
   return kNoWay;
 }
 
-#if defined(SELCACHE_SIMD_SSE2)
+#if defined(__SSE2__)
 /// 64-bit lane equality out of SSE2's 32-bit compare: equal halves ANDed
 /// pairwise, so a lane is all-ones iff the full 64-bit values match.
 inline __m128i cmpeq64_sse2(__m128i a, __m128i b) {
@@ -107,7 +79,7 @@ inline __m128i cmpeq64_sse2(__m128i a, __m128i b) {
                        _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
 }
 
-inline std::uint32_t match_way_simd(const unsigned char* p, std::uint32_t n,
+inline std::uint32_t match_way_sse2(const unsigned char* p, std::uint32_t n,
                                     std::uint64_t key) {
   const __m128i kv = _mm_set1_epi64x(static_cast<long long>(key));
   if (n == 4) {
@@ -147,26 +119,6 @@ inline std::uint32_t match_way_simd(const unsigned char* p, std::uint32_t n,
     if (slot_valid(p) && slot_key(p) == key) return w;
   return kNoWay;
 }
-#elif defined(SELCACHE_SIMD_NEON)
-inline std::uint32_t match_way_simd(const unsigned char* p, std::uint32_t n,
-                                    std::uint64_t key) {
-  const uint64x2_t kv = vdupq_n_u64(key);
-  std::uint32_t w = 0;
-  for (; w + 2 <= n; w += 2, p += 2 * kSlotBytes) {
-    // Keys live at slot offset 0; gather the pair with two 64-bit loads.
-    std::uint64_t k0, k1;
-    std::memcpy(&k0, p, sizeof(k0));
-    std::memcpy(&k1, p + kSlotBytes, sizeof(k1));
-    const uint64x2_t eq = vceqq_u64(vcombine_u64(vcreate_u64(k0),
-                                                 vcreate_u64(k1)),
-                                    kv);
-    if (vgetq_lane_u64(eq, 0) != 0 && slot_valid(p)) return w;
-    if (vgetq_lane_u64(eq, 1) != 0 && slot_valid(p + kSlotBytes)) return w + 1;
-  }
-  for (; w < n; ++w, p += kSlotBytes)
-    if (slot_valid(p) && slot_key(p) == key) return w;
-  return kNoWay;
-}
 #endif
 
 }  // namespace detail
@@ -177,10 +129,11 @@ inline std::uint32_t match_way_simd(const unsigned char* p, std::uint32_t n,
 inline std::uint32_t match_way(const void* slots, std::uint32_t n,
                                std::uint64_t key) {
   const auto* p = static_cast<const unsigned char*>(slots);
-#if defined(SELCACHE_SIMD_SSE2) || defined(SELCACHE_SIMD_NEON)
-  if (detail::g_use_simd) return detail::match_way_simd(p, n, key);
-#endif
+#if defined(__SSE2__)
+  return detail::match_way_sse2(p, n, key);
+#else
   return detail::match_way_scalar(p, n, key);
+#endif
 }
 
 /// Where a miss on this set would fill.
@@ -218,13 +171,13 @@ struct ProbeResult {
 };
 
 /// Tag-compare and victim preview fused into one pass over the set: exactly
-/// match_way(), followed on a miss by exactly victim_way(), but the SIMD
+/// match_way(), followed on a miss by exactly victim_way(), but the SSE2
 /// 4-way path derives the victim from the slot vectors the tag-compare
 /// already loaded instead of walking the set a second time.
 inline ProbeResult probe_way(const void* slots, std::uint32_t n,
                              std::uint64_t key) {
-#if defined(SELCACHE_SIMD_SSE2)
-  if (detail::g_use_simd && n == 4) {
+#if defined(__SSE2__)
+  if (n == 4) {
     const auto* p = static_cast<const unsigned char*>(slots);
     const __m128i kv = _mm_set1_epi64x(static_cast<long long>(key));
     const __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
@@ -276,24 +229,11 @@ inline ProbeResult probe_way(const void* slots, std::uint32_t n,
     return {.way = way};
   }
 #endif
-  // Scalar / odd-geometry path: the classic two kernels back to back.
+  // Other targets and odd geometries: the two kernels back to back.
   const std::uint32_t w = match_way(slots, n, key);
   if (w != kNoWay) return {.hit = true, .way = w};
   const VictimWay v = victim_way(slots, n);
   return {.way = v.way, .free = v.free};
 }
-
-/// Runtime dispatch state: true when the vector path is compiled in and not
-/// disabled (SELCACHE_NO_SIMD env, force_scalar).
-inline bool simd_active() { return detail::g_use_simd; }
-
-/// Name of the kernel the next probe will run ("sse2" / "neon" / "scalar").
-inline const char* active_kernel() {
-  return detail::g_use_simd ? simd_isa() : "scalar";
-}
-
-/// Force the scalar fallback on (true) or restore the startup selection
-/// (false). Not synchronized: call between simulations, not during one.
-void force_scalar(bool on);
 
 }  // namespace selcache::memsys::kernels

@@ -63,18 +63,6 @@ std::uint64_t result_fingerprint(const core::RunResult& r) {
   return h;
 }
 
-core::RunResult from_stored(const store::StoredResult& s) {
-  core::RunResult r;
-  r.cycles = s.cycles;
-  r.instructions = s.instructions;
-  r.l1_miss_rate = s.l1_miss_rate;
-  r.l2_miss_rate = s.l2_miss_rate;
-  r.conflict_share = s.conflict_share;
-  r.toggles = s.toggles;
-  r.stats = s.stats;
-  return r;
-}
-
 /// Crash hook for the kill-resume test harness: SELCACHE_CRASH_AFTER_CELLS=N
 /// raises SIGKILL immediately after the N-th `done` record of this process
 /// is journaled (and therefore durable). Parsed once per execute().
@@ -343,7 +331,7 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
         const std::string key = core::store_key(
             *eng.suite[wi], eng.machine, core::kAllVersions[vi], eng.base_opt);
         if (std::optional<store::StoredResult> hit = eng.store->load(key)) {
-          core::RunResult r = from_stored(*hit);
+          core::RunResult r = core::from_stored(*hit);
           if (result_fingerprint(r) == history[i].done_fp) {
             cells[i].state = CellExec::State::Stored;
             cells[i].result = std::move(r);
@@ -455,44 +443,16 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
   if (out.complete) {
     out.rows.reserve(eng.suite.size());
     for (std::size_t wi = 0; wi < eng.suite.size(); ++wi) {
-      std::array<std::optional<core::RunResult>, 5> partial;
-      std::array<core::RunResult, 5> full;
-      bool have_all = true;
-      for (std::size_t vi = 0; vi < core::kAllVersions.size(); ++vi) {
-        CellExec& c = cells[wi * core::kAllVersions.size() + vi];
-        if (c.result) {
-          full[vi] = *c.result;
-          partial[vi] = std::move(c.result);
-        } else {
-          have_all = false;
-        }
-      }
-      // The full-row constructor is the one the plain sweep engines use —
-      // that shared code path is what makes resumed output byte-identical.
-      // Rows with quarantined cells render 0.0 for the missing versions
-      // (same convention as the resilient engine); byte-equality against
-      // an uninterrupted run is only claimed for quarantine-free runs.
-      if (have_all) {
-        out.rows.push_back(core::make_improvement_row(*eng.suite[wi], full));
-      } else {
-        core::ImprovementRow row;
-        row.benchmark = eng.suite[wi]->name;
-        row.category = eng.suite[wi]->category;
-        row.base_cycles = partial[0] ? partial[0]->cycles : 0;
-        for (std::size_t vi = 0; vi < core::kAllVersions.size(); ++vi) {
-          const core::Version v = core::kAllVersions[vi];
-          if (v != core::Version::Base)
-            row.pct[v] = partial[0] && partial[vi]
-                             ? improvement_pct(row.base_cycles,
-                                               partial[vi]->cycles)
-                             : 0.0;
-          if (partial[vi]) {
-            row.stats.merge(partial[vi]->stats,
-                            std::string(core::version_key(v)) + ".");
-          }
-        }
-        out.rows.push_back(std::move(row));
-      }
+      std::array<std::optional<core::RunResult>, 5> results;
+      for (std::size_t vi = 0; vi < core::kAllVersions.size(); ++vi)
+        results[vi] =
+            std::move(cells[wi * core::kAllVersions.size() + vi].result);
+      // The row constructor is the one the plain sweep engines use — that
+      // shared code path is what makes resumed output byte-identical. Rows
+      // with quarantined cells render 0.0 for the missing versions (same
+      // convention as the resilient engine); byte-equality against an
+      // uninterrupted run is only claimed for quarantine-free runs.
+      out.rows.push_back(core::make_row_partial(*eng.suite[wi], results));
     }
   }
 

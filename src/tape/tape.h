@@ -59,8 +59,9 @@
 // back-edges (or with shape-changing iterations) fall back to plain
 // records: address operands skip the inline nibble (deltas are rarely < 15
 // after zigzag), count-style operands usually fit it. Plain tapes cost
-// ~2-6 bytes per recorded data access against 16 bytes per event for the
-// flat cpu::Trace capture; looped tapes are typically 50-100x denser.
+// ~2-6 bytes per recorded data access against 16 bytes per event for a
+// flat fixed-width event record; looped tapes are typically 50-100x
+// denser.
 //
 // The recorded events are exactly the pre-expansion calls the trace engine
 // makes on cpu::TimingModel (an Ifetch record is one touch_code() call, not
@@ -217,8 +218,8 @@ class TapeBuilder {
   }
 
   void toggle(bool on, std::int32_t region) {
-    // region + 1 so the unattributed marker (-1) encodes as 0, mirroring
-    // cpu::TraceEvent's convention.
+    // region + 1 so the unattributed marker (-1) encodes as 0 in the
+    // unsigned operand.
     push({Op::Toggle, on,
           static_cast<std::uint64_t>(static_cast<std::int64_t>(region) + 1),
           0});

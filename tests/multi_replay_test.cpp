@@ -2,8 +2,8 @@
 // fanning its batches out to N machine configurations (multi_replay_tape /
 // sweep_axis_shared_decode) is bit-identical to N separate per-config
 // replays — same RunResults and merged StatSets, same phase-trace JSONL,
-// same persistent-store fingerprints — at any thread count, any batch
-// size, and under the forced-scalar kernels.
+// same persistent-store fingerprints — at any thread count and any batch
+// size.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/runner.h"
-#include "memsys/probe_kernels.h"
 #include "store/store.h"
 #include "tape/cache.h"
 #include "trace/jsonl.h"
@@ -135,30 +134,6 @@ TEST(MultiReplay, TracedFanOutMatchesSoloTraceJsonl) {
       EXPECT_EQ(trace::metrics_jsonl(solo[i], tag),
                 trace::metrics_jsonl(fanned[i], tag));
     }
-  }
-}
-
-/// Forcing the scalar kernels (the --no-simd path / SELCACHE_NO_SIMD lane)
-/// must leave every fan-out result byte-identical to the vectorized run.
-TEST(MultiReplay, ForcedScalarKernelsProduceIdenticalResults) {
-  const auto& w = workloads::all_workloads()[workloads::all_workloads().size() / 2];
-  const std::vector<MachineConfig> machines = axis_machines();
-  const tape::Tape t = record_tape(w, base_machine(), Version::Combined);
-
-  const std::vector<RunResult> vectored = multi_replay_tape(
-      t, machines, Version::Combined, RunOptions{},
-      ParallelSweepOptions{.num_threads = 4});
-
-  memsys::kernels::force_scalar(true);
-  const std::vector<RunResult> scalar = multi_replay_tape(
-      t, machines, Version::Combined, RunOptions{},
-      ParallelSweepOptions{.num_threads = 4});
-  memsys::kernels::force_scalar(false);
-
-  ASSERT_EQ(vectored.size(), scalar.size());
-  for (std::size_t i = 0; i < machines.size(); ++i) {
-    SCOPED_TRACE("machine " + std::to_string(i));
-    expect_results_identical(vectored[i], scalar[i]);
   }
 }
 

@@ -1,15 +1,16 @@
-// The probe kernels' contract: the vector paths (SSE2/NEON) and the scalar
-// fallback implement the exact same first-match / first-free / min-LRU
-// semantics on the shared 16-byte slot layout, so forcing either path can
-// never change which way a probe hits or which way a miss fills. The tests
-// pin both paths against each other on randomized sets and on the edge
-// geometries the hot path never stresses (odd associativity tails, invalid
-// slots with stale matching keys, UINT32_MAX LRU stamps).
+// The probe kernels' contract: the kernels this build compiled (SSE2 on
+// x86-64) and the portable scalar kernels implement the exact same
+// first-match / first-free / min-LRU semantics on the shared 16-byte slot
+// layout, so the build target can never change which way a probe hits or
+// which way a miss fills. The tests check both paths against a reference
+// on randomized sets and on the edge geometries the hot path never
+// stresses (odd associativity tails, invalid slots with stale matching
+// keys, UINT32_MAX LRU stamps).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -47,11 +48,26 @@ VictimWay ref_victim(const std::vector<Slot>& set) {
   return {.way = best, .free = false};
 }
 
-/// Restores the startup kernel selection even if an EXPECT fails.
-struct ScalarGuard {
-  explicit ScalarGuard(bool on) { force_scalar(on); }
-  ~ScalarGuard() { force_scalar(false); }
-};
+std::uint32_t scalar_match(const std::vector<Slot>& set, std::uint64_t key) {
+  return detail::match_way_scalar(
+      reinterpret_cast<const unsigned char*>(set.data()),
+      static_cast<std::uint32_t>(set.size()), key);
+}
+
+/// Both probe paths: this build's probe_way, and the scalar composition
+/// every target without SSE2 runs (match_way_scalar, then victim_way).
+std::array<ProbeResult, 2> probe_both(const std::vector<Slot>& set,
+                                      std::uint64_t key) {
+  const auto n = static_cast<std::uint32_t>(set.size());
+  ProbeResult scalar;
+  if (const std::uint32_t w = scalar_match(set, key); w != kNoWay) {
+    scalar = {.hit = true, .way = w};
+  } else {
+    const VictimWay v = victim_way(set.data(), n);
+    scalar = {.way = v.way, .free = v.free};
+  }
+  return {probe_way(set.data(), n, key), scalar};
+}
 
 /// Random set with key collisions likely (small key range), a mix of valid
 /// and invalid slots, and strictly distinct LRU stamps among the valid
@@ -78,9 +94,8 @@ TEST(ProbeKernels, MatchWayAgreesWithReferenceOnBothPaths) {
       const std::vector<Slot> set = random_set(rng, n);
       for (std::uint64_t key = 0; key < 9; ++key) {
         const std::uint32_t want = ref_match(set, key);
-        EXPECT_EQ(match_way(set.data(), n, key), want) << "simd n=" << n;
-        ScalarGuard scalar(true);
-        EXPECT_EQ(match_way(set.data(), n, key), want) << "scalar n=" << n;
+        EXPECT_EQ(match_way(set.data(), n, key), want) << "build n=" << n;
+        EXPECT_EQ(scalar_match(set, key), want) << "scalar n=" << n;
       }
     }
   }
@@ -100,7 +115,7 @@ TEST(ProbeKernels, VictimWayAgreesWithReference) {
 }
 
 /// probe_way is the fused demand-path scan: on every input it must equal
-/// the composition of match_way and victim_way — under both kernels.
+/// the composition of match_way and victim_way — on both paths.
 TEST(ProbeKernels, ProbeWayEqualsComposedKernelsOnBothPaths) {
   std::mt19937_64 rng(0x5EED);
   for (const std::uint32_t n : {1u, 2u, 3u, 4u, 5u, 8u}) {
@@ -109,9 +124,7 @@ TEST(ProbeKernels, ProbeWayEqualsComposedKernelsOnBothPaths) {
       for (std::uint64_t key = 0; key < 9; ++key) {
         const std::uint32_t mw = ref_match(set, key);
         const VictimWay vw = ref_victim(set);
-        for (const bool scalar : {false, true}) {
-          ScalarGuard guard(scalar);
-          const ProbeResult pr = probe_way(set.data(), n, key);
+        for (const ProbeResult& pr : probe_both(set, key)) {
           if (mw != kNoWay) {
             EXPECT_TRUE(pr.hit);
             EXPECT_EQ(pr.way, mw);
@@ -133,10 +146,9 @@ TEST(ProbeKernels, InvalidSlotWithMatchingKeyIsAMissIntoThatSlot) {
   for (std::uint32_t w = 0; w < 4; ++w)
     set[w] = {.key = 0x40 + w, .lru = w + 1, .valid = true};
   set[2].valid = false;  // invalidate, key 0x42 left behind
-  for (const bool scalar : {false, true}) {
-    ScalarGuard guard(scalar);
-    EXPECT_EQ(match_way(set.data(), 4, 0x42), kNoWay);
-    const ProbeResult pr = probe_way(set.data(), 4, 0x42);
+  EXPECT_EQ(match_way(set.data(), 4, 0x42), kNoWay);
+  EXPECT_EQ(scalar_match(set, 0x42), kNoWay);
+  for (const ProbeResult& pr : probe_both(set, 0x42)) {
     EXPECT_FALSE(pr.hit);
     EXPECT_TRUE(pr.free);
     EXPECT_EQ(pr.way, 2u);
@@ -151,9 +163,7 @@ TEST(ProbeKernels, FirstInvalidWayWinsOverLowerLru) {
   set[1] = {.key = 2, .lru = 0, .valid = false};
   set[2] = {.key = 3, .lru = 1, .valid = true};  // lowest valid stamp
   set[3] = {.key = 4, .lru = 0, .valid = false};
-  for (const bool scalar : {false, true}) {
-    ScalarGuard guard(scalar);
-    const ProbeResult pr = probe_way(set.data(), 4, 99);
+  for (const ProbeResult& pr : probe_both(set, 99)) {
     EXPECT_FALSE(pr.hit);
     EXPECT_TRUE(pr.free);
     EXPECT_EQ(pr.way, 1u) << "first invalid way, not the lowest-LRU one";
@@ -169,12 +179,10 @@ TEST(ProbeKernels, MaxLruStampIsNotASentinel) {
   set[1] = {.key = 2, .lru = 7, .valid = true};
   set[2] = {.key = 3, .lru = 5, .valid = true};
   set[3] = {.key = 4, .lru = 6, .valid = true};
-  for (const bool scalar : {false, true}) {
-    ScalarGuard guard(scalar);
-    const VictimWay v = victim_way(set.data(), 4);
-    EXPECT_FALSE(v.free);
-    EXPECT_EQ(v.way, 2u);
-    const ProbeResult pr = probe_way(set.data(), 4, 99);
+  const VictimWay v = victim_way(set.data(), 4);
+  EXPECT_FALSE(v.free);
+  EXPECT_EQ(v.way, 2u);
+  for (const ProbeResult& pr : probe_both(set, 99)) {
     EXPECT_FALSE(pr.hit);
     EXPECT_FALSE(pr.free);
     EXPECT_EQ(pr.way, 2u);
@@ -182,29 +190,7 @@ TEST(ProbeKernels, MaxLruStampIsNotASentinel) {
 
   // And the all-max corner: every stamp equal picks way 0 on both paths.
   for (Slot& s : set) s.lru = 0xFFFFFFFFu;
-  for (const bool scalar : {false, true}) {
-    ScalarGuard guard(scalar);
-    EXPECT_EQ(probe_way(set.data(), 4, 99).way, 0u);
-  }
-}
-
-TEST(ProbeKernels, ForceScalarTogglesTheActiveKernel) {
-  // Startup selection: compiled capability unless SELCACHE_NO_SIMD is set
-  // (the scalar CI lane runs this very test under that variable).
-  const char* env = std::getenv("SELCACHE_NO_SIMD");
-  const bool env_off =
-      env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  const bool startup = simd_active();
-  EXPECT_EQ(startup, simd_compiled() && !env_off);
-  EXPECT_STREQ(active_kernel(), startup ? simd_isa() : "scalar");
-
-  force_scalar(true);
-  EXPECT_FALSE(simd_active());
-  EXPECT_STREQ(active_kernel(), "scalar");
-
-  force_scalar(false);
-  EXPECT_EQ(simd_active(), startup);
-  EXPECT_STREQ(active_kernel(), startup ? simd_isa() : "scalar");
+  for (const ProbeResult& pr : probe_both(set, 99)) EXPECT_EQ(pr.way, 0u);
 }
 
 }  // namespace

@@ -15,14 +15,11 @@ Fails (exit 1) when:
   * the fresh run's warm-store suite was not faster than its cold-fill one
     (the store served nothing — incremental sweeps are broken),
   * serial accesses/sec dropped more than --tolerance below the baseline
-    (same direction-aware check for the scalar-kernel serial pass and the
-    batched multi-config replay throughput),
+    (same direction-aware check for the batched multi-config replay
+    throughput),
   * the shared-decode figure sweep was slower than the per-point sweep of
     the SAME run by more than --tolerance (both times come from one
     process, so this is host-independent),
-  * simd_probe is not one of the kernels the dispatcher can actually name
-    (sse2 / neon / scalar) — a garbled field means the bench and the
-    kernels disagree about what ran,
   * parallel speedup dropped more than --tolerance below the baseline —
     only checked when both hosts have more than one hardware thread, since
     a single-core host cannot exhibit parallel speedup. The multi-replay
@@ -58,14 +55,10 @@ EXPECTED_KEYS = frozenset({
     "parallel_accesses_per_sec",
     "parallel_seconds",
     "parallel_threads_used",
-    "scalar_serial_accesses_per_sec",
-    "scalar_serial_seconds",
     "scheme",
     "serial_accesses_per_sec",
     "serial_seconds",
     "serial_threads_used",
-    "simd_probe",
-    "simd_probe_speedup",
     "simulated_accesses",
     "speedup",
     "store_cold_suite_seconds",
@@ -76,9 +69,6 @@ EXPECTED_KEYS = frozenset({
     "threads",
     "workloads",
 })
-
-# What the kernel dispatcher can actually report for simd_probe.
-KNOWN_KERNELS = frozenset({"sse2", "neon", "scalar"})
 
 
 def load(path):
@@ -202,36 +192,9 @@ def evaluate(base, fresh, tolerance, base_path="baseline",
                        f"per-point {per_point:.3f}s "
                        f"({per_point / shared:.2f}x)")
 
-    # simd_probe names the kernel that actually ran; a value the
-    # dispatcher cannot produce means the bench and the kernels drifted
-    # apart. Baseline and fresh may legitimately differ (hosts differ in
-    # ISA, or one lane forces scalar) — log, never fail, on a mismatch.
-    for path, data in ((fresh_path, fresh), (base_path, base)):
-        kernel = data.get("simd_probe")
-        if kernel not in KNOWN_KERNELS:
-            failures.append(f"{path}: simd_probe {kernel!r} is not a known "
-                            f"kernel ({', '.join(sorted(KNOWN_KERNELS))})")
-    # The in-process SIMD-vs-scalar A/B ratio is only comparable when both
-    # runs exercised the same vector kernel (a scalar-lane run reports a
-    # trivial ~1.0 and would mask a real vector regression).
-    if base.get("simd_probe") == fresh.get("simd_probe"):
-        check_ratio(failures, log, "simd probe speedup",
-                    base.get("simd_probe_speedup"),
-                    fresh.get("simd_probe_speedup"), tolerance,
-                    higher_is_better=True)
-    elif not failures:
-        log.append(f"simd probe speedup check skipped (kernel differs: "
-                   f"baseline={base.get('simd_probe')}, "
-                   f"fresh={fresh.get('simd_probe')})")
-
     check_ratio(failures, log, "serial accesses/sec",
                 base.get("serial_accesses_per_sec"),
                 fresh.get("serial_accesses_per_sec"), tolerance,
-                higher_is_better=True)
-
-    check_ratio(failures, log, "scalar serial accesses/sec",
-                base.get("scalar_serial_accesses_per_sec"),
-                fresh.get("scalar_serial_accesses_per_sec"), tolerance,
                 higher_is_better=True)
 
     check_ratio(failures, log, "tape record accesses/sec",
@@ -294,14 +257,10 @@ def _fixture(**overrides):
         "parallel_accesses_per_sec": 8.0e7,
         "parallel_seconds": 1.0,
         "parallel_threads_used": 8,
-        "scalar_serial_accesses_per_sec": 1.9e7,
-        "scalar_serial_seconds": 4.2,
         "scheme": "bypass",
         "serial_accesses_per_sec": 2.0e7,
         "serial_seconds": 4.0,
         "serial_threads_used": 1,
-        "simd_probe": "sse2",
-        "simd_probe_speedup": 1.05,
         "simulated_accesses": 80000000,
         "speedup": 4.0,
         "store_cold_suite_seconds": 4.2,
@@ -381,8 +340,6 @@ def self_test():
           2.9e7},
          {"multi_replay_threads_used": 1, "multi_replay_accesses_per_sec":
           9.0e6}, 0.15, False),
-        ("scalar serial throughput regression fails",
-         {}, {"scalar_serial_accesses_per_sec": 1.0e7}, 0.15, True),
         ("shared decode slower than per-point beyond tolerance fails",
          {}, {"fig5_shared_decode_seconds": 30.0}, 0.15, True),
         ("shared decode slightly slower than per-point passes (noise)",
@@ -391,14 +348,6 @@ def self_test():
          {}, {"fig5_per_point_seconds": float("nan")}, 0.15, True),
         ("Inf fig5 shared seconds fails",
          {}, {"fig5_shared_decode_seconds": float("inf")}, 0.15, True),
-        ("unknown simd_probe kernel fails",
-         {}, {"simd_probe": "avx512-imaginary"}, 0.15, True),
-        ("scalar-lane baseline vs simd fresh passes (kernel may differ)",
-         {"simd_probe": "scalar"}, {"simd_probe": "sse2"}, 0.15, False),
-        ("simd probe speedup regression fails",
-         {}, {"simd_probe_speedup": 0.5}, 0.15, True),
-        ("NaN simd probe speedup fails",
-         {}, {"simd_probe_speedup": float("nan")}, 0.15, True),
     ]
     problems = []
     for name, b_over, f_over, tol, expect_fail in scenarios:

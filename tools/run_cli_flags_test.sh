@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CLI contract for the predict subcommands plus the replay-engine flags
-# (--batch / --no-simd / tape --stat): unknown flags and malformed
+# (--batch / tape --stat): unknown flags, unknown commands and malformed
 # invocations must exit 2 (same as every other subcommand), good runs 0,
 # and a failed cross-check 1.
 #
@@ -9,6 +9,8 @@ set -u
 
 cli="$1"
 fails=0
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 
 expect() {
   local want="$1"; shift
@@ -41,16 +43,23 @@ expect 0 "$cli" predict Vpenta base --check
 expect 0 "$cli" predict Vpenta base --check --predict-classify
 
 # Replay-engine flags: a --batch value that does not parse as a plain
-# number must fail loudly (not silently flip the engine), and --no-simd /
-# tape --stat are ordinary healthy invocations.
+# number must fail loudly (not silently flip the engine), and tape --stat
+# is an ordinary healthy invocation.
 expect 2 "$cli" sweep --workload Perl --batch abc
 expect 2 "$cli" sweep --workload Perl --batch -1
 expect 2 "$cli" sweep --workload Perl --batch            # value flag, no value
 expect 2 "$cli" suite --batch 1e9
 expect 2 "$cli" tape Perl base --stat --bogus
-expect 0 "$cli" sweep --workload Perl --reuse-tape --batch 512 --no-simd
-expect 0 "$cli" sweep --workload Perl --no-simd
+expect 0 "$cli" sweep --workload Perl --reuse-tape --batch 512
 expect 0 "$cli" tape Perl base --stat
+
+# No kernel switch (the build target picks the probe kernel) and no second
+# stream format (tapes are the only recording): a usage error and unknown
+# commands.
+expect 2 "$cli" sweep --workload Perl --no-simd
+expect 2 "$cli" suite --no-simd
+expect 2 "$cli" trace-record --workload Perl --out "$tmp/perl.trace"
+expect 2 "$cli" trace-replay "$tmp/perl.trace"
 
 if [ "$fails" -ne 0 ]; then
   echo "cli flag contract: $fails failure(s)"

@@ -44,15 +44,6 @@ diff "$tracedir/fserial.csv" "$tracedir/fparallel.csv"
 diff "$tracedir/fserial.txt" "$tracedir/fparallel.txt"
 echo "faulted sweep: serial and parallel outputs identical"
 
-# Scalar-kernel equivalence under sanitizers: forcing the probe kernels to
-# the scalar fallback (--no-simd) must leave a traced sweep byte-identical
-# (the vector and scalar paths read the same slot bytes; a stray lane or
-# overread in either would surface here).
-"$cli" sweep --workload Compress --threads 1 --no-simd \
-  --trace-dir "$tracedir/scalar"
-diff -r "$tracedir/serial" "$tracedir/scalar"
-echo "scalar-kernel sweep: vectorized and forced-scalar outputs identical"
-
 # Batched multi-config replay under sanitizers: a shared-decode sweep
 # (--reuse-tape --batch) must be byte-identical to the classic streaming
 # replay (the batch fan-out is where a lifetime bug would hide).

@@ -6,13 +6,29 @@
 # differ only in memory latency and no store keeps a tape, so the default
 # engine records none. Any drift here means the record/replay or pricing
 # contract broke somewhere between the IR walker and the stats printer.
-# Truncated to 2 machine points so the test stays fast.
+# Truncated to 2 machine points so the test stays fast. Malformed numeric
+# values and unknown flags must exit 2 first.
 set -eu
 
 BENCH="${1:?usage: run_tape_figure_test.sh PATH_TO_bench_fig5_memlat}"
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
+
+# Malformed numbers and unknown flags (there is no --no-simd: the build
+# target picks the probe kernel) exit 2 before any simulation runs.
+expect_usage_error() {
+  status=0
+  "$BENCH" "$@" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: '$BENCH $*' exited $status, expected 2" >&2
+    exit 1
+  fi
+}
+expect_usage_error --max-points abc
+expect_usage_error --max-points -3
+expect_usage_error --threads x
+expect_usage_error --no-simd
 
 # Wall-clock footers ("simulated in Ns, ..., replayed" / "axis total: ...")
 # legitimately differ between the two modes; everything else must not.
@@ -26,14 +42,11 @@ strip_timing() {
 "$BENCH" --max-points 2 --threads 1 --no-reuse-tape > "$TMP/interp_raw.txt"
 # Classic per-point replay (the pre-batching engine).
 "$BENCH" --max-points 2 --threads 1 --batch 0 > "$TMP/perpoint_raw.txt"
-# The default engine on the scalar probe kernels (vectorization
-# force-disabled).
-"$BENCH" --max-points 2 --threads 1 --no-simd > "$TMP/scalar_raw.txt"
-for mode in tape interp perpoint scalar; do
+for mode in tape interp perpoint; do
   strip_timing "$TMP/${mode}_raw.txt" "$TMP/${mode}.txt"
 done
 
-for mode in tape perpoint scalar; do
+for mode in tape perpoint; do
   if ! cmp -s "$TMP/interp.txt" "$TMP/$mode.txt"; then
     echo "FAIL: $mode figure output differs from interpreted output" >&2
     diff -u "$TMP/interp.txt" "$TMP/$mode.txt" | head -40 >&2
@@ -42,4 +55,4 @@ for mode in tape perpoint scalar; do
 done
 
 echo "tape_figure_smoke OK: fig5 (2 points) byte-identical across" \
-     "interpreted / per-point replay / shared-decode / scalar kernels"
+     "interpreted / per-point replay / shared-decode"

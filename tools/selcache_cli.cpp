@@ -9,8 +9,6 @@
 //   selcache run-file PROGRAM.loop [--machine M] [--version V] [--scheme S]
 //   selcache trace WORKLOAD VERSION [--machine M] [--scheme S] [--epoch N]
 //                [--events-out FILE] [--metrics-out FILE] [--csv-out FILE]
-//   selcache trace-record --workload NAME --out FILE [--version V]
-//   selcache trace-replay FILE [--machine M] [--scheme S]
 //   selcache tape WORKLOAD VERSION [--machine M] [--scheme S] [--out FILE]
 //   selcache verify [FILE.loop] [--workload NAME] [--version V] [--csv]
 //   selcache predict WORKLOAD VERSION [--machine M] [--csv] [--check]
@@ -58,14 +56,11 @@
 #include "analysis/marker_elimination.h"
 #include <fstream>
 
-#include "codegen/trace_engine.h"
 #include "tape/tape.h"
-#include "codegen/trace_io.h"
 #include "core/report.h"
 #include "core/runner.h"
 #include "ir/parser.h"
 #include "locality/crosscheck.h"
-#include "memsys/probe_kernels.h"
 #include "tape/multi_replayer.h"
 #include "locality/format.h"
 #include "locality/predictor.h"
@@ -93,7 +88,7 @@ int usage() {
                "  selcache sweep --workload NAME [--machine M] [--scheme S]"
                " [--threads N]\n"
                "                 [--trace-dir DIR] [--epoch N] [--reuse-tape]"
-               " [--batch N] [--no-simd]\n"
+               " [--batch N]\n"
                "                 [--store DIR] [--store-readonly]"
                " [--store-clear]\n"
                "                 [--run-dir DIR] [--deadline-ms N]"
@@ -103,7 +98,7 @@ int usage() {
                "  selcache suite [--machine M] [--scheme S] [--threads N]"
                " [--verify-pipeline] [--trace-dir DIR] [--epoch N]"
                " [--reuse-tape]\n"
-               "                 [--batch N] [--no-simd]\n"
+               "                 [--batch N]\n"
                "                 [--store DIR] [--store-readonly]"
                " [--store-clear]\n"
                "                 [--run-dir DIR] [--deadline-ms N]"
@@ -121,9 +116,6 @@ int usage() {
                " [--epoch N]\n"
                "                 [--events-out F] [--metrics-out F]"
                " [--csv-out F]\n"
-               "  selcache trace-record --workload NAME --out FILE"
-               " [--version V] [--scheme S]\n"
-               "  selcache trace-replay FILE [--machine M] [--scheme S]\n"
                "  selcache tape  WORKLOAD VERSION [--machine M] [--scheme S]"
                " [--out FILE] [--stat]\n"
                "  selcache verify [FILE.loop] [--workload NAME] [--version V]"
@@ -447,8 +439,7 @@ bool parse_threads_flag(const std::map<std::string, std::string>& flags,
 }
 
 /// Parse --batch (ops per decoded replay batch; 0 = classic streaming
-/// replay) and apply --no-simd (force the scalar probe kernels). Returns
-/// false after a diagnostic on a malformed --batch value.
+/// replay). Returns false after a diagnostic on a malformed value.
 bool parse_engine_flags(const std::map<std::string, std::string>& flags,
                         core::RunOptions* opt) {
   std::uint64_t b = opt->batch;
@@ -461,7 +452,6 @@ bool parse_engine_flags(const std::map<std::string, std::string>& flags,
     return false;
   }
   opt->batch = static_cast<std::uint32_t>(b);
-  if (flags.count("no-simd")) memsys::kernels::force_scalar(true);
   return true;
 }
 
@@ -1357,75 +1347,6 @@ int cmd_run_file(const std::string& path,
   return 0;
 }
 
-int cmd_trace_record(const std::map<std::string, std::string>& flags) {
-  const auto* w = workload_by_name(flags.count("workload")
-                                       ? flags.at("workload")
-                                       : "");
-  const auto version =
-      version_by_name(flags.count("version") ? flags.at("version") : "");
-  const auto scheme =
-      scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
-  if (w == nullptr || !version || !scheme || !flags.count("out"))
-    return usage();
-
-  const core::MachineConfig m = core::base_machine();
-  ir::Program product =
-      core::prepare_program(w->build(), *version, transform::OptimizeOptions{});
-  memsys::Hierarchy hierarchy(m.hierarchy);
-  auto hw_scheme = core::make_scheme(*scheme, m);
-  hierarchy.attach_hw(hw_scheme.get());
-  hw::Controller controller(hw_scheme.get());
-  controller.force(core::hw_always_on(*version));
-  cpu::TimingModel cpu(m.cpu, hierarchy, controller);
-  codegen::Trace trace;
-  cpu.set_trace_sink(&trace);
-  codegen::DataEnv env(product);
-  codegen::TraceEngine engine(product, env, cpu);
-  engine.run();
-  if (!codegen::save_trace(trace, flags.at("out"))) {
-    std::fprintf(stderr, "cannot write %s\n", flags.at("out").c_str());
-    return 2;
-  }
-  std::printf("recorded %zu events (%llu instructions, %llu cycles) -> %s\n",
-              trace.size(),
-              static_cast<unsigned long long>(cpu.instructions()),
-              static_cast<unsigned long long>(cpu.cycles()),
-              flags.at("out").c_str());
-  return 0;
-}
-
-int cmd_trace_replay(const std::string& path,
-                     const std::map<std::string, std::string>& flags) {
-  const auto machine =
-      machine_by_name(flags.count("machine") ? flags.at("machine") : "");
-  const auto scheme =
-      scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
-  if (!machine || !scheme) return usage();
-  codegen::Trace trace;
-  try {
-    trace = codegen::load_trace(path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "selcache: cannot load trace %s: %s\n", path.c_str(),
-                 e.what());
-    return 2;
-  }
-  memsys::Hierarchy hierarchy(machine->hierarchy);
-  auto hw_scheme = core::make_scheme(*scheme, *machine);
-  hierarchy.attach_hw(hw_scheme.get());
-  hw::Controller controller(hw_scheme.get());
-  cpu::TimingModel cpu(machine->cpu, hierarchy, controller);
-  codegen::replay_trace(trace, cpu);
-  std::printf("%s on %s: %llu cycles, %llu instructions, L1 miss %.2f%%, "
-              "L2 miss %.2f%%\n",
-              path.c_str(), machine->name.c_str(),
-              static_cast<unsigned long long>(cpu.cycles()),
-              static_cast<unsigned long long>(cpu.instructions()),
-              100.0 * hierarchy.l1_miss_rate(),
-              100.0 * hierarchy.l2_miss_rate());
-  return 0;
-}
-
-
 /// Shared setup for the predict commands: locality options from a machine's
 /// cache geometry.
 locality::LocalityOptions locality_options(const core::MachineConfig& m) {
@@ -1634,8 +1555,8 @@ int main(int argc, char** argv) {
          "watchdog-accesses", "max-retries", "failures-out", "failures-jsonl",
          "store", "run-dir", "deadline-ms", "cell-deadline-ms",
          "cell-retries", "retry-backoff-ms", "csv-out", "jsonl-out"},
-        {"inject-faults", "integrity-checks", "reuse-tape", "no-simd",
-         "store-readonly", "store-clear"}}},
+        {"inject-faults", "integrity-checks", "reuse-tape", "store-readonly",
+         "store-clear"}}},
       {"suite",
        {"suite",
         {"machine", "scheme", "threads", "trace-dir", "epoch", "batch",
@@ -1644,7 +1565,7 @@ int main(int argc, char** argv) {
          "store", "run-dir", "deadline-ms", "cell-deadline-ms",
          "cell-retries", "retry-backoff-ms", "csv-out", "jsonl-out"},
         {"verify-pipeline", "inject-faults", "integrity-checks", "reuse-tape",
-         "no-simd", "store-readonly", "store-clear"}}},
+         "store-readonly", "store-clear"}}},
       {"store", {"store", {"store", "max-bytes"}, {}}},
       {"resume",
        {"resume",
@@ -1663,9 +1584,6 @@ int main(int argc, char** argv) {
         {"machine", "scheme", "epoch", "events-out", "metrics-out",
          "csv-out"},
         {}}},
-      {"trace-record",
-       {"trace-record", {"workload", "out", "version", "scheme"}, {}}},
-      {"trace-replay", {"trace-replay", {"machine", "scheme"}, {}}},
       {"tape", {"tape", {"machine", "scheme", "out"}, {"stat"}}},
       {"verify", {"verify", {"workload", "version"}, {"csv"}}},
       {"predict",
@@ -1684,12 +1602,11 @@ int main(int argc, char** argv) {
   }
   const CommandSpec& spec = spec_it->second;
 
-  // trace-replay / run-file take a required positional; verify an optional
-  // one; trace takes two (WORKLOAD VERSION). Flags start after any
-  // positionals.
+  // run-file takes a required positional; verify an optional one; trace
+  // takes two (WORKLOAD VERSION). Flags start after any positionals.
   std::string positional, positional2;
   int flag_start = 2;
-  const bool requires_file = cmd == "trace-replay" || cmd == "run-file";
+  const bool requires_file = cmd == "run-file";
   const bool accepts_file = requires_file || cmd == "verify";
   if (accepts_file && argc > 2 &&
       std::string(argv[2]).rfind("--", 0) != 0) {
@@ -1746,8 +1663,6 @@ int main(int argc, char** argv) {
   if (cmd == "run-file") return cmd_run_file(positional, flags);
   if (cmd == "trace") return cmd_trace(positional, positional2, flags);
   if (cmd == "faultsim") return cmd_faultsim(positional, positional2, flags);
-  if (cmd == "trace-record") return cmd_trace_record(flags);
-  if (cmd == "trace-replay") return cmd_trace_replay(positional, flags);
   if (cmd == "tape") return cmd_tape(positional, positional2, flags);
   if (cmd == "store") return cmd_store(positional, flags);
   if (cmd == "resume") return cmd_resume(positional, flags);
