@@ -4,8 +4,7 @@
 //
 // Every figure bench accepts the same flags (strict — unknown flags exit 2):
 //   --threads N       worker threads for the (workload, version) fan-out
-//                     (default: SELCACHE_THREADS env, else serial; max
-//                     4096)
+//                     (default: serial; max 4096)
 //   --no-reuse-tape   interpret every point instead of record-once/
 //                     replay-many (the default simulates each (workload,
 //                     version) cell once, at the first machine point, and
@@ -64,8 +63,6 @@ struct FigureOptions {
 /// Parse the shared figure-bench flags; exits(2) on anything unrecognized.
 inline FigureOptions parse_figure_options(int argc, char** argv) {
   FigureOptions f;
-  if (const char* env = std::getenv("SELCACHE_THREADS"))
-    f.threads = static_cast<unsigned>(std::atoi(env));
   const auto usage = [&argv]() {
     std::fprintf(stderr,
                  "usage: %s [--threads N] [--no-reuse-tape]"
@@ -189,6 +186,13 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
     opt.result_store = rstore.get();
   }
   const core::ParallelSweepOptions par{.num_threads = fopt.threads};
+  // Persist fresh tapes and print the store accounting — to stderr, so
+  // stdout stays byte-identical cold vs warm.
+  const auto finish_store = [&] {
+    if (rstore == nullptr) return;
+    const std::size_t tapes = opt.reuse_tape ? rstore->persist_tapes(cache) : 0;
+    std::fprintf(stderr, "%s\n", rstore->summary(tapes).c_str());
+  };
 
   // Graceful shutdown: a SIGINT/SIGTERM mid-axis finishes nothing torn —
   // the current machine point is abandoned between points, tapes and store
@@ -225,18 +229,7 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
     std::printf("axis total: %zu machine points in %.1fs "
                 "(shared-decode, batch=%u)\n",
                 points.size(), total, fopt.batch);
-    if (rstore != nullptr) {
-      std::size_t persisted = rstore->persist_tapes(cache);
-      const auto c = rstore->counters();
-      std::fprintf(stderr,
-                   "store: %llu hits, %llu misses (%llu corrupt), %llu cells"
-                   " written, %zu tapes persisted -> %s\n",
-                   static_cast<unsigned long long>(c.hits),
-                   static_cast<unsigned long long>(c.misses),
-                   static_cast<unsigned long long>(c.corrupt),
-                   static_cast<unsigned long long>(c.writes), persisted,
-                   rstore->dir().c_str());
-    }
+    finish_store();
     return 0;
   }
 
@@ -270,20 +263,7 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
     std::printf("axis total: %zu machine points in %.1fs%s\n",
                 points.size(), total,
                 fopt.reuse_tape ? " (record-once/replay-many)" : "");
-  if (rstore != nullptr) {
-    std::size_t persisted = 0;
-    if (opt.reuse_tape) persisted = rstore->persist_tapes(cache);
-    const auto c = rstore->counters();
-    // Stats go to stderr so stdout stays byte-identical cold vs warm.
-    std::fprintf(stderr,
-                 "store: %llu hits, %llu misses (%llu corrupt), %llu cells"
-                 " written, %zu tapes persisted -> %s\n",
-                 static_cast<unsigned long long>(c.hits),
-                 static_cast<unsigned long long>(c.misses),
-                 static_cast<unsigned long long>(c.corrupt),
-                 static_cast<unsigned long long>(c.writes), persisted,
-                 rstore->dir().c_str());
-  }
+  finish_store();
   return 0;
 }
 

@@ -4,8 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstdio>
-#include <exception>
-#include <future>
 #include <optional>
 
 #include "codegen/trace_engine.h"
@@ -516,14 +514,92 @@ RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
 
 namespace {
 
-/// Append one workload's five recordings to `traces` in kAllVersions order
-/// (the trace half of the determinism contract).
-void append_captures(const workloads::WorkloadInfo& w,
-                     std::array<trace::Recording, 5>& recs,
-                     std::vector<TraceCapture>* traces) {
-  if (traces == nullptr) return;
-  for (std::size_t i = 0; i < kAllVersions.size(); ++i)
-    traces->push_back({w.name, kAllVersions[i], std::move(recs[i])});
+/// One (workload, version) cell of a sweep: its result (nullopt when every
+/// attempt failed), its outcome-ledger entry and its phase recording.
+struct Cell {
+  std::optional<RunResult> result;
+  fault::CellOutcome outcome;
+  trace::Recording recording;
+};
+
+/// Run one cell. Plain (no max_retries): one run_version call, whose
+/// exception propagates. Guarded: catches everything a simulation can
+/// throw — injected crashes, watchdog kills, internal check failures — and
+/// retries up to *max_retries times. Each attempt reseeds the injector
+/// deterministically and records into a fresh Recording, so a failed
+/// attempt leaves no partial trace behind.
+Cell run_cell(const workloads::WorkloadInfo& w, const MachineConfig& m,
+              std::size_t vi, const RunOptions& base_opt,
+              std::optional<std::uint32_t> max_retries, bool want_trace) {
+  const Version v = kAllVersions[vi];
+  Cell cell;
+  cell.outcome.workload = w.name;
+  cell.outcome.version = version_key(v);
+  if (!max_retries) {
+    cell.result = run_version(w, m, v, base_opt,
+                              want_trace ? &cell.recording : nullptr);
+    return cell;
+  }
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    RunOptions opt = base_opt;
+    opt.fault.seed = fault::task_seed(base_opt.fault.seed, w.name,
+                                      static_cast<std::uint32_t>(vi), attempt);
+    cell.outcome.fault_seed = opt.fault.seed;
+    cell.outcome.attempts = attempt + 1;
+    trace::Recording rec;
+    try {
+      RunResult r = run_version(w, m, v, opt, want_trace ? &rec : nullptr);
+      cell.outcome.status = r.degradations > 0
+                                ? fault::CellOutcome::Status::Degraded
+                                : fault::CellOutcome::Status::Ok;
+      cell.outcome.faults_injected = r.faults_injected;
+      cell.outcome.degradations = r.degradations;
+      cell.outcome.error.clear();
+      cell.result = std::move(r);
+      cell.recording = std::move(rec);
+      return cell;
+    } catch (const std::exception& e) {
+      cell.outcome.error = e.what();
+    } catch (...) {
+      cell.outcome.error = "unknown exception";
+    }
+    cell.outcome.status = fault::CellOutcome::Status::Failed;
+    if (attempt >= *max_retries) return cell;
+  }
+}
+
+/// The one sweep loop behind improvements_for, sweep_suite and
+/// sweep_resilient: every (workload, version) cell of `suite` runs on the
+/// shared executor, then rows, the outcome ledger and trace captures are
+/// assembled in fixed (workload, version) order, so the result is
+/// bit-identical at any thread count.
+ResilientSweep sweep_cells(std::span<const workloads::WorkloadInfo> suite,
+                           const MachineConfig& m, const RunOptions& opt,
+                           const ParallelSweepOptions& par,
+                           std::optional<std::uint32_t> max_retries,
+                           std::vector<TraceCapture>* traces) {
+  constexpr std::size_t nv = kAllVersions.size();
+  std::vector<Cell> cells(suite.size() * nv);
+  support::run_cells(cells.size(), par.num_threads, [&](std::size_t i) {
+    cells[i] = run_cell(suite[i / nv], m, i % nv, opt, max_retries,
+                        traces != nullptr);
+  });
+  ResilientSweep out;
+  out.rows.reserve(suite.size());
+  out.report.cells.reserve(cells.size());
+  for (std::size_t wi = 0; wi < suite.size(); ++wi) {
+    std::array<std::optional<RunResult>, nv> results;
+    for (std::size_t vi = 0; vi < nv; ++vi) {
+      Cell& c = cells[wi * nv + vi];
+      results[vi] = std::move(c.result);
+      out.report.cells.push_back(std::move(c.outcome));
+      if (traces != nullptr)
+        traces->push_back(
+            {suite[wi].name, kAllVersions[vi], std::move(c.recording)});
+    }
+    out.rows.push_back(make_row_partial(suite[wi], results));
+  }
+  return out;
 }
 
 }  // namespace
@@ -532,69 +608,24 @@ ImprovementRow improvements_for(const workloads::WorkloadInfo& w,
                                 const MachineConfig& m, const RunOptions& opt,
                                 const ParallelSweepOptions& par,
                                 std::vector<TraceCapture>* traces) {
-  std::array<RunResult, 5> results;
-  std::array<trace::Recording, 5> recs;
-  const bool tracing = traces != nullptr;
-  if (par.num_threads > 1) {
-    support::ThreadPool pool(par.num_threads);
-    std::array<std::future<RunResult>, 5> futures;
-    for (std::size_t i = 0; i < kAllVersions.size(); ++i)
-      futures[i] = pool.submit(
-          [&w, &m, v = kAllVersions[i], &opt,
-           tr = tracing ? &recs[i] : nullptr] {
-            return run_version(w, m, v, opt, tr);
-          });
-    for (std::size_t i = 0; i < kAllVersions.size(); ++i)
-      results[i] = futures[i].get();
-  } else {
-    for (std::size_t i = 0; i < kAllVersions.size(); ++i)
-      results[i] = run_version(w, m, kAllVersions[i], opt,
-                               tracing ? &recs[i] : nullptr);
-  }
-  append_captures(w, recs, traces);
-  return make_improvement_row(w, results);
+  return std::move(
+      sweep_cells({&w, 1}, m, opt, par, std::nullopt, traces).rows.front());
 }
 
 std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
                                         const RunOptions& opt,
                                         const ParallelSweepOptions& par,
                                         std::vector<TraceCapture>* traces) {
-  const auto& suite = workloads::all_workloads();
-  std::vector<ImprovementRow> rows;
-  rows.reserve(suite.size());
+  return sweep_cells(workloads::all_workloads(), m, opt, par, std::nullopt,
+                     traces)
+      .rows;
+}
 
-  if (par.num_threads <= 1) {
-    for (const auto& w : suite)
-      rows.push_back(improvements_for(w, m, opt, {}, traces));
-    return rows;
-  }
-
-  // Fan out every (workload, version) pair as one task — 13x5 independent
-  // simulations, each owning its full machine state. Futures are collected
-  // in submission order, so assembly below is deterministic no matter how
-  // the pool schedules the work. Trace recordings follow the same contract:
-  // each task writes its own pre-allocated slot; captures are appended in
-  // (workload, version) order afterwards.
-  support::ThreadPool pool(par.num_threads);
-  std::vector<std::array<std::future<RunResult>, 5>> futures(suite.size());
-  std::vector<std::array<trace::Recording, 5>> recs(
-      traces != nullptr ? suite.size() : 0);
-  for (std::size_t wi = 0; wi < suite.size(); ++wi)
-    for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-      futures[wi][vi] = pool.submit(
-          [&w = suite[wi], &m, v = kAllVersions[vi], &opt,
-           tr = traces != nullptr ? &recs[wi][vi] : nullptr] {
-            return run_version(w, m, v, opt, tr);
-          });
-
-  for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-    std::array<RunResult, 5> results;
-    for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-      results[vi] = futures[wi][vi].get();
-    rows.push_back(make_improvement_row(suite[wi], results));
-    if (traces != nullptr) append_captures(suite[wi], recs[wi], traces);
-  }
-  return rows;
+ResilientSweep sweep_resilient(
+    std::span<const workloads::WorkloadInfo> workloads, const MachineConfig& m,
+    const RunOptions& opt, const ParallelSweepOptions& par,
+    std::uint32_t max_retries, std::vector<TraceCapture>* traces) {
+  return sweep_cells(workloads, m, opt, par, max_retries, traces);
 }
 
 namespace {
@@ -695,37 +726,14 @@ std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
   const std::size_t nw = suite.size();
   const std::size_t nv = kAllVersions.size();
 
-  // cells[wi][vi][pi]: every result of the whole axis, computed cell-major
-  // (one decode per cell) and assembled point-major below in fixed order —
-  // the same rows per-point sweep_suite calls would build.
-  std::vector<std::vector<std::vector<RunResult>>> cells(
-      nw, std::vector<std::vector<RunResult>>(nv));
-
-  if (par.num_threads > 1) {
-    support::ThreadPool pool(par.num_threads);
-    std::vector<std::future<void>> done;
-    done.reserve(nw * nv);
-    for (std::size_t wi = 0; wi < nw; ++wi)
-      for (std::size_t vi = 0; vi < nv; ++vi)
-        done.push_back(pool.submit([&, wi, vi] {
-          run_cell_shared_decode(suite[wi], kAllVersions[vi], machines, opt,
-                                 cells[wi][vi]);
-        }));
-    std::exception_ptr err;
-    for (auto& f : done) {
-      try {
-        f.get();
-      } catch (...) {
-        if (err == nullptr) err = std::current_exception();
-      }
-    }
-    if (err != nullptr) std::rethrow_exception(err);
-  } else {
-    for (std::size_t wi = 0; wi < nw; ++wi)
-      for (std::size_t vi = 0; vi < nv; ++vi)
-        run_cell_shared_decode(suite[wi], kAllVersions[vi], machines, opt,
-                               cells[wi][vi]);
-  }
+  // cells[wi * nv + vi][pi]: every result of the whole axis, computed
+  // cell-major (one decode per cell) and assembled point-major below in
+  // fixed order — the same rows per-point sweep_suite calls would build.
+  std::vector<std::vector<RunResult>> cells(nw * nv);
+  support::run_cells(cells.size(), par.num_threads, [&](std::size_t i) {
+    run_cell_shared_decode(suite[i / nv], kAllVersions[i % nv], machines, opt,
+                           cells[i]);
+  });
 
   std::vector<std::vector<ImprovementRow>> rows(machines.size());
   for (std::size_t pi = 0; pi < machines.size(); ++pi) {
@@ -733,141 +741,11 @@ std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
     for (std::size_t wi = 0; wi < nw; ++wi) {
       std::array<RunResult, 5> results;
       for (std::size_t vi = 0; vi < nv; ++vi)
-        results[vi] = std::move(cells[wi][vi][pi]);
+        results[vi] = std::move(cells[wi * nv + vi][pi]);
       rows[pi].push_back(make_improvement_row(suite[wi], results));
     }
   }
   return rows;
-}
-
-namespace {
-
-/// One guarded (workload, version) cell of a resilient sweep.
-struct CellRun {
-  std::optional<RunResult> result;  ///< nullopt when all attempts failed
-  fault::CellOutcome outcome;
-  trace::Recording recording;  ///< from the successful attempt (if any)
-};
-
-/// Run one cell with retry. Catches everything a simulation can throw —
-/// injected crashes, watchdog kills, internal check failures — so the
-/// caller's sweep loop never unwinds. Each attempt reseeds the injector
-/// deterministically and records into a fresh Recording, so a failed
-/// attempt leaves no partial trace behind.
-CellRun run_cell_guarded(const workloads::WorkloadInfo& w,
-                         const MachineConfig& m, std::size_t vi,
-                         const RunOptions& base_opt,
-                         const FaultSweepOptions& fopt, bool want_trace) {
-  const Version v = kAllVersions[vi];
-  CellRun cell;
-  cell.outcome.workload = w.name;
-  cell.outcome.version = version_key(v);
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    RunOptions opt = base_opt;
-    opt.fault = fopt.fault;
-    opt.fault.seed = fault::task_seed(fopt.fault.seed, w.name,
-                                      static_cast<std::uint32_t>(vi), attempt);
-    opt.watchdog_accesses = fopt.watchdog_accesses;
-    opt.degrade = fopt.degrade;
-    cell.outcome.fault_seed = opt.fault.seed;
-    cell.outcome.attempts = attempt + 1;
-    trace::Recording rec;
-    try {
-      RunResult r = run_version(w, m, v, opt, want_trace ? &rec : nullptr);
-      cell.outcome.status = r.degradations > 0
-                                ? fault::CellOutcome::Status::Degraded
-                                : fault::CellOutcome::Status::Ok;
-      cell.outcome.faults_injected = r.faults_injected;
-      cell.outcome.degradations = r.degradations;
-      cell.outcome.error.clear();
-      cell.result = std::move(r);
-      cell.recording = std::move(rec);
-      return cell;
-    } catch (const std::exception& e) {
-      cell.outcome.status = fault::CellOutcome::Status::Failed;
-      cell.outcome.error = e.what();
-      cell.outcome.faults_injected = 0;
-      cell.outcome.degradations = 0;
-      if (attempt >= fopt.max_retries) return cell;
-    } catch (...) {
-      cell.outcome.status = fault::CellOutcome::Status::Failed;
-      cell.outcome.error = "unknown exception";
-      cell.outcome.faults_injected = 0;
-      cell.outcome.degradations = 0;
-      if (attempt >= fopt.max_retries) return cell;
-    }
-  }
-}
-
-/// Shared body of the resilient entry points: guard every (workload,
-/// version) cell, then assemble rows / report / captures in fixed order so
-/// the whole ResilientSweep is bit-identical at any thread count.
-ResilientSweep run_resilient(
-    const std::vector<const workloads::WorkloadInfo*>& suite,
-    const MachineConfig& m, const RunOptions& opt,
-    const ParallelSweepOptions& par, const FaultSweepOptions& fopt,
-    std::vector<TraceCapture>* traces) {
-  const bool tracing = traces != nullptr;
-  std::vector<std::array<CellRun, 5>> cells(suite.size());
-
-  if (par.num_threads > 1) {
-    support::ThreadPool pool(par.num_threads);
-    std::vector<std::array<std::future<CellRun>, 5>> futures(suite.size());
-    for (std::size_t wi = 0; wi < suite.size(); ++wi)
-      for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-        futures[wi][vi] =
-            pool.submit([w = suite[wi], &m, vi, &opt, &fopt, tracing] {
-              return run_cell_guarded(*w, m, vi, opt, fopt, tracing);
-            });
-    for (std::size_t wi = 0; wi < suite.size(); ++wi)
-      for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-        cells[wi][vi] = futures[wi][vi].get();
-  } else {
-    for (std::size_t wi = 0; wi < suite.size(); ++wi)
-      for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-        cells[wi][vi] = run_cell_guarded(*suite[wi], m, vi, opt, fopt,
-                                         tracing);
-  }
-
-  ResilientSweep out;
-  out.rows.reserve(suite.size());
-  out.report.cells.reserve(suite.size() * kAllVersions.size());
-  for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-    std::array<std::optional<RunResult>, 5> results;
-    for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi) {
-      results[vi] = std::move(cells[wi][vi].result);
-      out.report.cells.push_back(std::move(cells[wi][vi].outcome));
-    }
-    out.rows.push_back(make_row_partial(*suite[wi], results));
-    if (tracing)
-      for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi)
-        traces->push_back({suite[wi]->name, kAllVersions[vi],
-                           std::move(cells[wi][vi].recording)});
-  }
-  return out;
-}
-
-}  // namespace
-
-ResilientSweep improvements_for_resilient(const workloads::WorkloadInfo& w,
-                                          const MachineConfig& m,
-                                          const RunOptions& opt,
-                                          const ParallelSweepOptions& par,
-                                          const FaultSweepOptions& fopt,
-                                          std::vector<TraceCapture>* traces) {
-  return run_resilient({&w}, m, opt, par, fopt, traces);
-}
-
-ResilientSweep sweep_suite_resilient(const MachineConfig& m,
-                                     const RunOptions& opt,
-                                     const ParallelSweepOptions& par,
-                                     const FaultSweepOptions& fopt,
-                                     std::vector<TraceCapture>* traces) {
-  const auto& suite = workloads::all_workloads();
-  std::vector<const workloads::WorkloadInfo*> ptrs;
-  ptrs.reserve(suite.size());
-  for (const auto& w : suite) ptrs.push_back(&w);
-  return run_resilient(ptrs, m, opt, par, fopt, traces);
 }
 
 double average_improvement(const std::vector<ImprovementRow>& rows, Version v,

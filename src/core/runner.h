@@ -12,6 +12,7 @@
 #include <array>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "core/versions.h"
 #include "fault/fault.h"
@@ -45,7 +46,8 @@ struct RunOptions {
   std::uint64_t trace_epoch = 10000;
   /// Fault campaign for this run. Default (kind None, rate 0) means no
   /// injector is built and every fault hook stays nullptr — the run is
-  /// bit-identical to a pre-fault-layer simulation.
+  /// bit-identical to a pre-fault-layer simulation. sweep_resilient derives
+  /// each cell attempt's seed from fault.seed.
   fault::FaultConfig fault{};
   /// Abort the run (fault::WatchdogExceeded) after this many hierarchy
   /// accesses; 0 disables the watchdog.
@@ -216,6 +218,7 @@ std::uint64_t stream_fingerprint(const RunOptions& opt);
 /// The other machine-side input of the run-ledger RunId.
 std::uint64_t machine_fingerprint(const MachineConfig& m);
 
+/// The five versions of one workload on one machine, run like sweep_suite.
 /// When `traces` is non-null, every per-version run is traced and its
 /// recording appended in fixed version order (the determinism contract
 /// extends to traces: each task records privately; captures are appended
@@ -226,12 +229,13 @@ ImprovementRow improvements_for(const workloads::WorkloadInfo& w,
                                 const ParallelSweepOptions& par = {},
                                 std::vector<TraceCapture>* traces = nullptr);
 
-/// Whole-suite sweep (all 13 benchmarks) for one machine+scheme. With
-/// par.num_threads > 1 the 13x5 independent simulations fan out over a
-/// worker pool; results are merged in workload order and are bit-identical
-/// to the serial sweep. `traces` (optional) collects per-(workload, version)
-/// recordings in (workload, version) order — also bit-identical across
-/// thread counts.
+/// Whole-suite sweep (all 13 benchmarks) for one machine+scheme. The 13x5
+/// independent simulations run on support::run_cells (a worker pool when
+/// par.num_threads > 1); results are merged in workload order and are
+/// bit-identical to the serial sweep. A cell's exception propagates once
+/// every cell has finished (the lowest-index one, at any thread count).
+/// `traces` (optional) collects per-(workload, version) recordings in
+/// (workload, version) order — also bit-identical across thread counts.
 std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
                                         const RunOptions& opt = {},
                                         const ParallelSweepOptions& par = {},
@@ -254,30 +258,13 @@ std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
 /// tape-eligible configuration (opt.reuse_tape set, no fault campaign or
 /// watchdog, opt.degrade disarmed). The persistent store (if attached) is
 /// consulted per (cell, point) before simulating and updated after, like
-/// run_version. With par.num_threads > 1 the 13x5 cells fan out over a
-/// worker pool (each cell multi-replays its points on one thread); results
-/// merge in fixed (workload, version, point) order — bit-identical to the
-/// serial engine and to per-point sweep_suite at any thread count.
+/// run_version. The 13x5 cells run on support::run_cells (each cell
+/// multi-replays its points on one thread); results merge in fixed
+/// (workload, version, point) order — bit-identical to the serial engine
+/// and to per-point sweep_suite at any thread count.
 std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
     const std::vector<MachineConfig>& machines, const RunOptions& opt = {},
     const ParallelSweepOptions& par = {});
-
-/// Controls for a failure-isolated ("resilient") sweep: the fault campaign
-/// applied to every cell, how often a failed cell is retried, and the
-/// degradation policy armed in each controller.
-struct FaultSweepOptions {
-  /// Per-cell fault campaign. `fault.seed` is the SWEEP-level base seed;
-  /// each (workload, version, attempt) derives its own injector seed via
-  /// fault::task_seed, so results are reproducible at any thread count and
-  /// every retry sees a fresh but deterministic fault stream.
-  fault::FaultConfig fault{};
-  /// Re-attempts after a failed cell (attempts = max_retries + 1).
-  std::uint32_t max_retries = 1;
-  /// Per-cell access watchdog (0 = off).
-  std::uint64_t watchdog_accesses = 0;
-  /// Degradation policy armed in every cell's controller.
-  hw::DegradePolicy degrade{};
-};
 
 /// Result of a resilient sweep: the usual figure rows plus the per-cell
 /// outcome ledger. A failed cell contributes 0.0 improvement to its row
@@ -288,22 +275,21 @@ struct ResilientSweep {
   fault::FailureReport report;
 };
 
-/// Failure-isolated version of improvements_for: each (workload, version)
-/// cell runs guarded, so an injected crash, watchdog kill, or any other
-/// exception fails only that cell. Never throws for per-cell failures.
-ResilientSweep improvements_for_resilient(
-    const workloads::WorkloadInfo& w, const MachineConfig& m,
+/// Failure-isolated sweep over `workloads` (one, or all_workloads()): each
+/// (workload, version) cell runs guarded, so an injected crash, watchdog
+/// kill, or any other exception fails only that cell, which is retried up
+/// to `max_retries` times (attempts = max_retries + 1) and then reported
+/// Failed. The campaign is opt.fault, opt.watchdog_accesses and
+/// opt.degrade; opt.fault.seed is the SWEEP-level base seed, from which
+/// each (workload, version, attempt) derives its own injector seed via
+/// fault::task_seed, so every retry sees a fresh but deterministic fault
+/// stream. Rows, FailureReport, and trace captures are merged in fixed
+/// (workload, version) order — bit-identical for any par.num_threads, like
+/// the plain engine. Never throws for per-cell failures.
+ResilientSweep sweep_resilient(
+    std::span<const workloads::WorkloadInfo> workloads, const MachineConfig& m,
     const RunOptions& opt, const ParallelSweepOptions& par,
-    const FaultSweepOptions& fopt,
-    std::vector<TraceCapture>* traces = nullptr);
-
-/// Failure-isolated version of sweep_suite. Rows, FailureReport, and trace
-/// captures are merged in fixed (workload, version) order — bit-identical
-/// for any par.num_threads, like the un-faulted engine.
-ResilientSweep sweep_suite_resilient(
-    const MachineConfig& m, const RunOptions& opt,
-    const ParallelSweepOptions& par, const FaultSweepOptions& fopt,
-    std::vector<TraceCapture>* traces = nullptr);
+    std::uint32_t max_retries, std::vector<TraceCapture>* traces = nullptr);
 
 /// Average of a version's improvement across rows, optionally filtered by
 /// category (nullptr = all).

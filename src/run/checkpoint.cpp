@@ -1,12 +1,12 @@
 #include "run/checkpoint.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <thread>
 
@@ -345,48 +345,19 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
     }
   }
 
-  // Execute pending cells. Both paths submit/iterate in fixed cell order
-  // and merge results by index, so scheduling never affects the output.
-  bool suspended = false;
-  if (opts.threads > 1 && pending.size() > 1) {
-    support::ThreadPool pool(opts.threads);
-    std::vector<std::future<CellExec>> futures;
-    futures.reserve(pending.size());
-    for (const std::size_t i : pending)
-      futures.push_back(pool.submit([&eng, i, n = core::kAllVersions.size(),
-                                     a = history[i].attempts] {
-        return eng.run_cell(i / n, i % n, a);
-      }));
-    for (std::size_t fi = 0; fi < futures.size(); ++fi) {
-      try {
-        cells[pending[fi]] = futures[fi].get();
-      } catch (const std::future_error&) {
-        // Dropped by request_stop() before it ran: still pending.
-        cells[pending[fi]].state = CellExec::State::Pending;
-      }
-      if (cells[pending[fi]].state == CellExec::State::Suspended &&
-          !suspended) {
-        suspended = true;
-        // First suspension observed: cancel everything still queued. Cells
-        // already running finish or unwind on their own guard; their
-        // futures below resolve normally or as Suspended.
-        pool.request_stop();
-      }
-    }
-  } else {
-    for (const std::size_t i : pending) {
-      if (suspended || eng.stop_requested()) {
-        cells[i].state = suspended ? CellExec::State::Pending
-                                   : CellExec::State::Suspended;
-        if (!suspended) suspended = true;
-        continue;
-      }
-      cells[i] = eng.run_cell(i / core::kAllVersions.size(),
-                              i % core::kAllVersions.size(),
-                              history[i].attempts);
-      if (cells[i].state == CellExec::State::Suspended) suspended = true;
-    }
-  }
+  // Execute pending cells on the shared executor; results merge by index,
+  // so scheduling never affects the output. Once the run is stopping, every
+  // cell still to start sees the stop and returns Suspended unjournaled.
+  support::run_cells(pending.size(), opts.threads, [&](std::size_t k) {
+    const std::size_t i = pending[k];
+    cells[i] = eng.run_cell(i / core::kAllVersions.size(),
+                            i % core::kAllVersions.size(),
+                            history[i].attempts);
+  });
+  const bool suspended =
+      std::any_of(cells.begin(), cells.end(), [](const CellExec& c) {
+        return c.state == CellExec::State::Suspended;
+      });
 
   // Tally + outcome ledger in fixed (workload, version) order.
   bool all_terminal = true;

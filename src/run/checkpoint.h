@@ -19,9 +19,10 @@
 // Suspension: the engine polls a stop token (typically a SignalGuard's)
 // and an optional whole-run deadline at access granularity via
 // support::RunGuard. A trip abandons the in-flight cells (RunSuspended
-// unwinds them; their partial state is task-local), drains the pool
-// cooperatively, appends a `suspended` record, flushes the cells.csv
-// ledger, and returns with outcome.suspended set. Nothing torn is left
+// unwinds them; their partial state is task-local); every cell not yet
+// started sees the stop at its attempt boundary and returns without
+// journaling. The engine then appends a `suspended` record, flushes the
+// cells.csv ledger, and returns with outcome.suspended set. Nothing torn is left
 // behind: every artifact goes through the atomic writer, and the journal
 // reader drops a torn tail by design.
 //

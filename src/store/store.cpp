@@ -260,25 +260,37 @@ void ResultStore::save(const std::string& key, const StoredResult& r) {
   put_u64(data, payload.size());
   put_u64(data, fnv1a_bytes(kFnv1aOffset, payload.data(), payload.size()));
   data += payload;
-  note_write(support::write_file_atomic(cell_path(key), data));
+  if (write_ok(support::write_file_atomic(cell_path(key), data)))
+    count(&StoreCounters::writes);
 }
 
-void ResultStore::note_write(const support::WriteStatus& st) {
+bool ResultStore::write_ok(const support::WriteStatus& st) {
+  if (st.ok()) return true;
+  // A failed write is a non-event for correctness (the cell simply
+  // re-simulates next time) but never a silent one: it is counted and its
+  // stage+errno text retained for diagnostics.
   std::lock_guard<std::mutex> lock(mu_);
-  if (st.ok()) {
-    ++counters_.writes;
-  } else {
-    // A failed write is a non-event for correctness (the cell simply
-    // re-simulates next time) but never a silent one: it is counted and its
-    // stage+errno text retained for diagnostics.
-    ++counters_.write_errors;
-    last_write_error_ = st.message();
-  }
+  ++counters_.write_errors;
+  last_write_error_ = st.message();
+  return false;
 }
 
 std::string ResultStore::last_write_error() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_write_error_;
+}
+
+std::string ResultStore::summary(std::size_t tapes) const {
+  const StoreCounters c = counters();
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "store: %llu hits, %llu misses (%llu corrupt), %llu cells"
+                " written, %zu tapes persisted -> ",
+                static_cast<unsigned long long>(c.hits),
+                static_cast<unsigned long long>(c.misses),
+                static_cast<unsigned long long>(c.corrupt),
+                static_cast<unsigned long long>(c.writes), tapes);
+  return buf + dir_;
 }
 
 std::size_t ResultStore::preload_tapes(tape::TapeCache& cache) {
@@ -324,16 +336,9 @@ std::size_t ResultStore::persist_tapes(const tape::TapeCache& cache) {
       std::lock_guard<std::mutex> lock(mu_);
       if (!rejected_tapes_.contains(stem)) continue;
     }
-    const support::WriteStatus tape_st =
-        tape::save_tape_status(*tp, stem + ".tape");
-    if (!tape_st.ok()) {
-      note_write(tape_st);
+    if (!write_ok(tape::save_tape_status(*tp, stem + ".tape")) ||
+        !write_ok(support::write_file_atomic(stem + ".key", key + "\n")))
       continue;
-    }
-    const support::WriteStatus key_st =
-        support::write_file_atomic(stem + ".key", key + "\n");
-    note_write(key_st);
-    if (!key_st.ok()) continue;
     ++written;
     std::lock_guard<std::mutex> lock(mu_);
     rejected_tapes_.erase(stem);

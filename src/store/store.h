@@ -63,11 +63,13 @@ struct StoredResult {
   StatSet stats;
 };
 
-/// Hit/miss/write accounting for one store handle's lifetime. `corrupt`
-/// counts loads that found a file but rejected it (also counted in
-/// `misses` — corruption is a miss, never an error). `write_errors` counts
-/// saves the filesystem rejected (ENOSPC/EIO/...): correctness-neutral (the
-/// cell re-simulates next run) but never silent — see last_write_error().
+/// Hit/miss/write accounting for one store handle's lifetime. `writes`
+/// counts cells saved (persisted tapes are not cells). `corrupt` counts
+/// loads that found a file but rejected it (also counted in `misses` —
+/// corruption is a miss, never an error). `write_errors` counts cell and
+/// tape writes the filesystem rejected (ENOSPC/EIO/...):
+/// correctness-neutral (the cell re-simulates next run) but never silent —
+/// see last_write_error().
 struct StoreCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -141,10 +143,16 @@ class ResultStore {
   /// the diagnostic companion of counters().write_errors.
   std::string last_write_error() const;
 
+  /// The one-line accounting a sweep prints to stderr when it is done, e.g.
+  /// "store: 3 hits, 2 misses (0 corrupt), 2 cells written, 0 tapes
+  /// persisted -> DIR" (`tapes` is what persist_tapes returned).
+  std::string summary(std::size_t tapes) const;
+
  private:
   std::string cell_path(const std::string& key) const;
   void count(std::uint64_t StoreCounters::* field);
-  void note_write(const support::WriteStatus& st);
+  /// st.ok(); a failure is counted in write_errors and remembered.
+  bool write_ok(const support::WriteStatus& st);
 
   std::string dir_;
   Options opt_;

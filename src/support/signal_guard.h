@@ -43,7 +43,7 @@ class SignalGuard {
 
   /// The stop flag as a pollable token — the same atomic the handlers set,
   /// nonzero meaning stop. Stable for the process lifetime, so it can be
-  /// handed to RunGuard/ThreadPool consumers that outlive the guard.
+  /// handed to RunGuard consumers that outlive the guard.
   static const std::atomic<int>* token() { return &signo_; }
 
   /// Record a signal. Async-signal-safe; only the first call sticks. Public

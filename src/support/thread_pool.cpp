@@ -1,6 +1,7 @@
 #include "support/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 
 namespace selcache::support {
 
@@ -40,24 +41,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
-void ThreadPool::request_stop() {
-  std::deque<std::function<void()>> discarded;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cancel_.store(true, std::memory_order_relaxed);
-    // Swap the queue out and destroy it outside the lock: dropping a task
-    // destroys its packaged_task, which resolves the task's future with
-    // broken_promise — and that may run arbitrary shared-state teardown.
-    discarded.swap(queue_);
-  }
-  cv_.notify_all();
-}
-
 unsigned ThreadPool::hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
@@ -84,6 +67,31 @@ void ThreadPool::worker_loop() {
       stray_exceptions_.fetch_add(1);
     }
   }
+}
+
+void run_cells(std::size_t n, unsigned threads,
+               const std::function<void(std::size_t)>& cell) {
+  std::exception_ptr first;
+  const auto settle = [&first](const auto& run) {
+    try {
+      run();
+    } catch (...) {
+      if (first == nullptr) first = std::current_exception();
+    }
+  };
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < n; ++i) settle([&] { cell(i); });
+  } else {
+    std::vector<std::future<void>> done;
+    done.reserve(n);
+    {
+      ThreadPool pool(threads);
+      for (std::size_t i = 0; i < n; ++i)
+        done.push_back(pool.submit([&cell, i] { cell(i); }));
+    }  // ~ThreadPool drains: every cell has finished here
+    for (std::future<void>& f : done) settle([&] { f.get(); });
+  }
+  if (first != nullptr) std::rethrow_exception(first);
 }
 
 }  // namespace selcache::support

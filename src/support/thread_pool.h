@@ -1,4 +1,5 @@
-// Fixed-size worker pool with a FIFO task queue and future-based results.
+// Fixed-size worker pool with a FIFO task queue and future-based results,
+// plus run_cells(), the one fan-out every sweep engine runs its cells on.
 //
 // Built for the parallel experiment engine: each submitted task is an
 // independent simulation owning all of its state, so the pool needs no
@@ -14,12 +15,8 @@
 // pathway, a hostile std::function) is swallowed by a worker-loop backstop
 // and counted in stray_exceptions() rather than escaping the thread.
 //
-// Cooperative cancellation: request_stop() flips an atomic stop token and
-// discards every not-yet-started task (their futures resolve with
-// broken_promise — never a hang), while in-flight tasks run to completion.
-// This is the drain path graceful shutdown rides on: a SIGINT mid-sweep
-// abandons the queued cells, finishes or aborts the running ones, and the
-// destructor joins promptly instead of simulating the rest of the sweep.
+// There is no cancellation: a sweep that must stop early (a signal, a run
+// deadline) lets each remaining cell see the stop and return at once.
 #pragma once
 
 #include <atomic>
@@ -61,35 +58,13 @@ class ThreadPool {
     std::future<R> result = task->get_future();
     {
       std::lock_guard<std::mutex> lock(mu_);
-      // Submissions after a stop request are dropped immediately: the
-      // caller gets a future that reports broken_promise, the same way a
-      // queued-but-discarded task does.
-      if (!cancel_.load(std::memory_order_relaxed))
-        queue_.emplace_back([task] { (*task)(); });
+      queue_.emplace_back([task] { (*task)(); });
     }
     cv_.notify_one();
     return result;
   }
 
-  /// Cooperative cancellation: discard every queued (not yet started) task
-  /// — their futures resolve with std::future_error (broken_promise) — and
-  /// let in-flight tasks finish. Idempotent; callable from any thread
-  /// (including a task running on the pool).
-  void request_stop();
-
-  /// Has request_stop() been called?
-  bool stop_requested() const {
-    return cancel_.load(std::memory_order_relaxed);
-  }
-
-  /// The stop token as a pollable atomic (nonzero = stop), for handing to
-  /// cooperative cancellation points inside running tasks.
-  const std::atomic<bool>* stop_token() const { return &cancel_; }
-
   std::size_t num_threads() const { return workers_.size(); }
-
-  /// Tasks neither started nor finished yet (snapshot; racy by nature).
-  std::size_t pending() const;
 
   /// Hardware concurrency with a floor of 1 (hardware_concurrency() may
   /// report 0 on exotic platforms).
@@ -109,13 +84,20 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
-  bool stop_ = false;                 ///< destructor drain (completes queue)
-  std::atomic<bool> cancel_{false};   ///< request_stop (discards queue)
+  bool stop_ = false;  ///< destructor drain (completes queue)
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> stray_exceptions_{0};
 };
+
+/// Run cell(i) for every i in [0, n): in index order on the caller when
+/// threads <= 1, otherwise as one ThreadPool task per index, submitted in
+/// index order. Every cell finishes before this returns; then the exception
+/// of the lowest-index cell that threw (if any) is rethrown. Cells must not
+/// share mutable state, or must synchronize it themselves.
+void run_cells(std::size_t n, unsigned threads,
+               const std::function<void(std::size_t)>& cell);
 
 }  // namespace selcache::support

@@ -69,14 +69,29 @@ TEST(SweepDeterminism, RowsCarryAccessCountsAndPrefixedStats) {
   EXPECT_GT(row.stats.get("selective.cpu.instructions"), 0u);
 }
 
+/// A plain sweep does not isolate failures: a cell's exception reaches the
+/// caller, at one thread and at four.
+TEST(SweepDeterminism, PlainSweepPropagatesACellFailure) {
+  const MachineConfig m = base_machine();
+  RunOptions opt;
+  opt.watchdog_accesses = 50;  // far below any real run
+  const auto& w = workloads::all_workloads().front();
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const ParallelSweepOptions par{.num_threads = threads};
+    EXPECT_THROW(sweep_suite(m, opt, par), fault::WatchdogExceeded);
+    EXPECT_THROW(improvements_for(w, m, opt, par), fault::WatchdogExceeded);
+  }
+}
+
 // --- failure-isolated (resilient) engine ---------------------------------
 
-FaultSweepOptions toggle_drop_campaign() {
-  FaultSweepOptions fopt;
-  fopt.fault.kind = fault::FaultKind::ToggleDrop;
-  fopt.fault.rate = 0.5;
-  fopt.fault.seed = 2026;
-  return fopt;
+RunOptions toggle_drop_campaign() {
+  RunOptions opt;
+  opt.fault.kind = fault::FaultKind::ToggleDrop;
+  opt.fault.rate = 0.5;
+  opt.fault.seed = 2026;
+  return opt;
 }
 
 /// The determinism contract extended to faults: the same sweep-level fault
@@ -84,17 +99,18 @@ FaultSweepOptions toggle_drop_campaign() {
 /// and trace captures — at every thread count.
 TEST(ResilientDeterminism, FaultedSweepBitIdenticalAcrossThreadCounts) {
   const MachineConfig m = base_machine();
-  RunOptions opt;
-  const FaultSweepOptions fopt = toggle_drop_campaign();
+  const RunOptions opt = toggle_drop_campaign();
+  const auto& suite = workloads::all_workloads();
 
   std::vector<TraceCapture> serial_traces;
-  const ResilientSweep serial = sweep_suite_resilient(
-      m, opt, ParallelSweepOptions{.num_threads = 1}, fopt, &serial_traces);
+  const ResilientSweep serial = sweep_resilient(
+      suite, m, opt, ParallelSweepOptions{.num_threads = 1}, 1, &serial_traces);
   for (unsigned threads : {4u, 8u}) {
     SCOPED_TRACE(threads);
     std::vector<TraceCapture> traces;
-    const ResilientSweep parallel = sweep_suite_resilient(
-        m, opt, ParallelSweepOptions{.num_threads = threads}, fopt, &traces);
+    const ResilientSweep parallel = sweep_resilient(
+        suite, m, opt, ParallelSweepOptions{.num_threads = threads}, 1,
+        &traces);
     expect_rows_identical(serial.rows, parallel.rows);
     EXPECT_EQ(serial.report, parallel.report);
     ASSERT_EQ(serial_traces.size(), traces.size());
@@ -106,8 +122,8 @@ TEST(ResilientDeterminism, FaultedSweepBitIdenticalAcrossThreadCounts) {
   }
   // The rendered report is part of the contract too.
   EXPECT_EQ(serial.report.csv(),
-            sweep_suite_resilient(m, opt, ParallelSweepOptions{.num_threads = 4},
-                                  fopt)
+            sweep_resilient(suite, m, opt,
+                            ParallelSweepOptions{.num_threads = 4}, 1)
                 .report.csv());
 }
 
@@ -117,14 +133,14 @@ TEST(ResilientDeterminism, FaultedSweepBitIdenticalAcrossThreadCounts) {
 /// sweep bit for bit.
 TEST(ResilientDeterminism, InjectedCrashQuarantinesOnlyItsCell) {
   const MachineConfig m = base_machine();
-  RunOptions opt;
-  FaultSweepOptions fopt;
+  RunOptions fopt;
   fopt.fault.kind = fault::FaultKind::TaskCrash;
   fopt.fault.rate = 1e-7;  // rare: some cells crash, most survive
   fopt.fault.seed = 7;
-  fopt.max_retries = 2;
+  const std::uint32_t max_retries = 2;
 
-  const ResilientSweep rs = sweep_suite_resilient(m, opt, {}, fopt);
+  const ResilientSweep rs =
+      sweep_resilient(workloads::all_workloads(), m, fopt, {}, max_retries);
   ASSERT_EQ(rs.report.cells.size(),
             workloads::all_workloads().size() * kAllVersions.size());
   const std::size_t failed = rs.report.failed_cells();
@@ -134,13 +150,13 @@ TEST(ResilientDeterminism, InjectedCrashQuarantinesOnlyItsCell) {
   for (const auto& cell : rs.report.cells) {
     SCOPED_TRACE(cell.workload + "/" + cell.version);
     if (cell.status == fault::CellOutcome::Status::Failed) {
-      EXPECT_EQ(cell.attempts, fopt.max_retries + 1);
+      EXPECT_EQ(cell.attempts, max_retries + 1);
       EXPECT_NE(cell.error.find("injected crash"), std::string::npos);
       std::uint32_t vi = 0;
       while (version_key(kAllVersions[vi]) != cell.version) ++vi;
       EXPECT_EQ(cell.fault_seed,
                 fault::task_seed(fopt.fault.seed, cell.workload, vi,
-                                 fopt.max_retries));
+                                 max_retries));
     } else {
       EXPECT_EQ(cell.status, fault::CellOutcome::Status::Ok);
     }
@@ -148,7 +164,7 @@ TEST(ResilientDeterminism, InjectedCrashQuarantinesOnlyItsCell) {
 
   // Surviving cells carry the same numbers an unfaulted sweep produces
   // (TaskCrash perturbs nothing unless it kills the run).
-  const auto clean = sweep_suite(m, opt);
+  const auto clean = sweep_suite(m);
   ASSERT_EQ(rs.rows.size(), clean.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
     bool row_failed = false;
@@ -172,11 +188,10 @@ TEST(ResilientDeterminism, RetrySeedsDifferPerAttempt) {
 
 TEST(ResilientDeterminism, WatchdogAloneQuarantinesEveryCell) {
   const auto& w = workloads::all_workloads().front();
-  FaultSweepOptions fopt;
-  fopt.watchdog_accesses = 50;  // far below any real run
-  fopt.max_retries = 0;
+  RunOptions opt;
+  opt.watchdog_accesses = 50;  // far below any real run
   const ResilientSweep rs =
-      improvements_for_resilient(w, base_machine(), {}, {}, fopt);
+      sweep_resilient({&w, 1}, base_machine(), opt, {}, /*max_retries=*/0);
   ASSERT_EQ(rs.report.cells.size(), kAllVersions.size());
   for (const auto& cell : rs.report.cells) {
     EXPECT_EQ(cell.status, fault::CellOutcome::Status::Failed);

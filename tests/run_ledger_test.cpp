@@ -300,29 +300,47 @@ TEST_F(CheckpointTest, FreshCompleteRunMatchesPlainEngine) {
   for (const auto& c : st.cells) EXPECT_EQ(c.status, "done") << c.workload;
 }
 
-TEST_F(CheckpointTest, PreTrippedStopTokenSuspendsBeforeAnyCell) {
+/// A pre-tripped stop token suspends before any cell starts: each cell sees
+/// the stop and returns without journaling, at any thread count, so every
+/// cell stays `planned` with no attempt. Resume with the token cleared
+/// finishes and matches the plain engine.
+void expect_pre_tripped_stop_starts_no_cell(const std::string& dir,
+                                            unsigned threads) {
   std::atomic<int> stop{1};
   CheckpointOptions opts;
+  opts.threads = threads;
   opts.stop = &stop;
-  const auto out = run_checkpointed(dir_, demo_spec(), opts);
+  const auto out = run_checkpointed(dir, demo_spec(), opts);
   ASSERT_TRUE(out.error.empty()) << out.error;
   EXPECT_TRUE(out.suspended);
   EXPECT_FALSE(out.complete);
   EXPECT_EQ(out.cells_done, 0u);
 
-  const auto st = inspect_run(dir_);
+  const auto st = inspect_run(dir);
   EXPECT_TRUE(st.suspended);
   EXPECT_FALSE(st.complete);
+  ASSERT_EQ(st.cells.size(), core::kAllVersions.size());
+  for (const auto& c : st.cells) {
+    EXPECT_EQ(c.status, "planned") << c.version;
+    EXPECT_EQ(c.attempts, 0u) << c.version;
+  }
 
-  // Resume with the token cleared: finishes and matches the plain engine.
   stop.store(0);
-  const auto res = resume_checkpointed(dir_, opts);
+  const auto res = resume_checkpointed(dir, opts);
   ASSERT_TRUE(res.error.empty()) << res.error;
   EXPECT_TRUE(res.complete);
   ASSERT_EQ(res.rows.size(), 1u);
   const auto& w = workloads::workload("TPC-D,Q6");
   expect_rows_equal(res.rows[0],
                     core::improvements_for(w, core::base_machine(), {}));
+}
+
+TEST_F(CheckpointTest, PreTrippedStopTokenSuspendsBeforeAnyCell) {
+  expect_pre_tripped_stop_starts_no_cell(dir_, 0);
+}
+
+TEST_F(CheckpointTest, PreTrippedStopTokenAtFourThreadsStartsNoCell) {
+  expect_pre_tripped_stop_starts_no_cell(dir_, 4);
 }
 
 TEST_F(CheckpointTest, ResumeOfCompleteRunLoadsEverythingFromStore) {

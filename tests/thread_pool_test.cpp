@@ -5,6 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace selcache::support {
@@ -101,117 +103,6 @@ TEST(ThreadPool, PartialSpawnFailureCleansUpStartedWorkers) {
   EXPECT_EQ(pool.stray_exceptions(), 0u);
 }
 
-// -- cooperative cancellation ------------------------------------------------
-// The drain path graceful shutdown rides on: request_stop() must discard
-// queued tasks promptly (futures resolve, never hang), keep in-flight tasks
-// intact, and leave the pool joinable.
-
-TEST(ThreadPool, RequestStopDiscardsQueuedTasksAsBrokenPromise) {
-  ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  // Park the single worker so everything else stays queued.
-  auto in_flight = pool.submit([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::sleep_for(
-        std::chrono::milliseconds(1));
-    ++ran;
-    return 7;
-  });
-  std::vector<std::future<int>> queued;
-  for (int i = 0; i < 8; ++i)
-    queued.push_back(pool.submit([&ran] { ++ran; return 1; }));
-
-  // Only stop once the parked task is genuinely in flight — a stop racing
-  // the worker's first dequeue would discard it along with the queue.
-  while (!started.load())
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  pool.request_stop();
-  EXPECT_TRUE(pool.stop_requested());
-  release.store(true);
-
-  // The in-flight task finishes normally; every queued task is discarded
-  // with broken_promise — resolved, never a hang.
-  EXPECT_EQ(in_flight.get(), 7);
-  for (auto& f : queued) {
-    try {
-      f.get();
-      FAIL() << "discarded task's future must not produce a value";
-    } catch (const std::future_error& e) {
-      EXPECT_EQ(e.code(), std::make_error_code(std::future_errc::broken_promise));
-    }
-  }
-  EXPECT_EQ(ran.load(), 1) << "no queued task may run after request_stop";
-}
-
-TEST(ThreadPool, SubmitAfterStopIsDroppedImmediately) {
-  ThreadPool pool(2);
-  pool.request_stop();
-  auto f = pool.submit([] { return 3; });
-  EXPECT_THROW(f.get(), std::future_error);
-}
-
-TEST(ThreadPool, RequestStopIsIdempotentAndCallableFromATask) {
-  // A task cancelling its own pool (how the checkpoint engine reacts to the
-  // first suspended cell) must not deadlock or terminate.
-  ThreadPool pool(2);
-  auto self_stop = pool.submit([&pool] {
-    pool.request_stop();
-    pool.request_stop();  // idempotent
-    return 1;
-  });
-  EXPECT_EQ(self_stop.get(), 1);
-  EXPECT_TRUE(pool.stop_requested());
-}
-
-TEST(ThreadPool, CompletedFuturesSurviveStopAndDestruction) {
-  std::future<int> done;
-  {
-    ThreadPool pool(2);
-    done = pool.submit([] { return 42; });
-    EXPECT_EQ(done.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready);
-    pool.request_stop();
-    // Destructor joins promptly: nothing left to drain.
-  }
-  EXPECT_EQ(done.get(), 42);
-}
-
-TEST(ThreadPool, StopWithLargeQueueResolvesEveryFuture) {
-  ThreadPool pool(2);
-  std::atomic<int> parked_count{0};
-  std::atomic<bool> release{false};
-  std::vector<std::future<void>> parked;
-  for (int i = 0; i < 2; ++i)
-    parked.push_back(pool.submit([&] {
-      ++parked_count;
-      while (!release.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }));
-  std::vector<std::future<void>> queued;
-  for (int i = 0; i < 500; ++i)
-    queued.push_back(pool.submit([] {}));
-  // Both workers must be parked before the stop, or the discard could race
-  // a dequeue and let some queued task through.
-  while (parked_count.load() < 2)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  pool.request_stop();
-  release.store(true);
-  for (auto& f : parked) f.get();
-  std::size_t dropped = 0;
-  for (auto& f : queued) {
-    try {
-      f.get();
-    } catch (const std::future_error&) {
-      ++dropped;
-    }
-  }
-  // Every future resolved one way or the other; with both workers parked
-  // until after the stop, all 500 queued tasks were discarded.
-  EXPECT_EQ(dropped, 500u);
-}
-
 TEST(ThreadPool, ManySmallTasksAcrossWorkers) {
   ThreadPool pool(8);
   std::atomic<std::uint64_t> sum{0};
@@ -221,6 +112,37 @@ TEST(ThreadPool, ManySmallTasksAcrossWorkers) {
     futures.push_back(pool.submit([i, &sum] { sum += i; }));
   for (auto& f : futures) f.get();
   EXPECT_EQ(sum.load(), 500500u);
+}
+
+// -- run_cells: the sweep engines' one fan-out --------------------------------
+
+TEST(RunCells, EveryCellRunsAndTheLowestIndexExceptionWins) {
+  for (unsigned threads : {0u, 1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::vector<std::atomic<int>> ran(64);
+    try {
+      run_cells(ran.size(), threads, [&ran](std::size_t i) {
+        ++ran[i];
+        if (i % 10 == 7) throw std::runtime_error(std::to_string(i));
+      });
+      FAIL() << "a throwing cell must surface";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "7");
+    }
+    // Cells after the first failure still ran, each exactly once.
+    for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
+  }
+}
+
+TEST(RunCells, SerialRunsInIndexOrderOnTheCaller) {
+  std::vector<std::size_t> order;
+  const auto caller = std::this_thread::get_id();
+  run_cells(5, 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  run_cells(0, 4, [](std::size_t) { FAIL() << "no cells, no calls"; });
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CLI contract for the predict subcommands plus the replay-engine flags
-# (--batch / tape --stat): unknown flags, unknown commands and malformed
+# (--batch / tape --stat) and checkpointed sweeps (--run-dir): unknown
+# flags, unknown commands and malformed
 # invocations must exit 2 (same as every other subcommand), good runs 0,
 # and a failed cross-check 1.
 #
@@ -52,6 +53,11 @@ expect 2 "$cli" suite --batch 1e9
 expect 2 "$cli" tape Perl base --stat --bogus
 expect 0 "$cli" sweep --workload Perl --reuse-tape --batch 512
 expect 0 "$cli" tape Perl base --stat
+
+# A checkpointed sweep parses its flags like every other sweep: a malformed
+# value exits 2 before the run directory is touched.
+expect 2 "$cli" sweep --workload Chaos --run-dir "$tmp/run" --batch abc
+expect 2 "$cli" sweep --workload Chaos --run-dir "$tmp/run" --epoch 0
 
 # No kernel switch (the build target picks the probe kernel) and no second
 # stream format (tapes are the only recording): a usage error and unknown

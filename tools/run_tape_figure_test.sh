@@ -39,7 +39,10 @@ strip_timing() {
 # Default mode: one interpreted simulation per cell, priced at both
 # latencies; nothing replays, so no tape is recorded.
 "$BENCH" --max-points 2 --threads 1 > "$TMP/tape_raw.txt"
-"$BENCH" --max-points 2 --threads 1 --no-reuse-tape > "$TMP/interp_raw.txt"
+# SELCACHE_THREADS is not a setting (--threads is the only thread knob), so
+# this leg runs serially whatever the variable holds.
+SELCACHE_THREADS=-1 "$BENCH" --max-points 2 --no-reuse-tape \
+  > "$TMP/interp_raw.txt"
 # Classic per-point replay (the pre-batching engine).
 "$BENCH" --max-points 2 --threads 1 --batch 0 > "$TMP/perpoint_raw.txt"
 for mode in tape interp perpoint; do

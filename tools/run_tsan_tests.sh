@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build and run the multi-threaded portions of the suite under
-# ThreadSanitizer: the parallel sweep runner, the thread pool, tape
-# record/replay under concurrency, and the fault-resilient sweep.
+# ThreadSanitizer: the parallel sweep runner, the thread pool and the
+# run_cells executor, tape record/replay under concurrency, the
+# fault-resilient sweep, and the checkpoint engine.
 #
 #   tools/run_tsan_tests.sh [extra ctest args...]
 #
@@ -36,17 +37,19 @@ fi
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
   parallel_runner_test thread_pool_test tape_test tape_equivalence_test \
-  multi_replay_test fault_test selcache
+  multi_replay_test fault_test run_ledger_test selcache
 
 # The concurrency-heavy tests: parallel sweep determinism, the pool itself,
 # tape record/replay equivalence (shared tape cache), the batched
-# multi-config fan-out (one task per sink per batch), and the resilient
-# sweep's failure isolation. The two suite-scale MultiReplay cases (full
-# 13x5 matrix, shared-decode axis) are excluded — minutes each under TSan;
-# the remaining MultiReplay cases drive the same fan-out code at
-# --threads 4, and the big ones run in the plain and ASan lanes.
+# multi-config fan-out (one task per sink per batch), the resilient
+# sweep's failure isolation, and the checkpoint engine (its cells share the
+# journal writer, the run-dir store and a tape cache). The two suite-scale
+# MultiReplay cases (full 13x5 matrix, shared-decode axis) are excluded —
+# minutes each under TSan; the remaining MultiReplay cases drive the same
+# fan-out code at --threads 4, and the big ones run in the plain and ASan
+# lanes.
 ctest --preset tsan -j 2 \
-  -R 'ParallelSweep|ThreadPool|Tape|MultiReplay|Resilient|FaultSweep|parallel' \
+  -R 'ParallelSweep|ThreadPool|RunCells|Tape|MultiReplay|Resilient|FaultSweep|Checkpoint|parallel' \
   -E 'MultiReplay.FullMatrix|MultiReplay.SharedDecode' "$@"
 
 # A real multi-threaded sweep end to end (4 workers over the full matrix),

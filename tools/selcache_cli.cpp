@@ -50,6 +50,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -421,11 +422,11 @@ int write_trace_dir(const std::vector<core::TraceCapture>& traces,
   return 0;
 }
 
-/// Parse --threads into `par` (non-negative integer). Returns false after a
-/// diagnostic on a malformed value.
+/// Parse --threads into `threads` (non-negative integer). Returns false
+/// after a diagnostic on a malformed value.
 bool parse_threads_flag(const std::map<std::string, std::string>& flags,
-                        core::ParallelSweepOptions* par) {
-  std::uint64_t t = par->num_threads;
+                        unsigned* threads) {
+  std::uint64_t t = *threads;
   if (!parse_u64_flag(flags, "threads", &t)) return false;
   if (t > 4096) {
     std::fprintf(stderr,
@@ -434,7 +435,7 @@ bool parse_threads_flag(const std::map<std::string, std::string>& flags,
                  flags.at("threads").c_str());
     return false;
   }
-  par->num_threads = static_cast<unsigned>(t);
+  *threads = static_cast<unsigned>(t);
   return true;
 }
 
@@ -493,32 +494,41 @@ bool parse_fault_common(const std::map<std::string, std::string>& flags,
 }
 
 /// Parse the sweep/suite resilience flags. `*active` comes back true when
-/// the resilient engine should run (--inject-faults, or a watchdog alone).
+/// the resilient engine should run (--inject-faults, or a watchdog alone);
+/// only then does the campaign reach `opt`, so --fault-budget or
+/// --integrity-checks alone arm nothing.
 bool parse_sweep_fault_flags(const std::map<std::string, std::string>& flags,
-                             core::FaultSweepOptions* fopt, bool* active) {
-  if (!parse_fault_common(flags, &fopt->fault, &fopt->degrade,
-                          &fopt->watchdog_accesses))
+                             core::RunOptions* opt, std::uint32_t* max_retries,
+                             bool* active) {
+  core::RunOptions campaign;
+  if (!parse_fault_common(flags, &campaign.fault, &campaign.degrade,
+                          &campaign.watchdog_accesses))
     return false;
-  std::uint64_t retries = fopt->max_retries;
+  std::uint64_t retries = *max_retries;
   if (!parse_u64_flag(flags, "max-retries", &retries)) return false;
   if (retries > 100) {
     std::fprintf(stderr,
                  "selcache: flag '--max-retries' out of range (max 100)\n");
     return false;
   }
-  fopt->max_retries = static_cast<std::uint32_t>(retries);
+  *max_retries = static_cast<std::uint32_t>(retries);
   const bool inject = flags.count("inject-faults") > 0;
-  if (!inject && fopt->fault.kind != fault::FaultKind::None) {
+  if (!inject && campaign.fault.kind != fault::FaultKind::None) {
     std::fprintf(stderr,
                  "selcache: fault flags require '--inject-faults'\n");
     return false;
   }
-  if (inject && fopt->fault.kind == fault::FaultKind::None) {
+  if (inject && campaign.fault.kind == fault::FaultKind::None) {
     std::fprintf(stderr,
                  "selcache: '--inject-faults' requires '--fault-kind'\n");
     return false;
   }
-  *active = inject || fopt->watchdog_accesses > 0;
+  *active = inject || campaign.watchdog_accesses > 0;
+  if (*active) {
+    opt->fault = campaign.fault;
+    opt->watchdog_accesses = campaign.watchdog_accesses;
+    opt->degrade = campaign.degrade;
+  }
   return true;
 }
 
@@ -796,15 +806,7 @@ void finish_store(store::ResultStore* s, const core::RunOptions& opt) {
   if (s == nullptr) return;
   std::size_t tapes = 0;
   if (opt.reuse_tape) tapes = s->persist_tapes(sweep_tape_cache(opt));
-  const store::StoreCounters c = s->counters();
-  std::fprintf(stderr,
-               "store: %llu hits, %llu misses (%llu corrupt), %llu cells"
-               " written, %zu tapes persisted -> %s\n",
-               static_cast<unsigned long long>(c.hits),
-               static_cast<unsigned long long>(c.misses),
-               static_cast<unsigned long long>(c.corrupt),
-               static_cast<unsigned long long>(c.writes), tapes,
-               s->dir().c_str());
+  std::fprintf(stderr, "%s\n", s->summary(tapes).c_str());
 }
 
 /// `selcache store ACTION --store DIR` — inspect or prune a store.
@@ -863,11 +865,20 @@ int cmd_store(const std::string& action,
   return 2;
 }
 
-/// One sweep's stdout block: the header line plus the four evaluated
-/// versions. Shared by the plain, resilient, and checkpointed paths so a
-/// resumed run is byte-identical to an uninterrupted one.
-void print_sweep_row(const core::ImprovementRow& row,
-                     const std::string& machine_name, hw::SchemeKind scheme) {
+/// A sweep's stdout: the figure table for a suite, or the one workload's
+/// header line plus its four evaluated versions. Shared by the plain,
+/// resilient, and checkpointed paths so a resumed run is byte-identical to
+/// an uninterrupted one.
+void print_rows(bool suite, const std::vector<core::ImprovementRow>& rows,
+                const std::string& machine_name, hw::SchemeKind scheme) {
+  if (suite) {
+    std::printf("%s", core::format_figure(machine_name + " (" +
+                                              hw::to_string(scheme) + ")",
+                                          rows)
+                          .c_str());
+    return;
+  }
+  const core::ImprovementRow& row = rows.front();
   std::printf("%s on %s (%s scheme): base %llu cycles\n", row.benchmark.c_str(),
               machine_name.c_str(), hw::to_string(scheme),
               static_cast<unsigned long long>(row.base_cycles));
@@ -893,13 +904,10 @@ int emit_figure_files(const std::vector<core::ImprovementRow>& rows,
   return 0;
 }
 
-/// Parse the checkpoint-engine flags shared by --run-dir sweeps/suites and
-/// `resume`. Returns false after a one-line diagnostic.
+/// Parse the checkpoint-engine flags (all but --threads) shared by --run-dir
+/// sweeps/suites and `resume`. Returns false after a one-line diagnostic.
 bool parse_checkpoint_options(const std::map<std::string, std::string>& flags,
                               run::CheckpointOptions* copts) {
-  core::ParallelSweepOptions par;
-  if (!parse_threads_flag(flags, &par)) return false;
-  copts->threads = par.num_threads;
   if (!parse_u64_flag(flags, "deadline-ms", &copts->run_deadline_ms))
     return false;
   if (!parse_u64_flag(flags, "cell-deadline-ms", &copts->cell_deadline_ms))
@@ -947,14 +955,7 @@ int finish_checkpoint(const std::string& run_dir, const run::RunSpec& spec,
                  out.id.c_str());
     return 2;
   }
-  if (spec.kind == "sweep") {
-    print_sweep_row(out.rows.front(), machine->name, *scheme);
-  } else {
-    std::printf("%s", core::format_figure(machine->name + " (" +
-                                              hw::to_string(*scheme) + ")",
-                                          out.rows)
-                          .c_str());
-  }
+  print_rows(spec.kind == "suite", out.rows, machine->name, *scheme);
   const int rc = emit_figure_files(out.rows, spec.csv_out, spec.jsonl_out);
   if (rc != 0) return rc;
   std::fprintf(stderr,
@@ -970,11 +971,11 @@ int finish_checkpoint(const std::string& run_dir, const run::RunSpec& spec,
 }
 
 /// The checkpointed execution path behind `sweep/suite --run-dir`.
-/// `w` is null for a suite.
+/// `w` is null for a suite; `opt` and `threads` carry the parsed flags.
 int cmd_checkpointed(const std::string& kind,
                      const workloads::WorkloadInfo* w,
                      const core::MachineConfig& machine,
-                     hw::SchemeKind scheme,
+                     const core::RunOptions& opt, unsigned threads,
                      const std::map<std::string, std::string>& flags) {
   // The run directory owns its ledger, store, and retry policy; features
   // that perturb results (faults, watchdogs) or attach per-run sinks
@@ -999,16 +1000,14 @@ int cmd_checkpointed(const std::string& kind,
   spec.workload = w != nullptr ? w->name : "";
   spec.machine = flags.count("machine") ? flags.at("machine") : "base";
   spec.scheme = flags.count("scheme") ? flags.at("scheme") : "bypass";
-  spec.reuse_tape = flags.count("reuse-tape") > 0;
+  spec.reuse_tape = opt.reuse_tape;
   if (flags.count("csv-out")) spec.csv_out = flags.at("csv-out");
   if (flags.count("jsonl-out")) spec.jsonl_out = flags.at("jsonl-out");
-  core::RunOptions base;
-  base.scheme = scheme;
-  base.reuse_tape = spec.reuse_tape;
   spec.machine_fp = core::machine_fingerprint(machine);
-  spec.stream_fp = core::stream_fingerprint(base);
+  spec.stream_fp = core::stream_fingerprint(opt);
 
   run::CheckpointOptions copts;
+  copts.threads = threads;
   if (!parse_checkpoint_options(flags, &copts)) return 2;
   support::SignalGuard guard;
   copts.stop = support::SignalGuard::token();
@@ -1049,66 +1048,13 @@ int cmd_resume(const std::string& run_dir,
   }
 
   run::CheckpointOptions copts;
-  if (!parse_checkpoint_options(flags, &copts)) return 2;
+  if (!parse_threads_flag(flags, &copts.threads) ||
+      !parse_checkpoint_options(flags, &copts))
+    return 2;
   support::SignalGuard guard;
   copts.stop = support::SignalGuard::token();
   const run::CheckpointOutcome out = run::resume_checkpointed(run_dir, copts);
   return finish_checkpoint(run_dir, st.spec, out);
-}
-
-int cmd_sweep(const std::map<std::string, std::string>& flags) {
-  const auto* w = workload_by_name(flags.count("workload")
-                                       ? flags.at("workload")
-                                       : "");
-  const auto machine =
-      machine_by_name(flags.count("machine") ? flags.at("machine") : "");
-  const auto scheme =
-      scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
-  if (w == nullptr || !machine || !scheme) return usage();
-
-  if (flags.count("run-dir"))
-    return cmd_checkpointed("sweep", w, *machine, *scheme, flags);
-
-  core::RunOptions opt;
-  opt.scheme = *scheme;
-  opt.reuse_tape = flags.count("reuse-tape") > 0;
-  if (!parse_epoch_flag(flags, &opt.trace_epoch)) return 2;
-  if (!parse_engine_flags(flags, &opt)) return 2;
-  core::ParallelSweepOptions par;
-  if (!parse_threads_flag(flags, &par)) return 2;
-  core::FaultSweepOptions fopt;
-  bool faulted = false;
-  if (!parse_sweep_fault_flags(flags, &fopt, &faulted)) return 2;
-  bool store_ok = true;
-  const auto rstore = open_store_flags(flags, &opt, &store_ok);
-  if (!store_ok) return 2;
-  std::vector<core::TraceCapture> traces;
-  const bool tracing = flags.count("trace-dir") > 0;
-  core::ImprovementRow row;
-  int rc = 0;
-  if (faulted) {
-    const core::ResilientSweep rs = core::improvements_for_resilient(
-        *w, *machine, opt, par, fopt, tracing ? &traces : nullptr);
-    row = rs.rows.front();
-    print_sweep_row(row, machine->name, *scheme);
-    // Flush ordering is deterministic: traces first, then the failure
-    // ledger — a ledger row must never exist without the trace data it
-    // points at. Both are attempted even if the first fails; the first
-    // error wins.
-    if (tracing) rc = write_trace_dir(traces, flags.at("trace-dir"));
-    const int frc = emit_failure_report(rs.report, flags);
-    if (rc == 0) rc = frc;
-  } else {
-    row = core::improvements_for(*w, *machine, opt, par,
-                                 tracing ? &traces : nullptr);
-    print_sweep_row(row, machine->name, *scheme);
-    if (tracing) rc = write_trace_dir(traces, flags.at("trace-dir"));
-  }
-  finish_store(rstore.get(), opt);
-  const int erc = emit_figure_files(
-      {row}, flags.count("csv-out") ? flags.at("csv-out") : "",
-      flags.count("jsonl-out") ? flags.at("jsonl-out") : "");
-  return rc != 0 ? rc : erc;
 }
 
 /// Run every requested (workload, version) product through the optimizer
@@ -1140,22 +1086,30 @@ std::size_t verify_matrix(const std::vector<const workloads::WorkloadInfo*>& ws,
   return products;
 }
 
-int cmd_suite(const std::map<std::string, std::string>& flags) {
+/// `selcache sweep` (one workload) and `selcache suite` (all 13): every
+/// flag is parsed here, once, and the plain, resilient (--inject-faults /
+/// --watchdog-accesses) or checkpointed (--run-dir) engine runs the cells.
+int cmd_sweep(const std::map<std::string, std::string>& flags, bool suite) {
+  const auto* w = suite ? nullptr
+                        : workload_by_name(flags.count("workload")
+                                               ? flags.at("workload")
+                                               : "");
   const auto machine =
       machine_by_name(flags.count("machine") ? flags.at("machine") : "");
   const auto scheme =
       scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
-  if (!machine || !scheme) return usage();
+  if ((!suite && w == nullptr) || !machine || !scheme) return usage();
   core::RunOptions opt;
   opt.scheme = *scheme;
   opt.reuse_tape = flags.count("reuse-tape") > 0;
   core::ParallelSweepOptions par;
-  if (!parse_threads_flag(flags, &par)) return 2;
-  if (!parse_epoch_flag(flags, &opt.trace_epoch)) return 2;
-  if (!parse_engine_flags(flags, &opt)) return 2;
+  if (!parse_threads_flag(flags, &par.num_threads) ||
+      !parse_epoch_flag(flags, &opt.trace_epoch) ||
+      !parse_engine_flags(flags, &opt))
+    return 2;
   if (flags.count("verify-pipeline")) {
     std::vector<const workloads::WorkloadInfo*> ws;
-    for (const auto& w : workloads::all_workloads()) ws.push_back(&w);
+    for (const auto& wi : workloads::all_workloads()) ws.push_back(&wi);
     const std::vector<core::Version> vs(core::kAllVersions.begin(),
                                         core::kAllVersions.end());
     verify::Report master;
@@ -1168,38 +1122,40 @@ int cmd_suite(const std::map<std::string, std::string>& flags) {
     std::printf("pipeline verification: %zu products clean\n", products);
   }
   if (flags.count("run-dir"))
-    return cmd_checkpointed("suite", nullptr, *machine, *scheme, flags);
-  core::FaultSweepOptions fopt;
+    return cmd_checkpointed(suite ? "suite" : "sweep", w, *machine, opt,
+                            par.num_threads, flags);
+  std::uint32_t max_retries = 1;
   bool faulted = false;
-  if (!parse_sweep_fault_flags(flags, &fopt, &faulted)) return 2;
+  if (!parse_sweep_fault_flags(flags, &opt, &max_retries, &faulted)) return 2;
   bool store_ok = true;
   const auto rstore = open_store_flags(flags, &opt, &store_ok);
   if (!store_ok) return 2;
+
   std::vector<core::TraceCapture> traces;
   const bool tracing = flags.count("trace-dir") > 0;
+  std::vector<core::TraceCapture>* const tr = tracing ? &traces : nullptr;
   std::vector<core::ImprovementRow> rows;
-  int rc = 0;
+  std::optional<fault::FailureReport> report;
   if (faulted) {
-    core::ResilientSweep rs = core::sweep_suite_resilient(
-        *machine, opt, par, fopt, tracing ? &traces : nullptr);
+    core::ResilientSweep rs = core::sweep_resilient(
+        suite ? std::span(workloads::all_workloads()) : std::span(w, 1),
+        *machine, opt, par, max_retries, tr);
     rows = std::move(rs.rows);
-    std::printf("%s", core::format_figure(
-                          machine->name + " (" + hw::to_string(*scheme) + ")",
-                          rows)
-                          .c_str());
-    // Same deterministic flush ordering as cmd_sweep: trace data lands
-    // before the failure ledger that references it, and both writes are
-    // attempted even when the first fails.
-    if (tracing) rc = write_trace_dir(traces, flags.at("trace-dir"));
-    const int frc = emit_failure_report(rs.report, flags);
-    if (rc == 0) rc = frc;
+    report = std::move(rs.report);
+  } else if (suite) {
+    rows = core::sweep_suite(*machine, opt, par, tr);
   } else {
-    rows = core::sweep_suite(*machine, opt, par, tracing ? &traces : nullptr);
-    std::printf("%s", core::format_figure(
-                          machine->name + " (" + hw::to_string(*scheme) + ")",
-                          rows)
-                          .c_str());
-    if (tracing) rc = write_trace_dir(traces, flags.at("trace-dir"));
+    rows = {core::improvements_for(*w, *machine, opt, par, tr)};
+  }
+  print_rows(suite, rows, machine->name, *scheme);
+  // Flush ordering is deterministic: traces first, then the failure
+  // ledger — a ledger row must never exist without the trace data it
+  // points at. Both are attempted even if the first fails; the first
+  // error wins.
+  int rc = tracing ? write_trace_dir(traces, flags.at("trace-dir")) : 0;
+  if (report) {
+    const int frc = emit_failure_report(*report, flags);
+    if (rc == 0) rc = frc;
   }
   finish_store(rstore.get(), opt);
   const int erc = emit_figure_files(
@@ -1657,8 +1613,7 @@ int main(int argc, char** argv) {
 
   if (cmd == "list") return cmd_list();
   if (cmd == "run") return cmd_run(flags);
-  if (cmd == "sweep") return cmd_sweep(flags);
-  if (cmd == "suite") return cmd_suite(flags);
+  if (cmd == "sweep" || cmd == "suite") return cmd_sweep(flags, cmd == "suite");
   if (cmd == "show") return cmd_show(flags);
   if (cmd == "run-file") return cmd_run_file(positional, flags);
   if (cmd == "trace") return cmd_trace(positional, positional2, flags);
