@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <optional>
 
 #include "codegen/trace_engine.h"
@@ -80,7 +82,7 @@ bool share_structure(const MachineConfig& a, const MachineConfig& b);
 
 /// All mutable machine state one simulation owns: hierarchy + scheme +
 /// controller + timing model, with the optional fault injector and phase
-/// recorder attached. Shared by the interpret, record, and replay paths so
+/// recorder attached. Shared by the interpret, ride, record and replay paths so
 /// a replayed run reconstructs *exactly* the machine an interpreted run
 /// would see (attachment and source-registration order are part of the
 /// bit-identical contract — the recorder is attached BEFORE the initial
@@ -193,6 +195,40 @@ struct Simulation {
   }
 };
 
+/// The six cpu::TimingModel entry points, fanned out in a fixed order to
+/// every Simulation of a ride group, so one interpretation drives them all.
+/// ON/OFF markers reach only `marked` (Selective's model, or nullptr): for
+/// every other member the interpreted code is its own product with the
+/// markers removed (ride_groups checks this on the built products).
+class FanOutModel {
+ public:
+  FanOutModel(std::vector<cpu::TimingModel*> models, cpu::TimingModel* marked)
+      : models_(std::move(models)), marked_(marked) {}
+
+  void compute(std::uint64_t n) {
+    for (cpu::TimingModel* m : models_) m->compute(n);
+  }
+  void load(Addr addr, bool dependent = false) {
+    for (cpu::TimingModel* m : models_) m->load(addr, dependent);
+  }
+  void store(Addr addr) {
+    for (cpu::TimingModel* m : models_) m->store(addr);
+  }
+  void branch(Addr pc, bool taken) {
+    for (cpu::TimingModel* m : models_) m->branch(pc, taken);
+  }
+  void toggle(bool on, std::int32_t region = -1) {
+    if (marked_ != nullptr) marked_->toggle(on, region);
+  }
+  void touch_code(Addr pc, std::uint32_t n_instr) {
+    for (cpu::TimingModel* m : models_) m->touch_code(pc, n_instr);
+  }
+
+ private:
+  std::vector<cpu::TimingModel*> models_;
+  cpu::TimingModel* marked_;
+};
+
 constexpr auto fnv1a = fnv1a_u64;  // shared fold (support/fingerprint.h)
 
 }  // namespace
@@ -272,6 +308,12 @@ namespace {
 /// perturb or truncate the run midstream, so they always interpret.
 bool tape_eligible(const RunOptions& opt) {
   return opt.reuse_tape && !opt.fault.enabled() && opt.watchdog_accesses == 0;
+}
+
+/// The tape cache a run consults: opt.tape_cache, or the process-global one.
+tape::TapeCache& tape_cache(const RunOptions& opt) {
+  return opt.tape_cache != nullptr ? *opt.tape_cache
+                                   : tape::TapeCache::global();
 }
 
 /// Is this run allowed on the persistent-store path? Stored results carry
@@ -360,12 +402,12 @@ std::string store_key(const workloads::WorkloadInfo& w, const MachineConfig& m,
 
 namespace {
 
-/// Interpret one cell over a group of machines that share_structure(): code
-/// product (§4.4), then one interpretation and one structural pass, priced
-/// at every member. With a `builder` the RecordingTimingModel shim tees
-/// every timing-model call into the tape while the real model simulates, so
-/// a recording run's results are ordinary simulation results.
-std::vector<RunResult> simulate_group(const workloads::WorkloadInfo& w,
+/// Interpret version v's code product once over a group of machines that
+/// share_structure(): one structural pass, priced at every member. With a
+/// `builder` the RecordingTimingModel shim tees every timing-model call into
+/// the tape while the real model simulates, so a recording run's results
+/// are ordinary simulation results.
+std::vector<RunResult> simulate_group(const ir::Program& product,
                                       const std::vector<MachineConfig>& group,
                                       Version v, const RunOptions& opt,
                                       trace::Recording* trace_out,
@@ -373,8 +415,6 @@ std::vector<RunResult> simulate_group(const workloads::WorkloadInfo& w,
   SELCACHE_CHECK_MSG(builder == nullptr || (!opt.fault.enabled() &&
                                             opt.watchdog_accesses == 0),
                      "cannot record a tape under a fault campaign");
-  const ir::Program base = w.build();
-  ir::Program product = prepare_program(base, v, opt.optimize);
   Simulation sim(group, v, opt, trace_out);
   codegen::DataEnv env(product, {.seed = opt.data_seed});
   if (builder != nullptr) {
@@ -396,7 +436,8 @@ tape::Tape record_tape(const workloads::WorkloadInfo& w,
                        trace::Recording* trace_out) {
   tape::TapeBuilder builder;
   std::vector<RunResult> r =
-      simulate_group(w, {m}, v, opt, trace_out, &builder);
+      simulate_group(prepare_program(w.build(), v, opt.optimize), {m}, v,
+                     opt, trace_out, &builder);
   if (result != nullptr) *result = std::move(r.front());
   return builder.take();
 }
@@ -486,9 +527,7 @@ RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
 
   RunResult result = [&]() -> RunResult {
     if (tape_eligible(opt)) {
-      tape::TapeCache& cache = opt.tape_cache != nullptr
-                                   ? *opt.tape_cache
-                                   : tape::TapeCache::global();
+      tape::TapeCache& cache = tape_cache(opt);
       // First run for this key records (and its results are used directly —
       // the recording run IS the interpreted run); every later run replays.
       std::optional<RunResult> recorded;
@@ -504,12 +543,257 @@ RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
     }
 
     return std::move(
-        simulate_group(w, {m}, v, opt, trace_out, /*builder=*/nullptr)
+        simulate_group(prepare_program(w.build(), v, opt.optimize), {m}, v,
+                       opt, trace_out, /*builder=*/nullptr)
             .front());
   }();
 
   if (stored) opt.result_store->save(skey, to_stored(result));
   return result;
+}
+
+namespace {
+
+/// The code product a version runs, as an index into (original, optimized,
+/// marked): kAllVersions lists the versions in pairs of that order (§4.4).
+constexpr std::size_t product_of(std::size_t vi) { return vi / 2; }
+
+constexpr std::size_t index_of(Version v) {
+  return static_cast<std::size_t>(
+      std::find(kAllVersions.begin(), kAllVersions.end(), v) -
+      kAllVersions.begin());
+}
+
+}  // namespace
+
+RideGroups ride_groups(const ir::Program& original,
+                       const ir::Program& optimized,
+                       const ir::Program& marked) {
+  RideGroups g;
+  g.copies = ir::same_code(original, optimized);
+  const bool marked_rides =
+      ir::same_code(optimized, marked, /*skip_markers_of_b=*/true);
+  // code[product_of(vi)]: the product version vi's simulation interprets.
+  // Equal products merge into the later one, so a ride runs the product of
+  // its last version.
+  std::array<std::size_t, 3> code = {0, marked_rides ? 2u : 1u, 2};
+  if (g.copies && marked_rides) code[0] = 2;
+  for (std::size_t c = 0; c < code.size(); ++c) {
+    std::vector<Version> ride;
+    for (std::size_t vi = 0; vi < kAllVersions.size(); ++vi) {
+      const bool copied = g.copies && product_of(vi) == 1;
+      if (!copied && code[product_of(vi)] == c)
+        ride.push_back(kAllVersions[vi]);
+    }
+    if (!ride.empty()) g.rides.push_back(std::move(ride));
+  }
+  return g;
+}
+
+namespace {
+
+/// How one cell (workload, version) of a ride sweep gets its result.
+enum class Route : char {
+  Ride,  ///< simulated in a ride group, or copied from Base / Pure Hardware
+  Done,  ///< already served (a store hit)
+  Own    ///< served by the caller's own path, one unit per cell
+};
+
+/// One unit of a ride sweep: one interpretation of `code` driving one
+/// Simulation per version in `sims` (kAllVersions indices, ascending), or,
+/// without code, the one Route::Own cell of `sims`.
+struct Ride {
+  std::size_t wi = 0;
+  std::shared_ptr<const ir::Program> code{};
+  std::vector<std::size_t> sims{};
+  std::uint64_t refs = 0;  ///< code->dynamic_ref_count()
+};
+
+/// A ride sweep's units in (workload, first version) order, and the
+/// (copy, source) cell pairs; cell i is (workload i / 5, version i % 5).
+struct RidePlan {
+  std::vector<Ride> rides{};
+  std::vector<std::pair<std::size_t, std::size_t>> copies{};
+};
+
+/// Plan the Route::Ride cells of `suite`. Each workload with such a cell
+/// builds its three products (a fraction of a millisecond each) and groups
+/// the cells by ride_groups. Then the critical-path rule: a ride whose
+/// simulated references exceed 1/threads of the sweep's total would outlast
+/// the rest of the sweep, so its versions become rides of one, each on its
+/// own product.
+RidePlan plan_rides(std::span<const workloads::WorkloadInfo> suite,
+                    const std::vector<Route>& route,
+                    const transform::OptimizeOptions& optimize,
+                    unsigned threads) {
+  constexpr std::size_t nv = kAllVersions.size();
+  using Products = std::array<std::shared_ptr<const ir::Program>, 3>;
+  std::vector<Products> products(suite.size());
+  RidePlan grouped;
+  for (std::size_t wi = 0; wi < suite.size(); ++wi) {
+    const auto routed = [&](std::size_t vi, Route r) {
+      return route[wi * nv + vi] == r;
+    };
+    const std::size_t first = grouped.rides.size();
+    for (std::size_t vi = 0; vi < nv; ++vi)
+      if (routed(vi, Route::Own))
+        grouped.rides.push_back({.wi = wi, .sims = {vi}});
+    bool simulated = false;
+    for (std::size_t vi = 0; vi < nv; ++vi)
+      simulated = simulated || routed(vi, Route::Ride);
+    if (simulated) {
+      const ir::Program base = suite[wi].build();
+      Products& p = products[wi];
+      for (std::size_t k = 0; k < p.size(); ++k)
+        p[k] = std::make_shared<const ir::Program>(
+            prepare_program(base, kAllVersions[2 * k], optimize));
+      const RideGroups g = ride_groups(*p[0], *p[1], *p[2]);
+      for (const std::vector<Version>& versions : g.rides) {
+        Ride r{.wi = wi};
+        for (Version v : versions)
+          if (routed(index_of(v), Route::Ride)) r.sims.push_back(index_of(v));
+        if (r.sims.empty()) continue;
+        // The products of a ride's versions differ at most in Selective's
+        // markers, so the last one serves every version.
+        r.code = p[product_of(r.sims.back())];
+        r.refs = r.code->dynamic_ref_count();
+        grouped.rides.push_back(std::move(r));
+      }
+      for (std::size_t vi = 0; g.copies && vi < nv; ++vi)
+        if (product_of(vi) == 1 && routed(vi, Route::Ride))
+          grouped.copies.emplace_back(wi * nv + vi, wi * nv + vi - 2);
+    }
+    std::stable_sort(grouped.rides.begin() + first, grouped.rides.end(),
+                     [](const Ride& a, const Ride& b) {
+                       return a.sims.front() < b.sims.front();
+                     });
+  }
+
+  std::uint64_t total = 0;
+  for (const Ride& r : grouped.rides) total += r.refs * r.sims.size();
+  RidePlan out{.copies = std::move(grouped.copies)};
+  for (Ride& r : grouped.rides) {
+    if (threads <= 1 || r.sims.size() == 1 ||
+        r.refs * r.sims.size() * threads <= total) {
+      out.rides.push_back(std::move(r));
+      continue;
+    }
+    for (std::size_t vi : r.sims)
+      out.rides.push_back(
+          {.wi = r.wi, .code = products[r.wi][product_of(vi)], .sims = {vi}});
+  }
+  return out;
+}
+
+/// Interpret r.code once, driving one Simulation per version of the ride,
+/// each pricing every machine of `group`; version vi's results land in
+/// out[vi]. A ride of one runs the plain engine on the version's own
+/// product.
+void run_ride(const Ride& r, const std::vector<MachineConfig>& group,
+              const RunOptions& opt, std::vector<RunResult>* out) {
+  if (r.sims.size() == 1) {
+    const std::size_t vi = r.sims.front();
+    out[vi] = simulate_group(*r.code, group, kAllVersions[vi], opt,
+                             /*trace_out=*/nullptr, /*builder=*/nullptr);
+    return;
+  }
+  std::vector<std::unique_ptr<Simulation>> sims;
+  std::vector<cpu::TimingModel*> models;
+  cpu::TimingModel* marked = nullptr;
+  for (std::size_t vi : r.sims) {
+    sims.push_back(std::make_unique<Simulation>(group, kAllVersions[vi], opt,
+                                                /*trace_out=*/nullptr));
+    models.push_back(&sims.back()->cpu);
+    if (kAllVersions[vi] == Version::Selective) marked = models.back();
+  }
+  codegen::DataEnv env(*r.code, {.seed = opt.data_seed});
+  FanOutModel fan(std::move(models), marked);
+  codegen::BasicTraceEngine<FanOutModel>(*r.code, env, fan).run();
+  for (std::size_t k = 0; k < sims.size(); ++k)
+    out[r.sims[k]] = sims[k]->collect();
+}
+
+/// Run the cells of `suite` at every machine of `group` (machines that
+/// share_structure) by ride groups; cells[i] holds cell i's results, one per
+/// machine. route[i] says how cell i is served: Ride cells are simulated
+/// (then `fresh(i)` runs, if given) or copied (then too), Done cells are
+/// already in `cells`, and `own(i)` computes each Own cell as a unit of its
+/// own.
+void run_rides(std::span<const workloads::WorkloadInfo> suite,
+               const std::vector<MachineConfig>& group, const RunOptions& opt,
+               unsigned threads, const std::vector<Route>& route,
+               std::vector<std::vector<RunResult>>& cells,
+               const std::function<void(std::size_t)>& own,
+               const std::function<void(std::size_t)>& fresh) {
+  constexpr std::size_t nv = kAllVersions.size();
+  const RidePlan plan = plan_rides(suite, route, opt.optimize, threads);
+  support::run_cells(plan.rides.size(), threads, [&](std::size_t k) {
+    const Ride& r = plan.rides[k];
+    if (r.code == nullptr) {
+      own(r.wi * nv + r.sims.front());
+      return;
+    }
+    run_ride(r, group, opt, &cells[r.wi * nv]);
+    if (fresh)
+      for (std::size_t vi : r.sims) fresh(r.wi * nv + vi);
+  });
+  for (const auto& [copy, source] : plan.copies) {
+    cells[copy] = cells[source];
+    if (fresh) fresh(copy);
+  }
+}
+
+/// May a sweep's cells ride shared interpretations? Only where each would
+/// otherwise run by plain interpretation: no tape, no fault, watchdog or
+/// degrade campaign, and no run guard (its deadline is per cell). Traced
+/// and guarded-retry sweeps are ruled out by their callers.
+bool rides_allowed(const RunOptions& opt) {
+  return !opt.reuse_tape && pricing_shareable(opt) && opt.run_guard == nullptr;
+}
+
+/// A plain sweep of `suite` on machine m by ride groups. The store (if
+/// any) is consulted per version first; every fresh result, copies
+/// included, is saved under its own key.
+std::vector<std::vector<RunResult>> ride_sweep(
+    std::span<const workloads::WorkloadInfo> suite, const MachineConfig& m,
+    const RunOptions& opt, unsigned threads) {
+  constexpr std::size_t nv = kAllVersions.size();
+  const std::size_t n = suite.size() * nv;
+  std::vector<std::vector<RunResult>> cells(n);
+  std::vector<Route> route(n, Route::Ride);
+  std::vector<std::string> skeys;
+  const bool stored = store_eligible(opt, nullptr);
+  if (stored) {
+    skeys.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      skeys[i] = store_key(suite[i / nv], m, kAllVersions[i % nv], opt);
+      if (std::optional<store::StoredResult> hit =
+              opt.result_store->load(skeys[i])) {
+        cells[i] = {from_stored(*hit)};
+        route[i] = Route::Done;
+      }
+    }
+  }
+  const auto save = [&](std::size_t i) {
+    opt.result_store->save(skeys[i], to_stored(cells[i].front()));
+  };
+  run_rides(suite, {m}, opt, threads, route, cells, nullptr,
+            stored ? std::function<void(std::size_t)>(save) : nullptr);
+  return cells;
+}
+
+}  // namespace
+
+SweepPlan plan_sweep(std::span<const workloads::WorkloadInfo> suite,
+                     const RunOptions& opt, const ParallelSweepOptions& par) {
+  const std::size_t n = suite.size() * kAllVersions.size();
+  if (!rides_allowed(opt)) return {.interpretations = n, .simulations = n};
+  const RidePlan plan = plan_rides(suite, std::vector<Route>(n, Route::Ride),
+                                   opt.optimize, par.num_threads);
+  SweepPlan out{.interpretations = plan.rides.size(),
+                .copies = plan.copies.size()};
+  for (const Ride& r : plan.rides) out.simulations += r.sims.size();
+  return out;
 }
 
 namespace {
@@ -572,13 +856,27 @@ Cell run_cell(const workloads::WorkloadInfo& w, const MachineConfig& m,
 /// sweep_resilient: every (workload, version) cell of `suite` runs on the
 /// shared executor, then rows, the outcome ledger and trace captures are
 /// assembled in fixed (workload, version) order, so the result is
-/// bit-identical at any thread count.
+/// bit-identical at any thread count. An untraced plain sweep runs by ride
+/// groups (ride_sweep); its ledger is left empty.
 ResilientSweep sweep_cells(std::span<const workloads::WorkloadInfo> suite,
                            const MachineConfig& m, const RunOptions& opt,
                            const ParallelSweepOptions& par,
                            std::optional<std::uint32_t> max_retries,
                            std::vector<TraceCapture>* traces) {
   constexpr std::size_t nv = kAllVersions.size();
+  if (!max_retries && traces == nullptr && rides_allowed(opt)) {
+    std::vector<std::vector<RunResult>> shared =
+        ride_sweep(suite, m, opt, par.num_threads);
+    ResilientSweep out;
+    out.rows.reserve(suite.size());
+    for (std::size_t wi = 0; wi < suite.size(); ++wi) {
+      std::array<RunResult, nv> results;
+      for (std::size_t vi = 0; vi < nv; ++vi)
+        results[vi] = std::move(shared[wi * nv + vi].front());
+      out.rows.push_back(make_improvement_row(suite[wi], results));
+    }
+    return out;
+  }
   std::vector<Cell> cells(suite.size() * nv);
   support::run_cells(cells.size(), par.num_threads, [&](std::size_t i) {
     cells[i] = run_cell(suite[i / nv], m, i % nv, opt, max_retries,
@@ -673,8 +971,7 @@ void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
       replayed.push_back(pi);
     }
   }
-  tape::TapeCache& cache =
-      opt.tape_cache != nullptr ? *opt.tape_cache : tape::TapeCache::global();
+  tape::TapeCache& cache = tape_cache(opt);
   const std::string key = tape_key(w, v, opt);
   // Within one sweep each tape key belongs to this one cell, so find()
   // cannot miss a tape another task is still recording.
@@ -685,12 +982,14 @@ void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
   if (read_later) {
     t = cache.get_or_record(key, [&] {
       tape::TapeBuilder builder;
-      fresh = simulate_group(w, pick(machines, group), v, opt,
+      fresh = simulate_group(prepare_program(w.build(), v, opt.optimize),
+                             pick(machines, group), v, opt,
                              /*trace_out=*/nullptr, &builder);
       return builder.take();
     });
   } else if ((t = cache.find(key)) == nullptr) {
-    fresh = simulate_group(w, pick(machines, group), v, opt,
+    fresh = simulate_group(prepare_program(w.build(), v, opt.optimize),
+                           pick(machines, group), v, opt,
                            /*trace_out=*/nullptr, /*builder=*/nullptr);
   }
 
@@ -730,10 +1029,29 @@ std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
   // cell-major (one decode per cell) and assembled point-major below in
   // fixed order — the same rows per-point sweep_suite calls would build.
   std::vector<std::vector<RunResult>> cells(nw * nv);
-  support::run_cells(cells.size(), par.num_threads, [&](std::size_t i) {
+  const auto shared_decode = [&](std::size_t i) {
     run_cell_shared_decode(suite[i / nv], kAllVersions[i % nv], machines, opt,
                            cells[i]);
-  });
+  };
+  const bool one_group =
+      !machines.empty() &&
+      std::all_of(machines.begin(), machines.end(),
+                  [&](const MachineConfig& m) {
+                    return share_structure(machines.front(), m);
+                  });
+  if (opt.result_store == nullptr && one_group) {
+    // Without a store nothing reads a fresh tape, so the cells ride shared
+    // interpretations; a cell whose tape is cached keeps replaying it.
+    std::vector<Route> route(cells.size(), Route::Ride);
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      if (tape_cache(opt).find(
+              tape_key(suite[i / nv], kAllVersions[i % nv], opt)))
+        route[i] = Route::Own;
+    run_rides(suite, machines, opt, par.num_threads, route, cells,
+              shared_decode, nullptr);
+  } else {
+    support::run_cells(cells.size(), par.num_threads, shared_decode);
+  }
 
   std::vector<std::vector<ImprovementRow>> rows(machines.size());
   for (std::size_t pi = 0; pi < machines.size(); ++pi) {

@@ -229,17 +229,66 @@ ImprovementRow improvements_for(const workloads::WorkloadInfo& w,
                                 const ParallelSweepOptions& par = {},
                                 std::vector<TraceCapture>* traces = nullptr);
 
-/// Whole-suite sweep (all 13 benchmarks) for one machine+scheme. The 13x5
-/// independent simulations run on support::run_cells (a worker pool when
-/// par.num_threads > 1); results are merged in workload order and are
-/// bit-identical to the serial sweep. A cell's exception propagates once
+/// Whole-suite sweep (all 13 benchmarks) for one machine+scheme. The cells
+/// run on support::run_cells (a worker pool when par.num_threads > 1);
+/// results are merged in workload order and are bit-identical to the serial
+/// sweep and to solo run_version calls. A cell's exception propagates once
 /// every cell has finished (the lowest-index one, at any thread count).
 /// `traces` (optional) collects per-(workload, version) recordings in
 /// (workload, version) order — also bit-identical across thread counts.
+///
+/// Without traces, tapes, a run guard, or a fault, watchdog or degrade
+/// campaign, the unit of work is a ride group (ride_groups): one
+/// interpretation of a code product drives one Simulation per version it
+/// serves, and versions whose code equals Base's take its results. A store
+/// is consulted per version first; copies are saved under their own keys.
+/// The products are built before any cell runs, so a workload whose
+/// program fails to build throws then.
 std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
                                         const RunOptions& opt = {},
                                         const ParallelSweepOptions& par = {},
                                         std::vector<TraceCapture>* traces = nullptr);
+
+/// Which versions of one workload one interpretation can drive, decided by
+/// ir::same_code on its three built code products (§4.4).
+///   * Base and Pure Hardware ride the original code.
+///   * Pure Software and Combined ride Selective's marked code when the
+///     optimized code equals it with the markers removed; only Selective's
+///     simulation receives the markers.
+///   * When the optimized code also equals the original, one interpretation
+///     drives Base, Pure Hardware and Selective, and Pure Software and
+///     Combined take Base's and Pure Hardware's results (`copies`).
+/// A ride interprets the product of its last version.
+struct RideGroups {
+  /// One entry per interpretation: the versions it simulates, one
+  /// Simulation each, in kAllVersions order.
+  std::vector<std::vector<Version>> rides;
+  /// The optimized code equals the original: Pure Software and Combined
+  /// are not simulated.
+  bool copies = false;
+};
+
+RideGroups ride_groups(const ir::Program& original,
+                       const ir::Program& optimized, const ir::Program& marked);
+
+/// Counts of the work a shared sweep plans.
+struct SweepPlan {
+  std::size_t interpretations = 0;
+  std::size_t simulations = 0;
+  std::size_t copies = 0;  ///< versions that take another version's result
+};
+
+/// The plan sweep_suite / improvements_for run for `suite` at
+/// par.num_threads, without traces and with every version a store miss.
+/// Each workload's ride groups are kept merged while a group's simulated
+/// references (its code's ir::Program::dynamic_ref_count times its
+/// simulations) are at most 1/num_threads of the sweep's total; a larger
+/// group would set the sweep's critical path, so its versions run as
+/// separate interpretations (copies are kept). Options that rule sharing
+/// out give one interpretation and one simulation per version.
+SweepPlan plan_sweep(std::span<const workloads::WorkloadInfo> suite,
+                     const RunOptions& opt = {},
+                     const ParallelSweepOptions& par = {});
 
 /// Whole-AXIS sweep with shared decode: the full suite over every machine
 /// point of a figure axis, decoding each (workload, version) cell's tape
@@ -248,6 +297,9 @@ std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
 /// differ only in main-memory latency share one structural simulation; the
 /// cell's one interpreted run prices the whole group of the first pending
 /// point, so a pure latency axis interprets and simulates each cell once.
+/// When every point shares structure with the first and no store is
+/// attached, the versions whose tape is not cached run as sweep_suite's
+/// ride groups, so such an axis interprets each code product once.
 /// That run records the cell's tape only when something reads it: a
 /// pending point outside the group replays it, or a writable
 /// opt.result_store lets the caller keep it (ResultStore::persist_tapes).

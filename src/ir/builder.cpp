@@ -57,7 +57,10 @@ std::vector<std::unique_ptr<Node>>& ProgramBuilder::scope() {
 
 Var ProgramBuilder::begin_loop(std::string var, AffineExpr lo, AffineExpr hi,
                                std::int64_t step) {
-  SELCACHE_CHECK_MSG(step != 0, "zero loop step");
+  // The trace engine runs `v < hi; v += step`: a step that is not positive
+  // never reaches the bound.
+  SELCACHE_CHECK_MSG(step > 0,
+                     "loop step " + std::to_string(step) + " must be positive");
   const VarId v = prog_.add_var(std::move(var));
   auto loop = std::make_unique<LoopNode>();
   loop->var = v;

@@ -91,6 +91,8 @@ struct ArrayDecl {
   double content_param = 0.0;
   std::int64_t content_range = 0;  ///< 0 = element count of this array
 
+  bool operator==(const ArrayDecl&) const = default;
+
   std::int64_t elements() const {
     std::int64_t n = 1;
     for (auto d : dims) n *= d;
@@ -104,6 +106,8 @@ struct ArrayDecl {
 struct ScalarDecl {
   std::string name;
   std::uint32_t size = 8;
+
+  bool operator==(const ScalarDecl&) const = default;
 };
 
 struct PoolDecl {
@@ -118,6 +122,8 @@ struct PoolDecl {
   /// PointerChase: whether the traversal order is a random permutation
   /// (heap-like) or sequential (freshly allocated list).
   bool shuffled = true;
+
+  bool operator==(const PoolDecl&) const = default;
 };
 
 class Program {
@@ -161,6 +167,13 @@ class Program {
   /// Total statement references in the program (static count).
   std::size_t static_ref_count() const;
 
+  /// Data references one run of the program issues — every statement
+  /// reference plus the index-array load of each indexed subscript, i.e. the
+  /// trace engine's loads plus stores — counted from the loop bounds
+  /// without evaluating a subscript. A loop is walked iteration by iteration
+  /// only when a loop header inside it reads its variable.
+  std::uint64_t dynamic_ref_count() const;
+
  private:
   std::string name_;
   std::vector<std::unique_ptr<Node>> top_;
@@ -169,6 +182,15 @@ class Program {
   std::vector<ScalarDecl> scalars_;
   std::vector<PoolDecl> pools_;
 };
+
+/// Do `a` and `b` denote the same instruction and data stream? Compares
+/// every field of the name, the variable, array, scalar and pool tables,
+/// the loop headers, code addresses, statements and references, and the
+/// markers. With `skip_markers_of_b`, ON/OFF markers in `b` are stepped
+/// over and any marker in `a` makes the programs differ: true then means
+/// `a` is `b` with its markers removed.
+bool same_code(const Program& a, const Program& b,
+               bool skip_markers_of_b = false);
 
 /// All references contained in the subtree rooted at `n` (statements only).
 void collect_refs(const Node& n, std::vector<const Reference*>& out);

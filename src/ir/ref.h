@@ -18,15 +18,18 @@ using PoolId = std::uint32_t;  ///< pointer pools and record pools
 struct Subscript {
   struct Affine {
     AffineExpr expr;
+    bool operator==(const Affine&) const = default;
   };
   /// Non-affine product of loop variables, e.g. F[3][i*j].
   struct Product {
     AffineExpr lhs, rhs;
+    bool operator==(const Product&) const = default;
   };
   /// Non-affine quotient, e.g. E[i/j]. Division by zero evaluates as the
   /// numerator (matches the "undefined but harmless" synthesis need).
   struct Divide {
     AffineExpr lhs, rhs;
+    bool operator==(const Divide&) const = default;
   };
   /// Indexed (subscripted-subscript) access, e.g. G[IP[j] + 2]: the value
   /// loaded from index_array[index] plus a constant offset.
@@ -34,9 +37,12 @@ struct Subscript {
     ArrayId index_array;
     AffineExpr index;
     std::int64_t offset = 0;
+    bool operator==(const Indexed&) const = default;
   };
 
   std::variant<Affine, Product, Divide, Indexed> value;
+
+  bool operator==(const Subscript&) const = default;
 
   bool is_affine() const { return std::holds_alternative<Affine>(value); }
   bool is_indexed() const { return std::holds_alternative<Indexed>(value); }
@@ -62,10 +68,12 @@ struct Subscript {
 struct Reference {
   struct Scalar {
     ScalarId id;
+    bool operator==(const Scalar&) const = default;
   };
   struct Array {
     ArrayId id;
     std::vector<Subscript> subs;  ///< one per declared dimension
+    bool operator==(const Array&) const = default;
   };
   /// Pointer-chasing reference (*H, list/tree walks): each execution follows
   /// the pool's next link from the previous node. Address-dependent — the
@@ -73,6 +81,7 @@ struct Reference {
   struct Pointer {
     PoolId pool;
     std::uint32_t field_offset = 0;
+    bool operator==(const Pointer&) const = default;
   };
   /// Struct-field access J.field / K->field: record selected by a subscript
   /// into a pool of fixed-size records.
@@ -80,10 +89,13 @@ struct Reference {
     PoolId pool;
     Subscript element;
     std::uint32_t field_offset = 0;
+    bool operator==(const Field&) const = default;
   };
 
   std::variant<Scalar, Array, Pointer, Field> target;
   bool is_write = false;
+
+  bool operator==(const Reference&) const = default;
 
   bool is_array() const { return std::holds_alternative<Array>(target); }
   bool is_scalar() const { return std::holds_alternative<Scalar>(target); }

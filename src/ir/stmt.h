@@ -19,6 +19,8 @@ struct Stmt {
   std::uint64_t code_addr = 0;
   std::string label;
 
+  bool operator==(const Stmt&) const = default;
+
   std::uint32_t instruction_count() const {
     return compute_ops + static_cast<std::uint32_t>(refs.size());
   }

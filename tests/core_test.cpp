@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/marker_elimination.h"
+#include "codegen/trace_engine.h"
 #include "core/report.h"
 #include "core/runner.h"
 #include "ir/builder.h"
@@ -98,6 +99,34 @@ TEST(Versions, PrepareProducesThreeCodeProducts) {
   EXPECT_GE(analysis::count_markers(sel_code), 2u);
   // The original is never mutated.
   EXPECT_EQ(analysis::count_markers(base), 0u);
+}
+
+/// The planner's cost estimate counts references from the loop bounds
+/// alone; it must equal what an interpretation issues. The products checked
+/// include loops walked iteration by iteration (bounds that read an outer
+/// variable) and tiled ones.
+TEST(Versions, DynamicRefCountMatchesTheInterpreter) {
+  struct NullCpu {
+    void compute(std::uint64_t) {}
+    void load(Addr, bool = false) {}
+    void store(Addr) {}
+    void branch(Addr, bool) {}
+    void toggle(bool, std::int32_t = -1) {}
+    void touch_code(Addr, std::uint32_t) {}
+  };
+  for (const char* name : {"TPC-C", "TPC-D,Q3", "Mgrid"}) {
+    const ir::Program base = workloads::workload(name).build();
+    for (Version v : kAllVersions) {
+      SCOPED_TRACE(std::string(name) + " " + to_string(v));
+      const ir::Program p = prepare_program(base, v, {});
+      codegen::DataEnv env(p);
+      NullCpu cpu;
+      codegen::BasicTraceEngine<NullCpu> engine(p, env, cpu);
+      engine.run();
+      EXPECT_EQ(p.dynamic_ref_count(),
+                engine.loads_executed() + engine.stores_executed());
+    }
+  }
 }
 
 workloads::WorkloadInfo demo_info() {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
 
 #include "ir/builder.h"
 #include "ir/printer.h"
@@ -209,6 +211,112 @@ TEST(Program, ArrayFootprint) {
   d.pad_elems = 5;
   EXPECT_EQ(d.elements(), 200);
   EXPECT_EQ(d.footprint_bytes(), (200 + 5) * 8);
+}
+
+/// A program that touches every declaration table and subscript kind, with
+/// optional ON/OFF markers around its loop.
+Program eq_sample(bool shuffled = true, bool markers = false) {
+  ProgramBuilder b("eq");
+  const auto A = b.array("A", {8, 8});
+  const auto IP = b.index_array("IP", 8, ArrayDecl::Content::Permutation);
+  const auto H = b.chase_pool("H", 8, 16, shuffled);
+  const auto R = b.record_pool("R", 8, 32);
+  const auto s = b.scalar("s");
+  if (markers) b.toggle(true);
+  const auto i = b.begin_loop("i", 0, 8);
+  b.stmt({load_array(A, {b.sub(i), Subscript::indexed(IP, x(i), 2)}),
+          chase(H), load_field(R, b.sub(i), 8), store_scalar(s)},
+         1, "s0");
+  b.end_loop();
+  if (markers) b.toggle(false);
+  return b.finish();
+}
+
+LoopNode& only_loop(Program& p) {
+  for (auto& n : p.top())
+    if (n->kind == NodeKind::Loop) return static_cast<LoopNode&>(*n);
+  throw std::logic_error("no loop");
+}
+
+Stmt& first_stmt(Program& p) {
+  return static_cast<StmtNode&>(*only_loop(p).body.front()).stmt;
+}
+
+TEST(SameCode, CloneIsEqual) {
+  const Program p = eq_sample();
+  EXPECT_TRUE(same_code(p, p.clone()));
+  EXPECT_TRUE(same_code(p, p.clone(), /*skip_markers_of_b=*/true));
+  EXPECT_TRUE(same_code(p, eq_sample()));
+}
+
+TEST(SameCode, EveryFieldTheStreamDependsOnBreaksEquality) {
+  const Program p = eq_sample();
+  const auto differs = [&p](const std::function<void(Program&)>& edit) {
+    Program q = p.clone();
+    edit(q);
+    return !same_code(p, q) && !same_code(q, p) &&
+           !same_code(p, q, /*skip_markers_of_b=*/true);
+  };
+  EXPECT_TRUE(differs([](Program& q) { first_stmt(q).code_addr += 4; }));
+  EXPECT_TRUE(differs([](Program& q) { only_loop(q).code_addr += 8; }));
+  EXPECT_TRUE(differs([](Program& q) { q.array(0).layout = Layout::ColMajor; }));
+  EXPECT_TRUE(differs([](Program& q) { q.array(0).pad_elems = 1; }));
+  EXPECT_TRUE(differs([](Program& q) {
+    auto& arr = std::get<Reference::Array>(first_stmt(q).refs[0].target);
+    std::get<Subscript::Indexed>(arr.subs[1].value).offset = 3;
+  }));
+  EXPECT_TRUE(differs([](Program& q) {
+    only_loop(q).body.push_back(std::make_unique<StmtNode>(Stmt{}));
+  }));
+  EXPECT_TRUE(differs([](Program& q) { only_loop(q).step = 2; }));
+  EXPECT_FALSE(same_code(p, eq_sample(/*shuffled=*/false)));
+}
+
+TEST(SameCode, MarkersAreSkippedOnlyWhenAskedAndOnlyOnTheMarkedSide) {
+  const Program plain = eq_sample();
+  const Program marked = eq_sample(/*shuffled=*/true, /*markers=*/true);
+  EXPECT_FALSE(same_code(plain, marked));
+  EXPECT_TRUE(same_code(plain, marked, /*skip_markers_of_b=*/true));
+  // The plain side must have none: a marker there is never skipped.
+  EXPECT_FALSE(same_code(marked, plain, /*skip_markers_of_b=*/true));
+  EXPECT_FALSE(same_code(marked, marked.clone(), /*skip_markers_of_b=*/true));
+  EXPECT_TRUE(same_code(marked, marked.clone()));
+  // Only markers are skipped: any other difference still counts.
+  Program moved = marked.clone();
+  first_stmt(moved).code_addr += 4;
+  EXPECT_FALSE(same_code(plain, moved, /*skip_markers_of_b=*/true));
+  // A flipped marker is a difference when markers are compared.
+  Program flipped = marked.clone();
+  static_cast<ToggleNode&>(*flipped.top().front()).on = false;
+  EXPECT_FALSE(same_code(marked, flipped));
+}
+
+TEST(Program, DynamicRefCountFollowsLoopBounds) {
+  ProgramBuilder b("t");
+  const auto A = b.array("A", {16});
+  const auto IP = b.index_array("IP", 16, ArrayDecl::Content::Permutation);
+  const auto i = b.begin_loop("i", 0, 16, 4);  // 4 trips
+  // Triangular: 16 + 12 + 8 + 4 = 40 trips of 3 references (the indexed
+  // subscript's index load counts).
+  const auto j = b.begin_loop("j", x(i), AffineExpr::constant(16));
+  b.stmt({load_array(A, {Subscript::indexed(IP, x(j))}),
+          store_array(A, {b.sub(j)})},
+         1);
+  b.end_loop();
+  b.toggle(true);
+  b.stmt({load_array(A, {b.csub(0)})}, 1);
+  b.end_loop();
+  b.begin_loop("k", 5, 5);  // no trips
+  b.stmt({load_array(A, {b.csub(0)})}, 1);
+  b.end_loop();
+  EXPECT_EQ(b.finish().dynamic_ref_count(), 40u * 3 + 4);
+}
+
+TEST(Builder, RejectsNonPositiveLoopStep) {
+  for (const std::int64_t step : {0, -1}) {
+    ProgramBuilder b("t");
+    EXPECT_THROW(b.begin_loop("i", 0, 16, step), std::logic_error) << step;
+  }
 }
 
 TEST(Printer, RendersRefsAndMarkers) {

@@ -4,7 +4,12 @@
 // every hardware scheme.
 #include <gtest/gtest.h>
 
+#include <future>
+#include <span>
+
 #include "core/runner.h"
+#include "ir/builder.h"
+#include "support/thread_pool.h"
 
 namespace selcache::core {
 namespace {
@@ -29,17 +34,46 @@ void expect_rows_identical(const std::vector<ImprovementRow>& serial,
   }
 }
 
+/// Rows built from solo run_version calls: no sweep engine and no shared
+/// interpretation, every version interprets its own code product. The
+/// calls share nothing, so they run as independent tasks on a pool.
+std::vector<ImprovementRow> solo_rows(
+    std::span<const workloads::WorkloadInfo> suite, const MachineConfig& m,
+    const RunOptions& opt) {
+  support::ThreadPool pool(4);
+  std::vector<std::future<RunResult>> cells;
+  for (const auto& w : suite)
+    for (Version v : kAllVersions)
+      cells.push_back(pool.submit(
+          [&w, &m, v, &opt] { return run_version(w, m, v, opt); }));
+  std::vector<ImprovementRow> rows;
+  auto next = cells.begin();
+  for (const auto& w : suite) {
+    std::array<RunResult, kAllVersions.size()> results;
+    for (RunResult& r : results) r = (next++)->get();
+    rows.push_back(make_improvement_row(w, results));
+  }
+  return rows;
+}
+
 class SweepDeterminism : public ::testing::TestWithParam<hw::SchemeKind> {};
 
+/// A cell's result does not depend on which other cells share its sweep:
+/// the sweep at 1 and 4 threads (22 interpretations drive 57 simulations,
+/// 8 versions are copies) and at 8 threads (Swim's and Applu's groups
+/// split) matches solo run_version rows bit for bit.
 TEST_P(SweepDeterminism, ParallelSweepMatchesSerialBitForBit) {
   const MachineConfig m = base_machine();
   RunOptions opt;
   opt.scheme = GetParam();
 
-  const auto serial = sweep_suite(m, opt);
-  const auto parallel =
-      sweep_suite(m, opt, ParallelSweepOptions{.num_threads = 4});
-  expect_rows_identical(serial, parallel);
+  const auto reference = solo_rows(workloads::all_workloads(), m, opt);
+  for (const unsigned threads : {1u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_rows_identical(
+        reference,
+        sweep_suite(m, opt, ParallelSweepOptions{.num_threads = threads}));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothSchemes, SweepDeterminism,
@@ -57,6 +91,122 @@ TEST(SweepDeterminism, SingleWorkloadParallelMatchesSerial) {
       improvements_for(w, m, RunOptions{},
                        ParallelSweepOptions{.num_threads = 3});
   expect_rows_identical({serial}, {parallel});
+}
+
+/// Applu's optimizer changes nothing: at 1 thread one interpretation drives
+/// Base, Pure Hardware and Selective and the other two copy; at 4 threads
+/// that group is the whole sweep, so it splits into three interpretations
+/// and keeps the copies. Both plans give the solo rows.
+TEST(SweepDeterminism, MergedAndSplitPlansGiveTheSoloRows) {
+  const MachineConfig m = base_machine();
+  const workloads::WorkloadInfo& w = workloads::workload("Applu");
+  const std::span<const workloads::WorkloadInfo> one(&w, 1);
+  const SweepPlan merged = plan_sweep(one, {}, {.num_threads = 1});
+  EXPECT_EQ(merged.interpretations, 1u);
+  EXPECT_EQ(merged.simulations, 3u);
+  EXPECT_EQ(merged.copies, 2u);
+  const SweepPlan split = plan_sweep(one, {}, {.num_threads = 4});
+  EXPECT_EQ(split.interpretations, 3u);
+  EXPECT_EQ(split.simulations, 3u);
+  EXPECT_EQ(split.copies, 2u);
+
+  const auto reference = solo_rows(one, m, {});
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_rows_identical(
+        reference,
+        {improvements_for(w, m, {}, {.num_threads = threads})});
+  }
+}
+
+// --- ride groups -----------------------------------------------------------
+
+/// The planner on the real suite. The optimizer changes nothing in Perl,
+/// Compress, Li and Applu, so their Pure Software and Combined copy Base and
+/// Pure Hardware (8 copies), and one interpretation of the marked code
+/// drives the other three; every other workload interprets its original
+/// and its marked code once each: 4 + 9 x 2 = 22 interpretations and
+/// 4 x 3 + 9 x 5 = 57 simulations.
+TEST(RidePlan, SuitePlanCountsAndTheCriticalPathRule) {
+  const auto& suite = workloads::all_workloads();
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const SweepPlan p = plan_sweep(suite, {}, {.num_threads = threads});
+    EXPECT_EQ(p.interpretations, 22u);
+    EXPECT_EQ(p.simulations, 57u);
+    EXPECT_EQ(p.copies, 8u);
+  }
+  // At 8 threads Swim's two groups and Applu's one each simulate more than
+  // 1/8 of the sweep's references, so their 8 simulations interpret alone.
+  const SweepPlan p8 = plan_sweep(suite, {}, {.num_threads = 8});
+  EXPECT_EQ(p8.interpretations, 27u);
+  EXPECT_EQ(p8.simulations, 57u);
+  EXPECT_EQ(p8.copies, 8u);
+
+  // A one-workload sweep at 4 threads: both of Swim's groups are over a
+  // quarter of it, so it keeps one cell per version.
+  const workloads::WorkloadInfo& swim = workloads::workload("Swim");
+  const SweepPlan s = plan_sweep({&swim, 1}, {}, {.num_threads = 4});
+  EXPECT_EQ(s.interpretations, 5u);
+  EXPECT_EQ(s.simulations, 5u);
+  EXPECT_EQ(s.copies, 0u);
+
+  // Tapes (and fault campaigns) keep one interpretation per version.
+  RunOptions taped;
+  taped.reuse_tape = true;
+  const SweepPlan t = plan_sweep(suite, taped, {.num_threads = 4});
+  EXPECT_EQ(t.interpretations, 65u);
+  EXPECT_EQ(t.simulations, 65u);
+  EXPECT_EQ(t.copies, 0u);
+}
+
+/// ride_groups decides from the built products alone.
+TEST(RidePlan, GroupsFollowStructuralEquality) {
+  using V = Version;
+  using Rides = std::vector<std::vector<Version>>;
+  ir::ProgramBuilder b("hand");
+  const auto A = b.array("A", {64});
+  const auto i = b.begin_loop("i", 0, 64);
+  b.stmt({ir::load_array(A, {b.sub(i)})}, 1);
+  b.end_loop();
+  const ir::Program original = b.finish();
+  const auto with_markers = [](const ir::Program& p) {
+    ir::Program q = p.clone();
+    q.top().insert(q.top().begin(), std::make_unique<ir::ToggleNode>(true, 0));
+    q.top().push_back(std::make_unique<ir::ToggleNode>(false, 0));
+    return q;
+  };
+  const auto stmt = [](ir::Program& p) -> ir::Stmt& {
+    auto& loop = static_cast<ir::LoopNode&>(*p.top()[1]);
+    return static_cast<ir::StmtNode&>(*loop.body.front()).stmt;
+  };
+
+  // Markers only: one interpretation drives everything.
+  RideGroups g = ride_groups(original, original.clone(), with_markers(original));
+  EXPECT_TRUE(g.copies);
+  EXPECT_EQ(g.rides, (Rides{{V::Base, V::PureHardware, V::Selective}}));
+
+  // Marker insertion that also moves code: Selective interprets alone.
+  ir::Program moved = with_markers(original);
+  stmt(moved).code_addr += 4;
+  g = ride_groups(original, original.clone(), moved);
+  EXPECT_TRUE(g.copies);
+  EXPECT_EQ(g.rides, (Rides{{V::Base, V::PureHardware}, {V::Selective}}));
+
+  // An optimized layout: Pure Software and Combined ride the marked code.
+  ir::Program optimized = original.clone();
+  optimized.array(A).pad_elems = 4;
+  g = ride_groups(original, optimized, with_markers(optimized));
+  EXPECT_FALSE(g.copies);
+  EXPECT_EQ(g.rides, (Rides{{V::Base, V::PureHardware},
+                            {V::PureSoftware, V::Combined, V::Selective}}));
+
+  // All three differ: three interpretations.
+  g = ride_groups(original, optimized, moved);
+  EXPECT_FALSE(g.copies);
+  EXPECT_EQ(g.rides, (Rides{{V::Base, V::PureHardware},
+                            {V::PureSoftware, V::Combined},
+                            {V::Selective}}));
 }
 
 TEST(SweepDeterminism, RowsCarryAccessCountsAndPrefixedStats) {

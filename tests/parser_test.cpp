@@ -146,6 +146,25 @@ TEST(Parser, ErrorsCarryLineNumbers) {
   expect_error("program x\narray A 8\nload A[q]\n", "unknown variable");
 }
 
+/// The trace engine runs `v < hi; v += step`, so a step that is not
+/// positive would never finish: the parser rejects it with a diagnostic.
+TEST(Parser, RejectsNegativeLoopStep) {
+  try {
+    parse_program(R"(
+      program neg
+      array A 16
+      for i = 0 .. 16 step -1 {
+        load A[i]
+      }
+    )");
+    FAIL() << "a negative loop step must not parse";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("must be positive"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Parser, ZipfAndMeshContents) {
   const Program p = parse_program(R"(
     program z

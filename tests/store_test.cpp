@@ -318,6 +318,55 @@ TEST_F(StoreTest, WarmRunVersionIsBitIdenticalToCold) {
   expect_equal_runs(ref, cold);
 }
 
+/// The plain sweep shares interpretations and copies results between
+/// versions, but the store still sees one cell per version: a cold suite
+/// writes all 65 (copies under their own keys) and a warm one hits all 65,
+/// with the same rows.
+TEST_F(StoreTest, ColdThenWarmSuiteStoresEveryVersion) {
+  ResultStore s(dir_);
+  core::RunOptions opt;
+  opt.result_store = &s;
+  const auto m = core::base_machine();
+  const core::ParallelSweepOptions par{.num_threads = 4};
+  const std::size_t cells =
+      workloads::all_workloads().size() * core::kAllVersions.size();
+
+  const auto cold = core::sweep_suite(m, opt, par);
+  EXPECT_EQ(s.counters().misses, cells);
+  EXPECT_EQ(s.counters().writes, cells);
+  const auto warm = core::sweep_suite(m, opt, par);
+  EXPECT_EQ(s.counters().hits, cells);
+  EXPECT_EQ(s.counters().writes, cells);
+  ASSERT_EQ(cold.size(), warm.size());
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    SCOPED_TRACE(cold[i].benchmark);
+    EXPECT_EQ(cold[i].base_cycles, warm[i].base_cycles);
+    EXPECT_EQ(cold[i].pct, warm[i].pct);
+    EXPECT_EQ(cold[i].stats.all(), warm[i].stats.all());
+  }
+}
+
+/// A version whose copy source is a store hit takes the stored result: with
+/// only Perl's Base stored, Pure Software copies it, and the row equals an
+/// unstored sweep's.
+TEST_F(StoreTest, CopyFromAStoredSourceMatchesASimulatedOne) {
+  ResultStore s(dir_);
+  core::RunOptions opt;
+  opt.result_store = &s;
+  const auto& perl = workloads::workload("Perl");
+  const auto m = core::base_machine();
+  (void)core::run_version(perl, m, core::Version::Base, opt);
+  ASSERT_EQ(s.counters().writes, 1u);
+
+  const core::ImprovementRow stored = core::improvements_for(perl, m, opt);
+  EXPECT_EQ(s.counters().hits, 1u);
+  EXPECT_EQ(s.counters().writes, core::kAllVersions.size());
+  const core::ImprovementRow plain = core::improvements_for(perl, m);
+  EXPECT_EQ(stored.base_cycles, plain.base_cycles);
+  EXPECT_EQ(stored.pct, plain.pct);
+  EXPECT_EQ(stored.stats.all(), plain.stats.all());
+}
+
 TEST_F(StoreTest, StoreKeySeparatesMachinesSchemesAndVersions) {
   const auto w = store_demo_info();
   core::RunOptions opt;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CLI contract for the predict subcommands plus the replay-engine flags
-# (--batch / tape --stat) and checkpointed sweeps (--run-dir): unknown
-# flags, unknown commands and malformed
+# (--batch / tape --stat), checkpointed sweeps (--run-dir) and run-file's
+# loop-step check: unknown flags, unknown commands and malformed
 # invocations must exit 2 (same as every other subcommand), good runs 0,
 # and a failed cross-check 1.
 #
@@ -58,6 +58,13 @@ expect 0 "$cli" tape Perl base --stat
 # value exits 2 before the run directory is touched.
 expect 2 "$cli" sweep --workload Chaos --run-dir "$tmp/run" --batch abc
 expect 2 "$cli" sweep --workload Chaos --run-dir "$tmp/run" --epoch 0
+
+# A loop step that is not positive would never reach its bound: run-file
+# rejects it with a diagnostic instead of running forever (`timeout` turns
+# a hang into exit 124, which fails the expectation).
+printf 'program neg\narray A 16\nfor i = 0 .. 16 step -1 {\n  load A[i]\n}\n' \
+  > "$tmp/neg_step.loop"
+expect 2 timeout 10 "$cli" run-file "$tmp/neg_step.loop"
 
 # No kernel switch (the build target picks the probe kernel) and no second
 # stream format (tapes are the only recording): a usage error and unknown

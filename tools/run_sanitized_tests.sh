@@ -27,6 +27,16 @@ cli="build-asan/tools/selcache"
 diff -r "$tracedir/serial" "$tracedir/parallel"
 echo "traced sweep: serial and parallel outputs identical"
 
+# Shared interpretation under sanitizers: the 4-thread suite runs ride
+# groups, where one interpretation fans out to up to three simulations and
+# copies fill the versions whose code equals Base's. It must print what the
+# per-version tape engine prints. (The ctest run above includes the
+# same_code, reference-count and ride-planner unit tests.)
+"$cli" suite --threads 4 > "$tracedir/shared.txt"
+"$cli" suite --threads 4 --reuse-tape > "$tracedir/per_version.txt"
+diff "$tracedir/shared.txt" "$tracedir/per_version.txt"
+echo "shared suite: ride groups and per-version cells identical"
+
 # Same contract under fault injection: a faulted sweep's figure output,
 # FailureReport, and captured traces must not depend on the thread count —
 # diffed here under the sanitizers so races in the resilient fan-out or the
