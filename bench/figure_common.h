@@ -194,11 +194,21 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
     std::fprintf(stderr, "%s\n", rstore->summary(tapes).c_str());
   };
 
-  // Graceful shutdown: a SIGINT/SIGTERM mid-axis finishes nothing torn —
-  // the current machine point is abandoned between points, tapes and store
-  // cells already persisted stay valid (a rerun serves them as hits), and
-  // the process exits with the conventional 128+signo code.
+  // Graceful shutdown: a SIGINT/SIGTERM mid-axis finishes nothing torn.
+  // The sweep running when it arrives completes, but its tables are not
+  // printed; tapes and store cells already persisted stay valid (a rerun
+  // serves them as hits), and the process exits with the conventional
+  // 128+signo code.
   support::SignalGuard guard;
+  const auto interrupted = [&](std::size_t done) {
+    if (!support::SignalGuard::stop_requested()) return false;
+    std::fprintf(stderr,
+                 "interrupted after %zu of %zu machine points; persisted "
+                 "store entries stay valid for the next run\n",
+                 done, points.size());
+    if (rstore != nullptr && opt.reuse_tape) rstore->persist_tapes(cache);
+    return true;
+  };
 
   const auto sweep_t0 = std::chrono::steady_clock::now();
 
@@ -216,6 +226,7 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
     machines.reserve(points.size());
     for (const SweepPoint& p : points) machines.push_back(p.machine);
     const auto all_rows = core::sweep_axis_shared_decode(machines, opt, par);
+    if (interrupted(0)) return support::SignalGuard::exit_code();
     for (std::size_t i = 0; i < points.size(); ++i) {
       std::printf("%s", core::format_machine(points[i].machine).c_str());
       std::printf("%s", core::format_figure(points[i].title,
@@ -234,16 +245,9 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
   }
 
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (support::SignalGuard::stop_requested()) {
-      std::fprintf(stderr,
-                   "interrupted after %zu of %zu machine points; persisted "
-                   "store entries stay valid for the next run\n",
-                   i, points.size());
-      if (rstore != nullptr && opt.reuse_tape) rstore->persist_tapes(cache);
-      return support::SignalGuard::exit_code();
-    }
     const auto t0 = std::chrono::steady_clock::now();
     const auto rows = core::sweep_suite(points[i].machine, opt, par);
+    if (interrupted(i)) return support::SignalGuard::exit_code();
     const auto dt = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();

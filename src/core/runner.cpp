@@ -496,7 +496,9 @@ std::vector<RunResult> multi_replay_tape(
                        "multi_replay_tape: a RunGuard is not thread-safe "
                        "across the parallel fan-out");
   if (par.num_threads > 1 && sims.size() > 1) {
-    support::ThreadPool pool(par.num_threads);
+    // Each batch fans out one task per Simulation; more workers would idle.
+    support::ThreadPool pool(
+        std::min<std::size_t>(par.num_threads, sims.size()));
     tape::multi_replay(t, sinks, &pool, opt.batch);
   } else {
     tape::multi_replay(t, sinks, nullptr, opt.batch);
@@ -595,13 +597,11 @@ namespace {
 /// How one cell (workload, version) of a ride sweep gets its result.
 enum class Route : char {
   Ride,  ///< simulated in a ride group, or copied from Base / Pure Hardware
-  Done,  ///< already served (a store hit)
-  Own    ///< served by the caller's own path, one unit per cell
+  Done   ///< already served (a store hit)
 };
 
 /// One unit of a ride sweep: one interpretation of `code` driving one
-/// Simulation per version in `sims` (kAllVersions indices, ascending), or,
-/// without code, the one Route::Own cell of `sims`.
+/// Simulation per version in `sims` (kAllVersions indices, ascending).
 struct Ride {
   std::size_t wi = 0;
   std::shared_ptr<const ir::Program> code{};
@@ -634,10 +634,6 @@ RidePlan plan_rides(std::span<const workloads::WorkloadInfo> suite,
     const auto routed = [&](std::size_t vi, Route r) {
       return route[wi * nv + vi] == r;
     };
-    const std::size_t first = grouped.rides.size();
-    for (std::size_t vi = 0; vi < nv; ++vi)
-      if (routed(vi, Route::Own))
-        grouped.rides.push_back({.wi = wi, .sims = {vi}});
     bool simulated = false;
     for (std::size_t vi = 0; vi < nv; ++vi)
       simulated = simulated || routed(vi, Route::Ride);
@@ -663,10 +659,6 @@ RidePlan plan_rides(std::span<const workloads::WorkloadInfo> suite,
         if (product_of(vi) == 1 && routed(vi, Route::Ride))
           grouped.copies.emplace_back(wi * nv + vi, wi * nv + vi - 2);
     }
-    std::stable_sort(grouped.rides.begin() + first, grouped.rides.end(),
-                     [](const Ride& a, const Ride& b) {
-                       return a.sims.front() < b.sims.front();
-                     });
   }
 
   std::uint64_t total = 0;
@@ -716,23 +708,17 @@ void run_ride(const Ride& r, const std::vector<MachineConfig>& group,
 /// Run the cells of `suite` at every machine of `group` (machines that
 /// share_structure) by ride groups; cells[i] holds cell i's results, one per
 /// machine. route[i] says how cell i is served: Ride cells are simulated
-/// (then `fresh(i)` runs, if given) or copied (then too), Done cells are
-/// already in `cells`, and `own(i)` computes each Own cell as a unit of its
-/// own.
+/// (then `fresh(i)` runs, if given) or copied (then too), and Done cells
+/// are already in `cells`.
 void run_rides(std::span<const workloads::WorkloadInfo> suite,
                const std::vector<MachineConfig>& group, const RunOptions& opt,
                unsigned threads, const std::vector<Route>& route,
                std::vector<std::vector<RunResult>>& cells,
-               const std::function<void(std::size_t)>& own,
                const std::function<void(std::size_t)>& fresh) {
   constexpr std::size_t nv = kAllVersions.size();
   const RidePlan plan = plan_rides(suite, route, opt.optimize, threads);
   support::run_cells(plan.rides.size(), threads, [&](std::size_t k) {
     const Ride& r = plan.rides[k];
-    if (r.code == nullptr) {
-      own(r.wi * nv + r.sims.front());
-      return;
-    }
     run_ride(r, group, opt, &cells[r.wi * nv]);
     if (fresh)
       for (std::size_t vi : r.sims) fresh(r.wi * nv + vi);
@@ -777,7 +763,7 @@ std::vector<std::vector<RunResult>> ride_sweep(
   const auto save = [&](std::size_t i) {
     opt.result_store->save(skeys[i], to_stored(cells[i].front()));
   };
-  run_rides(suite, {m}, opt, threads, route, cells, nullptr,
+  run_rides(suite, {m}, opt, threads, route, cells,
             stored ? std::function<void(std::size_t)>(save) : nullptr);
   return cells;
 }
@@ -1029,10 +1015,6 @@ std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
   // cell-major (one decode per cell) and assembled point-major below in
   // fixed order — the same rows per-point sweep_suite calls would build.
   std::vector<std::vector<RunResult>> cells(nw * nv);
-  const auto shared_decode = [&](std::size_t i) {
-    run_cell_shared_decode(suite[i / nv], kAllVersions[i % nv], machines, opt,
-                           cells[i]);
-  };
   const bool one_group =
       !machines.empty() &&
       std::all_of(machines.begin(), machines.end(),
@@ -1041,16 +1023,14 @@ std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
                   });
   if (opt.result_store == nullptr && one_group) {
     // Without a store nothing reads a fresh tape, so the cells ride shared
-    // interpretations; a cell whose tape is cached keeps replaying it.
-    std::vector<Route> route(cells.size(), Route::Ride);
-    for (std::size_t i = 0; i < cells.size(); ++i)
-      if (tape_cache(opt).find(
-              tape_key(suite[i / nv], kAllVersions[i % nv], opt)))
-        route[i] = Route::Own;
-    run_rides(suite, machines, opt, par.num_threads, route, cells,
-              shared_decode, nullptr);
+    // interpretations.
+    run_rides(suite, machines, opt, par.num_threads,
+              std::vector<Route>(cells.size(), Route::Ride), cells, nullptr);
   } else {
-    support::run_cells(cells.size(), par.num_threads, shared_decode);
+    support::run_cells(cells.size(), par.num_threads, [&](std::size_t i) {
+      run_cell_shared_decode(suite[i / nv], kAllVersions[i % nv], machines,
+                             opt, cells[i]);
+    });
   }
 
   std::vector<std::vector<ImprovementRow>> rows(machines.size());

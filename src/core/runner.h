@@ -298,13 +298,13 @@ SweepPlan plan_sweep(std::span<const workloads::WorkloadInfo> suite,
 /// cell's one interpreted run prices the whole group of the first pending
 /// point, so a pure latency axis interprets and simulates each cell once.
 /// When every point shares structure with the first and no store is
-/// attached, the versions whose tape is not cached run as sweep_suite's
-/// ride groups, so such an axis interprets each code product once.
-/// That run records the cell's tape only when something reads it: a
-/// pending point outside the group replays it, or a writable
-/// opt.result_store lets the caller keep it (ResultStore::persist_tapes).
-/// Otherwise opt.tape_cache is left without it. A tape already in the cache
-/// is replayed at every pending point. Returns
+/// attached, nothing reads a tape: the cells run as sweep_suite's ride
+/// groups, so such an axis interprets each code product once and neither
+/// reads nor fills opt.tape_cache. Otherwise a cell's run records its tape
+/// only when something reads it: a pending point outside the group replays
+/// it, or a writable opt.result_store lets the caller keep it
+/// (ResultStore::persist_tapes). A tape already in the cache is replayed
+/// at every pending point. Returns
 /// rows[point] exactly as `machines.size()` sweep_suite calls would — same
 /// rows, same stats, same store cells — just cheaper. Requires a
 /// tape-eligible configuration (opt.reuse_tape set, no fault campaign or

@@ -41,10 +41,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-unsigned ThreadPool::hardware_threads() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -85,7 +81,8 @@ void run_cells(std::size_t n, unsigned threads,
     std::vector<std::future<void>> done;
     done.reserve(n);
     {
-      ThreadPool pool(threads);
+      // A worker beyond the n-th would find no cell to run.
+      ThreadPool pool(std::min<std::size_t>(threads, n));
       for (std::size_t i = 0; i < n; ++i)
         done.push_back(pool.submit([&cell, i] { cell(i); }));
     }  // ~ThreadPool drains: every cell has finished here

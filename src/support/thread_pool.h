@@ -66,10 +66,6 @@ class ThreadPool {
 
   std::size_t num_threads() const { return workers_.size(); }
 
-  /// Hardware concurrency with a floor of 1 (hardware_concurrency() may
-  /// report 0 on exotic platforms).
-  static unsigned hardware_threads();
-
   /// Tasks whose exception escaped the packaged_task wrapper and was
   /// absorbed by the worker-loop backstop. Always 0 for tasks entered via
   /// submit(); a nonzero value means a raw queue entry misbehaved.
@@ -94,9 +90,10 @@ class ThreadPool {
 
 /// Run cell(i) for every i in [0, n): in index order on the caller when
 /// threads <= 1, otherwise as one ThreadPool task per index, submitted in
-/// index order. Every cell finishes before this returns; then the exception
-/// of the lowest-index cell that threw (if any) is rethrown. Cells must not
-/// share mutable state, or must synchronize it themselves.
+/// index order to min(threads, n) workers. Every cell finishes before this
+/// returns; then the exception of the lowest-index cell that threw (if any)
+/// is rethrown. Cells must not share mutable state, or must synchronize it
+/// themselves.
 void run_cells(std::size_t n, unsigned threads,
                const std::function<void(std::size_t)>& cell);
 

@@ -78,18 +78,6 @@ void TapeCache::clear() {
   tapes_.clear();
 }
 
-std::uint64_t TapeCache::total_bytes() const {
-  std::uint64_t n = 0;
-  for (const auto& [key, tape] : snapshot()) n += tape->size_bytes();
-  return n;
-}
-
-std::uint64_t TapeCache::total_data_accesses() const {
-  std::uint64_t n = 0;
-  for (const auto& [key, tape] : snapshot()) n += tape->stats.data_accesses();
-  return n;
-}
-
 TapeCache& TapeCache::global() {
   static TapeCache cache;
   return cache;

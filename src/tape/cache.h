@@ -14,7 +14,6 @@
 // replaying stale ones.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <future>
 #include <map>
@@ -52,10 +51,6 @@ class TapeCache {
 
   std::size_t size() const;
   void clear();
-
-  /// Aggregate encoded size / recorded data accesses over finished tapes.
-  std::uint64_t total_bytes() const;
-  std::uint64_t total_data_accesses() const;
 
   /// Process-wide cache used when RunOptions::reuse_tape is set without an
   /// explicit cache.

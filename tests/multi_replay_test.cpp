@@ -297,13 +297,21 @@ TEST(MultiReplay, LatencyAxisRecordsOnlyTapesSomethingReads) {
   EXPECT_EQ(preloaded.snapshot(), before);
   EXPECT_EQ(fresh_store.counters().writes, machines.size() * suite_cells());
 
+  // 4. No store and sweep 2's tapes: the cells ride shared interpretations
+  // and leave the cache as it was.
+  const auto cached =
+      sweep_axis_shared_decode(machines, taped(preloaded, nullptr), par);
+  EXPECT_EQ(preloaded.snapshot(), before);
+
   ASSERT_EQ(plain.size(), machines.size());
   ASSERT_EQ(stored.size(), machines.size());
   ASSERT_EQ(replayed.size(), machines.size());
+  ASSERT_EQ(cached.size(), machines.size());
   for (std::size_t i = 0; i < machines.size(); ++i) {
     SCOPED_TRACE("machine " + std::to_string(i));
     expect_rows_identical(plain[i], stored[i]);
     expect_rows_identical(plain[i], replayed[i]);
+    expect_rows_identical(plain[i], cached[i]);
   }
   std::filesystem::remove_all(kept_dir);
   std::filesystem::remove_all(fresh_dir);

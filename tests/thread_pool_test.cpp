@@ -60,10 +60,6 @@ TEST(ThreadPool, ZeroThreadsClampsToOne) {
   EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
 }
 
-TEST(ThreadPool, HardwareThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::hardware_threads(), 1u);
-}
-
 // Regression: a throwing task queued right before destruction must keep
 // its exception in the future across the destructor's drain, not unwind a
 // worker thread. (The drain runs every queued task; an unprotected task()
@@ -143,6 +139,19 @@ TEST(RunCells, SerialRunsInIndexOrderOnTheCaller) {
   });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
   run_cells(0, 4, [](std::size_t) { FAIL() << "no cells, no calls"; });
+}
+
+// A sweep of a few cells asked for many threads starts one worker per cell,
+// not one per requested thread: a worker spawn past the third would throw.
+TEST(RunCells, StartsNoMoreWorkersThanCells) {
+  constexpr std::size_t kCells = 3;
+  ThreadPool::spawn_fault_hook() = [](std::size_t worker) {
+    if (worker >= kCells) throw std::runtime_error("worker without a cell");
+  };
+  std::vector<std::atomic<int>> ran(kCells);
+  EXPECT_NO_THROW(run_cells(kCells, 64, [&ran](std::size_t i) { ++ran[i]; }));
+  ThreadPool::spawn_fault_hook() = nullptr;
+  for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
 }
 
 }  // namespace

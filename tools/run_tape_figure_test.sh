@@ -7,7 +7,8 @@
 # engine records none. Any drift here means the record/replay or pricing
 # contract broke somewhere between the IR walker and the stats printer.
 # Truncated to 2 machine points so the test stays fast. Malformed numeric
-# values and unknown flags must exit 2 first.
+# values and unknown flags must exit 2 first, and a SIGTERM during a sweep
+# must exit 143 without printing the tables the sweep would have produced.
 set -eu
 
 BENCH="${1:?usage: run_tape_figure_test.sh PATH_TO_bench_fig5_memlat}"
@@ -29,6 +30,27 @@ expect_usage_error --max-points abc
 expect_usage_error --max-points -3
 expect_usage_error --threads x
 expect_usage_error --no-simd
+
+# SIGTERM 1 s into a run lands during its only sweep: the default engine's
+# one axis sweep, or the only point of a single-point run. The run must
+# report the interruption, print no table and exit 128+15.
+expect_sigterm_exit() {
+  "$BENCH" "$@" > "$TMP/term_out.txt" 2> "$TMP/term_err.txt" &
+  pid=$!
+  sleep 1
+  kill -TERM "$pid" 2> /dev/null || true
+  status=0
+  wait "$pid" || status=$?
+  if [ "$status" -ne 143 ] || [ -s "$TMP/term_out.txt" ] ||
+     ! grep -q '^interrupted after 0 of ' "$TMP/term_err.txt"; then
+    echo "FAIL: SIGTERM to '$BENCH $*': exit $status, expected 143" \
+         "with no stdout and an interruption notice" >&2
+    head -5 "$TMP/term_out.txt" "$TMP/term_err.txt" >&2
+    exit 1
+  fi
+}
+expect_sigterm_exit --max-points 2 --threads 1
+expect_sigterm_exit --max-points 1
 
 # Wall-clock footers ("simulated in Ns, ..., replayed" / "axis total: ...")
 # legitimately differ between the two modes; everything else must not.
