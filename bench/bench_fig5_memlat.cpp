@@ -1,7 +1,6 @@
 // Figure 5: memory-latency axis. The paper's point is 200 cycles; the sweep
-// traces the whole axis. Its points differ only in memory latency, so the
-// default engine interprets and simulates each (workload, version) cell
-// once and prices that one structural pass at every latency.
+// traces the whole axis. Its points differ only in memory latency, so they
+// share one ride pass: each ride's simulations price every latency.
 #include "figure_common.h"
 
 int main(int argc, char** argv) {

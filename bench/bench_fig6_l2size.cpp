@@ -1,5 +1,5 @@
 // Figure 6: L2-size axis. The paper's point is 1 MB; the sweep traces the
-// whole axis via record-once/replay-many tapes.
+// whole axis, one ride pass per point.
 #include "figure_common.h"
 
 int main(int argc, char** argv) {

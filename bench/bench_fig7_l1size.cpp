@@ -1,5 +1,5 @@
 // Figure 7: L1D-size axis. The paper's point is 64K; the sweep traces the
-// whole axis via record-once/replay-many tapes.
+// whole axis, one ride pass per point.
 #include "figure_common.h"
 
 int main(int argc, char** argv) {

@@ -1,5 +1,5 @@
 // Figure 8: L2-associativity axis. The paper's point is 8-way; the sweep
-// traces the whole axis via record-once/replay-many tapes.
+// traces the whole axis, one ride pass per point.
 #include "figure_common.h"
 
 int main(int argc, char** argv) {

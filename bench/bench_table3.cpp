@@ -1,11 +1,12 @@
 // Table 3: average improvements of every version over the Base run, for the
 // six machine configurations and both hardware schemes — the paper's summary
-// table. Paper values are printed alongside for direct comparison.
+// table. Paper values are printed alongside for direct comparison. Takes
+// the shared figure-bench flags (figure_common.h); --max-points keeps the
+// first N machines.
 #include <chrono>
 #include <cstdio>
 
-#include "core/report.h"
-#include "core/runner.h"
+#include "figure_common.h"
 #include "support/table.h"
 
 using namespace selcache;
@@ -34,37 +35,44 @@ std::string cell(double measured, double paper) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto fopt = bench::parse_figure_options(argc, argv);
+  std::vector<core::MachineConfig> machines = core::all_machines();
+  if (fopt.max_points >= 0 &&
+      static_cast<std::size_t>(fopt.max_points) < machines.size())
+    machines.resize(static_cast<std::size_t>(fopt.max_points));
+
+  // One axis per scheme: the memory-latency machine rides with the base
+  // machine, and each other machine gets a ride pass of its own.
   const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::vector<core::ImprovementRow>> byp, vic;
+  const int rc = bench::guarded_sweep(
+      fopt, machines.size(), [&](core::RunOptions opt) {
+        const core::ParallelSweepOptions par{.num_threads = fopt.threads};
+        opt.scheme = hw::SchemeKind::Bypass;
+        byp = core::sweep_axis(machines, opt, par);
+        opt.scheme = hw::SchemeKind::Victim;
+        vic = core::sweep_axis(machines, opt, par);
+      });
+  if (rc != 0) return rc;
 
   TextTable t({"Experiment", "Pure Software", "Cache Bypass",
                "Combined (byp)", "Selective (byp)", "Victim Caches",
                "Combined (vic)", "Selective (vic)"});
-
-  const auto& machines = core::all_machines();
   for (std::size_t k = 0; k < machines.size(); ++k) {
-    core::RunOptions bypass;
-    bypass.scheme = hw::SchemeKind::Bypass;
-    const auto byp_rows = core::sweep_suite(machines[k], bypass);
-
-    core::RunOptions victim;
-    victim.scheme = hw::SchemeKind::Victim;
-    const auto vic_rows = core::sweep_suite(machines[k], victim);
-
     const auto avg = [](const std::vector<core::ImprovementRow>& rows,
                         core::Version v) {
       return core::average_improvement(rows, v);
     };
     const PaperRow& pr = kPaper[k];
     t.add_row({machines[k].name,
-               cell(avg(byp_rows, core::Version::PureSoftware), pr.pure_sw),
-               cell(avg(byp_rows, core::Version::PureHardware), pr.bypass),
-               cell(avg(byp_rows, core::Version::Combined), pr.comb_bypass),
-               cell(avg(byp_rows, core::Version::Selective), pr.sel_bypass),
-               cell(avg(vic_rows, core::Version::PureHardware), pr.victim),
-               cell(avg(vic_rows, core::Version::Combined), pr.comb_victim),
-               cell(avg(vic_rows, core::Version::Selective), pr.sel_victim)});
-    std::fprintf(stderr, "  [table3] %s done\n", machines[k].name.c_str());
+               cell(avg(byp[k], core::Version::PureSoftware), pr.pure_sw),
+               cell(avg(byp[k], core::Version::PureHardware), pr.bypass),
+               cell(avg(byp[k], core::Version::Combined), pr.comb_bypass),
+               cell(avg(byp[k], core::Version::Selective), pr.sel_bypass),
+               cell(avg(vic[k], core::Version::PureHardware), pr.victim),
+               cell(avg(vic[k], core::Version::Combined), pr.comb_victim),
+               cell(avg(vic[k], core::Version::Selective), pr.sel_victim)});
   }
 
   const auto dt =

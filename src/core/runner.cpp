@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -12,6 +11,8 @@
 #include "fault/injector.h"
 #include "store/store.h"
 #include "support/fingerprint.h"
+#include "support/run_guard.h"
+#include "support/signal_guard.h"
 #include "support/thread_pool.h"
 #include "tape/cache.h"
 #include "tape/multi_replayer.h"
@@ -343,6 +344,25 @@ bool pricing_shareable(const RunOptions& opt) {
          !opt.degrade.armed();
 }
 
+/// Points 0..n-1 in groups: each point joins the first group whose first
+/// point `joins` it, else starts a group of its own.
+template <typename Joins>
+std::vector<std::vector<std::size_t>> group_points(std::size_t n,
+                                                   const Joins& joins) {
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto g = std::find_if(
+        groups.begin(), groups.end(),
+        [&](const std::vector<std::size_t>& g) { return joins(g.front(), p); });
+    if (g != groups.end()) {
+      g->push_back(p);
+    } else {
+      groups.push_back({p});
+    }
+  }
+  return groups;
+}
+
 std::vector<MachineConfig> pick(const std::vector<MachineConfig>& machines,
                                 const std::vector<std::size_t>& idx) {
   std::vector<MachineConfig> out;
@@ -468,20 +488,12 @@ std::vector<RunResult> multi_replay_tape(
   // each of their latencies; every other point gets its own. Each
   // Simulation owns all of its mutable state, so the fan-out below never
   // shares anything but the immutable batch.
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < machines.size(); ++i) {
-    const auto joins = [&](const std::vector<std::size_t>& g) {
-      return pricing_shareable(opt) && trace_of(i) == nullptr &&
-             trace_of(g.front()) == nullptr &&
-             share_structure(machines[g.front()], machines[i]);
-    };
-    const auto g = std::find_if(groups.begin(), groups.end(), joins);
-    if (g != groups.end()) {
-      g->push_back(i);
-    } else {
-      groups.push_back({i});
-    }
-  }
+  const std::vector<std::vector<std::size_t>> groups =
+      group_points(machines.size(), [&](std::size_t a, std::size_t b) {
+        return pricing_shareable(opt) && trace_of(a) == nullptr &&
+               trace_of(b) == nullptr &&
+               share_structure(machines[a], machines[b]);
+      });
   std::vector<std::unique_ptr<Simulation>> sims;
   sims.reserve(groups.size());
   std::vector<cpu::TimingModel*> sinks;
@@ -594,60 +606,66 @@ RideGroups ride_groups(const ir::Program& original,
 
 namespace {
 
-/// How one cell (workload, version) of a ride sweep gets its result.
-enum class Route : char {
-  Ride,  ///< simulated in a ride group, or copied from Base / Pure Hardware
-  Done   ///< already served (a store hit)
-};
-
 /// One unit of a ride sweep: one interpretation of `code` driving one
-/// Simulation per version in `sims` (kAllVersions indices, ascending).
+/// Simulation per version in `sims` (kAllVersions indices, ascending), each
+/// pricing every point of structural group `group`.
 struct Ride {
   std::size_t wi = 0;
+  std::size_t group = 0;
   std::shared_ptr<const ir::Program> code{};
   std::vector<std::size_t> sims{};
   std::uint64_t refs = 0;  ///< code->dynamic_ref_count()
 };
 
-/// A ride sweep's units in (workload, first version) order, and the
-/// (copy, source) cell pairs; cell i is (workload i / 5, version i % 5).
-struct RidePlan {
-  std::vector<Ride> rides{};
-  std::vector<std::pair<std::size_t, std::size_t>> copies{};
+/// In structural group `group`, cell `copy` takes cell `source`'s results.
+struct Copy {
+  std::size_t group = 0;
+  std::size_t copy = 0;
+  std::size_t source = 0;
 };
 
-/// Plan the Route::Ride cells of `suite`. Each workload with such a cell
-/// builds its three products (a fraction of a millisecond each) and groups
-/// the cells by ride_groups. Then the critical-path rule: a ride whose
-/// simulated references exceed 1/threads of the sweep's total would outlast
-/// the rest of the sweep, so its versions become rides of one, each on its
-/// own product.
+/// A ride sweep's units in (group, workload, first version) order, and its
+/// copies; cell i is (workload i / 5, version i % 5).
+struct RidePlan {
+  std::vector<Ride> rides{};
+  std::vector<Copy> copies{};
+};
+
+/// Plan one ride pass per structural group g over the cells wanted[g] marks
+/// (the rest are store hits). Each workload with such a cell builds its
+/// three products once (a fraction of a millisecond each) and groups the
+/// cells by ride_groups. Then the critical-path rule: a ride whose
+/// simulated references exceed 1/threads of the whole sweep's total would
+/// outlast the rest of the sweep, so its versions become rides of one,
+/// each on its own product.
 RidePlan plan_rides(std::span<const workloads::WorkloadInfo> suite,
-                    const std::vector<Route>& route,
+                    const std::vector<std::vector<bool>>& wanted,
                     const transform::OptimizeOptions& optimize,
                     unsigned threads) {
   constexpr std::size_t nv = kAllVersions.size();
   using Products = std::array<std::shared_ptr<const ir::Program>, 3>;
   std::vector<Products> products(suite.size());
+  std::vector<RideGroups> rides_of(suite.size());
   RidePlan grouped;
-  for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-    const auto routed = [&](std::size_t vi, Route r) {
-      return route[wi * nv + vi] == r;
-    };
-    bool simulated = false;
-    for (std::size_t vi = 0; vi < nv; ++vi)
-      simulated = simulated || routed(vi, Route::Ride);
-    if (simulated) {
-      const ir::Program base = suite[wi].build();
+  for (std::size_t g = 0; g < wanted.size(); ++g) {
+    for (std::size_t wi = 0; wi < suite.size(); ++wi) {
+      const auto want = [&](std::size_t vi) { return wanted[g][wi * nv + vi]; };
+      bool any = false;
+      for (std::size_t vi = 0; vi < nv; ++vi) any = any || want(vi);
+      if (!any) continue;
       Products& p = products[wi];
-      for (std::size_t k = 0; k < p.size(); ++k)
-        p[k] = std::make_shared<const ir::Program>(
-            prepare_program(base, kAllVersions[2 * k], optimize));
-      const RideGroups g = ride_groups(*p[0], *p[1], *p[2]);
-      for (const std::vector<Version>& versions : g.rides) {
-        Ride r{.wi = wi};
+      if (p[0] == nullptr) {
+        const ir::Program base = suite[wi].build();
+        for (std::size_t k = 0; k < p.size(); ++k)
+          p[k] = std::make_shared<const ir::Program>(
+              prepare_program(base, kAllVersions[2 * k], optimize));
+        rides_of[wi] = ride_groups(*p[0], *p[1], *p[2]);
+      }
+      const RideGroups& rg = rides_of[wi];
+      for (const std::vector<Version>& versions : rg.rides) {
+        Ride r{.wi = wi, .group = g};
         for (Version v : versions)
-          if (routed(index_of(v), Route::Ride)) r.sims.push_back(index_of(v));
+          if (want(index_of(v))) r.sims.push_back(index_of(v));
         if (r.sims.empty()) continue;
         // The products of a ride's versions differ at most in Selective's
         // markers, so the last one serves every version.
@@ -655,9 +673,10 @@ RidePlan plan_rides(std::span<const workloads::WorkloadInfo> suite,
         r.refs = r.code->dynamic_ref_count();
         grouped.rides.push_back(std::move(r));
       }
-      for (std::size_t vi = 0; g.copies && vi < nv; ++vi)
-        if (product_of(vi) == 1 && routed(vi, Route::Ride))
-          grouped.copies.emplace_back(wi * nv + vi, wi * nv + vi - 2);
+      for (std::size_t vi = 0; rg.copies && vi < nv; ++vi)
+        if (product_of(vi) == 1 && want(vi))
+          grouped.copies.push_back(
+              {.group = g, .copy = wi * nv + vi, .source = wi * nv + vi - 2});
     }
   }
 
@@ -671,24 +690,24 @@ RidePlan plan_rides(std::span<const workloads::WorkloadInfo> suite,
       continue;
     }
     for (std::size_t vi : r.sims)
-      out.rides.push_back(
-          {.wi = r.wi, .code = products[r.wi][product_of(vi)], .sims = {vi}});
+      out.rides.push_back({.wi = r.wi,
+                           .group = r.group,
+                           .code = products[r.wi][product_of(vi)],
+                           .sims = {vi}});
   }
   return out;
 }
 
 /// Interpret r.code once, driving one Simulation per version of the ride,
-/// each pricing every machine of `group`; version vi's results land in
-/// out[vi]. A ride of one runs the plain engine on the version's own
-/// product.
-void run_ride(const Ride& r, const std::vector<MachineConfig>& group,
-              const RunOptions& opt, std::vector<RunResult>* out) {
-  if (r.sims.size() == 1) {
-    const std::size_t vi = r.sims.front();
-    out[vi] = simulate_group(*r.code, group, kAllVersions[vi], opt,
-                             /*trace_out=*/nullptr, /*builder=*/nullptr);
-    return;
-  }
+/// each pricing every machine of `group`; returns each version's results,
+/// in r.sims order. A ride of one runs the plain engine on the version's
+/// own product.
+std::vector<std::vector<RunResult>> run_ride(
+    const Ride& r, const std::vector<MachineConfig>& group,
+    const RunOptions& opt) {
+  if (r.sims.size() == 1)
+    return {simulate_group(*r.code, group, kAllVersions[r.sims.front()], opt,
+                           /*trace_out=*/nullptr, /*builder=*/nullptr)};
   std::vector<std::unique_ptr<Simulation>> sims;
   std::vector<cpu::TimingModel*> models;
   cpu::TimingModel* marked = nullptr;
@@ -701,32 +720,100 @@ void run_ride(const Ride& r, const std::vector<MachineConfig>& group,
   codegen::DataEnv env(*r.code, {.seed = opt.data_seed});
   FanOutModel fan(std::move(models), marked);
   codegen::BasicTraceEngine<FanOutModel>(*r.code, env, fan).run();
-  for (std::size_t k = 0; k < sims.size(); ++k)
-    out[r.sims[k]] = sims[k]->collect();
+  std::vector<std::vector<RunResult>> out;
+  out.reserve(sims.size());
+  for (const std::unique_ptr<Simulation>& sim : sims)
+    out.push_back(sim->collect());
+  return out;
 }
 
-/// Run the cells of `suite` at every machine of `group` (machines that
-/// share_structure) by ride groups; cells[i] holds cell i's results, one per
-/// machine. route[i] says how cell i is served: Ride cells are simulated
-/// (then `fresh(i)` runs, if given) or copied (then too), and Done cells
-/// are already in `cells`.
-void run_rides(std::span<const workloads::WorkloadInfo> suite,
-               const std::vector<MachineConfig>& group, const RunOptions& opt,
-               unsigned threads, const std::vector<Route>& route,
-               std::vector<std::vector<RunResult>>& cells,
-               const std::function<void(std::size_t)>& fresh) {
+/// sweep_axis's engine: cells[i][p] is cell i = (workload i / 5, version
+/// i % 5) at point p.
+std::vector<std::vector<RunResult>> run_rides(
+    std::span<const workloads::WorkloadInfo> suite,
+    const std::vector<MachineConfig>& machines, const RunOptions& opt,
+    unsigned threads) {
   constexpr std::size_t nv = kAllVersions.size();
-  const RidePlan plan = plan_rides(suite, route, opt.optimize, threads);
-  support::run_cells(plan.rides.size(), threads, [&](std::size_t k) {
-    const Ride& r = plan.rides[k];
-    run_ride(r, group, opt, &cells[r.wi * nv]);
-    if (fresh)
-      for (std::size_t vi : r.sims) fresh(r.wi * nv + vi);
-  });
-  for (const auto& [copy, source] : plan.copies) {
-    cells[copy] = cells[source];
-    if (fresh) fresh(copy);
+  const std::size_t n = suite.size() * nv;
+  const std::size_t np = machines.size();
+  std::vector<std::vector<RunResult>> cells(n, std::vector<RunResult>(np));
+  // missed[i * np + p]: cell i at point p is not served by the store.
+  std::vector<char> missed(n * np, 1);
+  std::vector<std::string> skeys;
+  const bool stored = store_eligible(opt, nullptr);
+  if (stored) {
+    skeys.resize(n * np);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t p = 0; p < np; ++p) {
+        std::string& key = skeys[i * np + p];
+        key = store_key(suite[i / nv], machines[p], kAllVersions[i % nv], opt);
+        if (std::optional<store::StoredResult> hit =
+                opt.result_store->load(key)) {
+          cells[i][p] = from_stored(*hit);
+          missed[i * np + p] = 0;
+        }
+      }
+    }
   }
+
+  const std::vector<std::vector<std::size_t>> groups =
+      group_points(np, [&](std::size_t a, std::size_t b) {
+        return share_structure(machines[a], machines[b]);
+      });
+  std::vector<std::vector<bool>> wanted(groups.size(),
+                                        std::vector<bool>(n, false));
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t p : groups[g])
+        if (missed[i * np + p] != 0) wanted[g][i] = true;
+  const RidePlan plan = plan_rides(suite, wanted, opt.optimize, threads);
+
+  // Cell i's results at the points of group g, kept (and saved) where the
+  // store missed.
+  const auto settle = [&](std::size_t i, std::size_t g,
+                          std::vector<RunResult> rs) {
+    for (std::size_t k = 0; k < rs.size(); ++k) {
+      const std::size_t p = groups[g][k];
+      if (missed[i * np + p] == 0) continue;
+      cells[i][p] = std::move(rs[k]);
+      if (stored)
+        opt.result_store->save(skeys[i * np + p], to_stored(cells[i][p]));
+    }
+  };
+  support::run_cells(plan.rides.size(), threads, [&](std::size_t u) {
+    if (support::SignalGuard::stop_requested()) return;
+    const Ride& r = plan.rides[u];
+    std::vector<std::vector<RunResult>> rs =
+        run_ride(r, pick(machines, groups[r.group]), opt);
+    for (std::size_t k = 0; k < rs.size(); ++k)
+      settle(r.wi * nv + r.sims[k], r.group, std::move(rs[k]));
+  });
+  if (support::SignalGuard::stop_requested())
+    throw support::RunSuspended("sweep stopped by a signal");
+  for (const Copy& c : plan.copies) {
+    std::vector<RunResult> rs;
+    for (std::size_t p : groups[c.group]) rs.push_back(cells[c.source][p]);
+    settle(c.copy, c.group, std::move(rs));
+  }
+  return cells;
+}
+
+/// rows[point] from cells[cell][point], in fixed (workload, version) order.
+std::vector<std::vector<ImprovementRow>> axis_rows(
+    std::span<const workloads::WorkloadInfo> suite,
+    std::vector<std::vector<RunResult>>& cells, std::size_t np) {
+  constexpr std::size_t nv = kAllVersions.size();
+  std::vector<std::vector<ImprovementRow>> rows(np);
+  for (std::size_t p = 0; p < np; ++p) {
+    rows[p].reserve(suite.size());
+    for (std::size_t wi = 0; wi < suite.size(); ++wi) {
+      std::array<RunResult, nv> results;
+      for (std::size_t vi = 0; vi < nv; ++vi)
+        results[vi] = std::move(cells[wi * nv + vi][p]);
+      rows[p].push_back(make_improvement_row(suite[wi], results));
+    }
+  }
+  return rows;
 }
 
 /// May a sweep's cells ride shared interpretations? Only where each would
@@ -737,44 +824,13 @@ bool rides_allowed(const RunOptions& opt) {
   return !opt.reuse_tape && pricing_shareable(opt) && opt.run_guard == nullptr;
 }
 
-/// A plain sweep of `suite` on machine m by ride groups. The store (if
-/// any) is consulted per version first; every fresh result, copies
-/// included, is saved under its own key.
-std::vector<std::vector<RunResult>> ride_sweep(
-    std::span<const workloads::WorkloadInfo> suite, const MachineConfig& m,
-    const RunOptions& opt, unsigned threads) {
-  constexpr std::size_t nv = kAllVersions.size();
-  const std::size_t n = suite.size() * nv;
-  std::vector<std::vector<RunResult>> cells(n);
-  std::vector<Route> route(n, Route::Ride);
-  std::vector<std::string> skeys;
-  const bool stored = store_eligible(opt, nullptr);
-  if (stored) {
-    skeys.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      skeys[i] = store_key(suite[i / nv], m, kAllVersions[i % nv], opt);
-      if (std::optional<store::StoredResult> hit =
-              opt.result_store->load(skeys[i])) {
-        cells[i] = {from_stored(*hit)};
-        route[i] = Route::Done;
-      }
-    }
-  }
-  const auto save = [&](std::size_t i) {
-    opt.result_store->save(skeys[i], to_stored(cells[i].front()));
-  };
-  run_rides(suite, {m}, opt, threads, route, cells,
-            stored ? std::function<void(std::size_t)>(save) : nullptr);
-  return cells;
-}
-
 }  // namespace
 
 SweepPlan plan_sweep(std::span<const workloads::WorkloadInfo> suite,
                      const RunOptions& opt, const ParallelSweepOptions& par) {
   const std::size_t n = suite.size() * kAllVersions.size();
   if (!rides_allowed(opt)) return {.interpretations = n, .simulations = n};
-  const RidePlan plan = plan_rides(suite, std::vector<Route>(n, Route::Ride),
+  const RidePlan plan = plan_rides(suite, {std::vector<bool>(n, true)},
                                    opt.optimize, par.num_threads);
   SweepPlan out{.interpretations = plan.rides.size(),
                 .copies = plan.copies.size()};
@@ -843,7 +899,7 @@ Cell run_cell(const workloads::WorkloadInfo& w, const MachineConfig& m,
 /// shared executor, then rows, the outcome ledger and trace captures are
 /// assembled in fixed (workload, version) order, so the result is
 /// bit-identical at any thread count. An untraced plain sweep runs by ride
-/// groups (ride_sweep); its ledger is left empty.
+/// groups (run_rides at one point); its ledger is left empty.
 ResilientSweep sweep_cells(std::span<const workloads::WorkloadInfo> suite,
                            const MachineConfig& m, const RunOptions& opt,
                            const ParallelSweepOptions& par,
@@ -851,17 +907,10 @@ ResilientSweep sweep_cells(std::span<const workloads::WorkloadInfo> suite,
                            std::vector<TraceCapture>* traces) {
   constexpr std::size_t nv = kAllVersions.size();
   if (!max_retries && traces == nullptr && rides_allowed(opt)) {
-    std::vector<std::vector<RunResult>> shared =
-        ride_sweep(suite, m, opt, par.num_threads);
-    ResilientSweep out;
-    out.rows.reserve(suite.size());
-    for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-      std::array<RunResult, nv> results;
-      for (std::size_t vi = 0; vi < nv; ++vi)
-        results[vi] = std::move(shared[wi * nv + vi].front());
-      out.rows.push_back(make_improvement_row(suite[wi], results));
-    }
-    return out;
+    std::vector<std::vector<RunResult>> cells =
+        run_rides(suite, {m}, opt, par.num_threads);
+    return {.rows = std::move(axis_rows(suite, cells, 1).front()),
+            .report = {}};
   }
   std::vector<Cell> cells(suite.size() * nv);
   support::run_cells(cells.size(), par.num_threads, [&](std::size_t i) {
@@ -903,6 +952,22 @@ std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
   return sweep_cells(workloads::all_workloads(), m, opt, par, std::nullopt,
                      traces)
       .rows;
+}
+
+std::vector<std::vector<ImprovementRow>> sweep_axis(
+    const std::vector<MachineConfig>& machines, const RunOptions& opt,
+    const ParallelSweepOptions& par,
+    std::span<const workloads::WorkloadInfo> suite) {
+  if (!rides_allowed(opt)) {
+    std::vector<std::vector<ImprovementRow>> rows;
+    for (const MachineConfig& m : machines)
+      rows.push_back(
+          sweep_cells(suite, m, opt, par, std::nullopt, nullptr).rows);
+    return rows;
+  }
+  std::vector<std::vector<RunResult>> cells =
+      run_rides(suite, machines, opt, par.num_threads);
+  return axis_rows(suite, cells, machines.size());
 }
 
 ResilientSweep sweep_resilient(
@@ -1008,13 +1073,12 @@ std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
                      "sweep_axis_shared_decode needs a tape-eligible run "
                      "(reuse_tape, no faults/watchdog/degrade)");
   const auto& suite = workloads::all_workloads();
-  const std::size_t nw = suite.size();
   const std::size_t nv = kAllVersions.size();
 
   // cells[wi * nv + vi][pi]: every result of the whole axis, computed
-  // cell-major (one decode per cell) and assembled point-major below in
-  // fixed order — the same rows per-point sweep_suite calls would build.
-  std::vector<std::vector<RunResult>> cells(nw * nv);
+  // cell-major (one decode per cell) and assembled point-major in fixed
+  // order — the same rows per-point sweep_suite calls would build.
+  std::vector<std::vector<RunResult>> cells;
   const bool one_group =
       !machines.empty() &&
       std::all_of(machines.begin(), machines.end(),
@@ -1024,26 +1088,15 @@ std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
   if (opt.result_store == nullptr && one_group) {
     // Without a store nothing reads a fresh tape, so the cells ride shared
     // interpretations.
-    run_rides(suite, machines, opt, par.num_threads,
-              std::vector<Route>(cells.size(), Route::Ride), cells, nullptr);
+    cells = run_rides(suite, machines, opt, par.num_threads);
   } else {
+    cells.resize(suite.size() * nv);
     support::run_cells(cells.size(), par.num_threads, [&](std::size_t i) {
       run_cell_shared_decode(suite[i / nv], kAllVersions[i % nv], machines,
                              opt, cells[i]);
     });
   }
-
-  std::vector<std::vector<ImprovementRow>> rows(machines.size());
-  for (std::size_t pi = 0; pi < machines.size(); ++pi) {
-    rows[pi].reserve(nw);
-    for (std::size_t wi = 0; wi < nw; ++wi) {
-      std::array<RunResult, 5> results;
-      for (std::size_t vi = 0; vi < nv; ++vi)
-        results[vi] = std::move(cells[wi * nv + vi][pi]);
-      rows[pi].push_back(make_improvement_row(suite[wi], results));
-    }
-  }
-  return rows;
+  return axis_rows(suite, cells, machines.size());
 }
 
 double average_improvement(const std::vector<ImprovementRow>& rows, Version v,

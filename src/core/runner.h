@@ -54,10 +54,11 @@ struct RunOptions {
   std::uint64_t watchdog_accesses = 0;
   /// Controller self-check policy; default-disarmed.
   hw::DegradePolicy degrade{};
-  /// Record-once / replay-many: serve this run from a trace tape when one
-  /// exists for its (workload, version, stream-fingerprint) key, recording
-  /// it on first use. Replay is bit-identical to interpretation, so machine
-  /// sweeps over a fixed cell matrix pay the IR pipeline once per cell.
+  /// Serve this run from a trace tape when one exists for its (workload,
+  /// version, stream-fingerprint) key, recording it on first use. Replay is
+  /// bit-identical to interpretation. No command sets it: the axis engine
+  /// (sweep_axis) shares interpretations through ride groups instead, and
+  /// only the benchmark harness and the tape layer's own tests use tapes.
   /// Fault-armed runs (a fault campaign or an access watchdog) always fall
   /// back to plain interpretation and never touch the cache.
   bool reuse_tape = false;
@@ -238,16 +239,35 @@ ImprovementRow improvements_for(const workloads::WorkloadInfo& w,
 /// (workload, version) order — also bit-identical across thread counts.
 ///
 /// Without traces, tapes, a run guard, or a fault, watchdog or degrade
-/// campaign, the unit of work is a ride group (ride_groups): one
-/// interpretation of a code product drives one Simulation per version it
-/// serves, and versions whose code equals Base's take its results. A store
-/// is consulted per version first; copies are saved under their own keys.
-/// The products are built before any cell runs, so a workload whose
-/// program fails to build throws then.
+/// campaign, this is the one-point case of sweep_axis: the unit of work is
+/// a ride group (ride_groups), one interpretation of a code product driving
+/// one Simulation per version it serves, and versions whose code equals
+/// Base's take its results. A store is consulted per version first; copies
+/// are saved under their own keys. The products are built before any cell
+/// runs, so a workload whose program fails to build throws then.
 std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
                                         const RunOptions& opt = {},
                                         const ParallelSweepOptions& par = {},
                                         std::vector<TraceCapture>* traces = nullptr);
+
+/// The suite at every point of a machine axis: rows[point], exactly as
+/// machines.size() sweep_suite calls would build them. Points that differ
+/// only in main-memory latency form one structural group, which gets one
+/// ride pass whose Simulations price all of its points; the units of every
+/// pass run on one support::run_cells call. The store (if attached) is read
+/// and written per (cell, point): a cell is simulated in a group when any
+/// of the group's points missed, and only missed points are saved, each as
+/// its unit finishes. Options that rule rides out (tapes, a run guard, a
+/// fault, watchdog or degrade campaign) run one sweep_suite per point.
+///
+/// Once support::SignalGuard::stop_requested() is set (only an installed
+/// guard that caught a signal sets it), no further unit starts and the call
+/// throws support::RunSuspended; cells already saved stay valid.
+std::vector<std::vector<ImprovementRow>> sweep_axis(
+    const std::vector<MachineConfig>& machines, const RunOptions& opt = {},
+    const ParallelSweepOptions& par = {},
+    std::span<const workloads::WorkloadInfo> suite =
+        workloads::all_workloads());
 
 /// Which versions of one workload one interpretation can drive, decided by
 /// ir::same_code on its three built code products (§4.4).
@@ -298,8 +318,8 @@ SweepPlan plan_sweep(std::span<const workloads::WorkloadInfo> suite,
 /// cell's one interpreted run prices the whole group of the first pending
 /// point, so a pure latency axis interprets and simulates each cell once.
 /// When every point shares structure with the first and no store is
-/// attached, nothing reads a tape: the cells run as sweep_suite's ride
-/// groups, so such an axis interprets each code product once and neither
+/// attached, nothing reads a tape: the cells run on sweep_axis's ride
+/// engine, so such an axis interprets each code product once and neither
 /// reads nor fills opt.tape_cache. Otherwise a cell's run records its tape
 /// only when something reads it: a pending point outside the group replays
 /// it, or a writable opt.result_store lets the caller keep it

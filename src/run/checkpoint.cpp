@@ -15,7 +15,6 @@
 #include "support/io.h"
 #include "support/run_guard.h"
 #include "support/thread_pool.h"
-#include "tape/cache.h"
 
 namespace selcache::run {
 
@@ -114,7 +113,6 @@ struct Engine {
   std::vector<const workloads::WorkloadInfo*> suite;
   std::unique_ptr<store::ResultStore> store;
   std::unique_ptr<JournalWriter> journal;
-  tape::TapeCache tapes;
   CrashHook crash;
   std::atomic<bool> journal_failed{false};
   bool has_run_deadline = false;
@@ -262,10 +260,7 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
   }
 
   eng.base_opt.scheme = *scheme;
-  eng.base_opt.reuse_tape = spec.reuse_tape;
-  eng.base_opt.tape_cache = &eng.tapes;
   eng.base_opt.result_store = eng.store.get();
-  if (spec.reuse_tape) eng.store->preload_tapes(eng.tapes);
 
   eng.journal = std::make_unique<JournalWriter>(journal_path(run_dir));
   if (!eng.journal->ok()) {
@@ -393,8 +388,6 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
     }
   }
 
-  if (spec.reuse_tape) eng.store->persist_tapes(eng.tapes);
-
   out.suspended = suspended || (!all_terminal && eng.stop_requested());
   out.complete = all_terminal && !out.suspended;
   if (out.suspended) {
@@ -455,12 +448,10 @@ CheckpointOutcome run_checkpointed(const std::string& run_dir,
   const JournalReadResult existing = read_journal(journal_path(run_dir));
   if (!existing.records.empty()) {
     // The directory already holds a run: only continue if it is THIS run.
-    const std::optional<RunSpec> prior = from_record(existing.records.front());
     CheckpointOutcome bad;
-    if (!prior) {
-      bad.error = "run directory has a journal but no usable run header";
-      return bad;
-    }
+    const std::optional<RunSpec> prior =
+        from_record(existing.records.front(), &bad.error);
+    if (!prior) return bad;
     if (run_id(*prior) != run_id(spec)) {
       bad.error = "run directory belongs to a different run (journal id " +
                   run_id(*prior) + ", requested " + run_id(spec) + ")";
@@ -478,11 +469,9 @@ CheckpointOutcome resume_checkpointed(const std::string& run_dir,
     bad.error = "no journal found in '" + run_dir + "'";
     return bad;
   }
-  const std::optional<RunSpec> spec = from_record(existing.records.front());
-  if (!spec) {
-    bad.error = "journal header is missing or fails its id check";
-    return bad;
-  }
+  const std::optional<RunSpec> spec =
+      from_record(existing.records.front(), &bad.error);
+  if (!spec) return bad;
   return execute(run_dir, *spec, opts, existing);
 }
 
@@ -493,11 +482,9 @@ RunStatus inspect_run(const std::string& run_dir) {
     st.error = "no journal found in '" + run_dir + "'";
     return st;
   }
-  const std::optional<RunSpec> spec = from_record(j.records.front());
-  if (!spec) {
-    st.error = "journal header is missing or fails its id check";
-    return st;
-  }
+  const std::optional<RunSpec> spec =
+      from_record(j.records.front(), &st.error);
+  if (!spec) return st;
   st.spec = *spec;
   st.id = run_id(*spec);
   st.torn_tail = j.torn_tail;

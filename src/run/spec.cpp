@@ -1,6 +1,7 @@
 #include "run/spec.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "support/fingerprint.h"
 
@@ -15,7 +16,6 @@ std::uint64_t spec_fingerprint(const RunSpec& spec) {
   h = fnv1a_str(h, spec.workload);
   h = fnv1a_str(h, spec.machine);
   h = fnv1a_str(h, spec.scheme);
-  h = fnv1a_u64(h, spec.reuse_tape ? 1 : 0);
   // Output paths are NOT part of the identity: the same run written to a
   // different CSV path is still the same run. Only inputs that change the
   // simulated bytes participate.
@@ -41,7 +41,6 @@ JournalRecord to_record(const RunSpec& spec) {
       .add("workload", spec.workload)
       .add("machine", spec.machine)
       .add("scheme", spec.scheme)
-      .add("reuse_tape", spec.reuse_tape ? std::string("1") : std::string("0"))
       .add("csv_out", spec.csv_out)
       .add("jsonl_out", spec.jsonl_out)
       .add("machine_fp", spec.machine_fp)
@@ -49,22 +48,34 @@ JournalRecord to_record(const RunSpec& spec) {
   return rec;
 }
 
-std::optional<RunSpec> from_record(const JournalRecord& rec) {
-  if (rec.type != "run") return std::nullopt;
+std::optional<RunSpec> from_record(const JournalRecord& rec,
+                                   std::string* why) {
+  const auto fail = [why](std::string reason) -> std::optional<RunSpec> {
+    if (why != nullptr) *why = std::move(reason);
+    return std::nullopt;
+  };
+  if (rec.type != "run")
+    return fail("journal header is missing or fails its id check");
+  // The format goes first: another format's header fails the id check too,
+  // and naming both formats says why.
+  const std::uint64_t format = rec.get_u64("format");
+  if (format != kRunFormatVersion)
+    return fail("run directory uses journal format " +
+                std::to_string(format) + "; this build reads format " +
+                std::to_string(kRunFormatVersion));
   RunSpec spec;
   spec.kind = rec.get("kind");
   spec.workload = rec.get("workload");
   spec.machine = rec.get("machine", "base");
   spec.scheme = rec.get("scheme", "bypass");
-  spec.reuse_tape = rec.get("reuse_tape") == "1";
   spec.csv_out = rec.get("csv_out");
   spec.jsonl_out = rec.get("jsonl_out");
   spec.machine_fp = rec.get_u64("machine_fp");
   spec.stream_fp = rec.get_u64("stream_fp");
-  // The embedded id must match the recomputed one: a hand-edited header or
-  // a journal from a different format version is rejected, not resumed.
-  if (rec.get("id") != run_id(spec)) return std::nullopt;
-  if (rec.get_u64("format") != kRunFormatVersion) return std::nullopt;
+  // The embedded id must match the recomputed one: a hand-edited header is
+  // rejected, not resumed.
+  if (rec.get("id") != run_id(spec))
+    return fail("journal header is missing or fails its id check");
   return spec;
 }
 

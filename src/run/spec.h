@@ -3,7 +3,7 @@
 //
 // The RunSpec captures every input that shapes the run's output — the cell
 // matrix (kind + workload), the machine and scheme (by their stable CLI
-// short ids), the tape-reuse flag, and the output paths the CLI will write.
+// short ids), and the output paths the CLI will write.
 // The RunId is an FNV-1a fingerprint over the spec plus the machine/stream
 // fingerprints core already derives for the result store, so two
 // invocations get the same id exactly when an uninterrupted run of either
@@ -27,16 +27,16 @@ struct RunSpec {
   std::string workload;  ///< workload name; empty for a suite
   std::string machine = "base";   ///< CLI short id (base, memlat, ...)
   std::string scheme = "bypass";  ///< CLI short id (bypass, victim, none)
-  bool reuse_tape = false;
   std::string csv_out;    ///< --csv-out path ("" = none)
   std::string jsonl_out;  ///< --jsonl-out path ("" = none)
   std::uint64_t machine_fp = 0;  ///< core::machine_fingerprint
   std::uint64_t stream_fp = 0;   ///< core::stream_fingerprint
 };
 
-/// Journal format version; part of the RunId, so a format change orphans
-/// old run dirs loudly (id mismatch) instead of mis-resuming them.
-inline constexpr std::uint32_t kRunFormatVersion = 1;
+/// Journal format version; part of the RunId and checked before it, so a
+/// run dir in another format is refused by name instead of mis-resumed.
+/// Format 2 dropped the header's tape-reuse flag.
+inline constexpr std::uint32_t kRunFormatVersion = 2;
 
 /// 16-hex-digit content fingerprint of the spec.
 std::string run_id(const RunSpec& spec);
@@ -45,7 +45,10 @@ std::string run_id(const RunSpec& spec);
 JournalRecord to_record(const RunSpec& spec);
 
 /// Rebuild a spec from a journal header; nullopt if `rec` is not a "run"
-/// record or the embedded id does not match the recomputed one.
-std::optional<RunSpec> from_record(const JournalRecord& rec);
+/// record, is in another journal format, or its embedded id does not match
+/// the recomputed one. `why` (optional) then receives the reason, e.g.
+/// "run directory uses journal format 1; this build reads format 2".
+std::optional<RunSpec> from_record(const JournalRecord& rec,
+                                   std::string* why = nullptr);
 
 }  // namespace selcache::run

@@ -280,16 +280,16 @@ std::string ResultStore::last_write_error() const {
   return last_write_error_;
 }
 
-std::string ResultStore::summary(std::size_t tapes) const {
+std::string ResultStore::summary() const {
   const StoreCounters c = counters();
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "store: %llu hits, %llu misses (%llu corrupt), %llu cells"
-                " written, %zu tapes persisted -> ",
+                " written -> ",
                 static_cast<unsigned long long>(c.hits),
                 static_cast<unsigned long long>(c.misses),
                 static_cast<unsigned long long>(c.corrupt),
-                static_cast<unsigned long long>(c.writes), tapes);
+                static_cast<unsigned long long>(c.writes));
   return buf + dir_;
 }
 

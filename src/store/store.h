@@ -5,9 +5,9 @@
 // simulation; its key is a readable string that embeds fingerprints of
 // everything the result depends on plus a store format version (see
 // core::store_key). Values are the cell's full StatSet snapshot and scalar
-// results. The store also persists recorded trace tapes (tape::TapeCache
-// entries) through the same directory, so figure benches replay from disk
-// on their second run.
+// results. The store can also persist recorded trace tapes (tape::TapeCache
+// entries) through the same directory; no command does, and only the
+// benchmark harness and the tape layer's tests use that half.
 //
 // Layout under the store directory:
 //
@@ -144,9 +144,8 @@ class ResultStore {
   std::string last_write_error() const;
 
   /// The one-line accounting a sweep prints to stderr when it is done, e.g.
-  /// "store: 3 hits, 2 misses (0 corrupt), 2 cells written, 0 tapes
-  /// persisted -> DIR" (`tapes` is what persist_tapes returned).
-  std::string summary(std::size_t tapes) const;
+  /// "store: 3 hits, 2 misses (0 corrupt), 2 cells written -> DIR".
+  std::string summary() const;
 
  private:
   std::string cell_path(const std::string& key) const;

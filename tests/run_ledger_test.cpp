@@ -165,7 +165,6 @@ RunSpec demo_spec() {
   s.workload = "TPC-D,Q6";
   s.machine = "base";
   s.scheme = "bypass";
-  s.reuse_tape = false;
   s.machine_fp = core::machine_fingerprint(core::base_machine());
   s.stream_fp = core::stream_fingerprint({});
   return s;
@@ -183,7 +182,7 @@ TEST(RunSpec, IdIsStableAndSensitiveToInputs) {
   c.machine = "memlat";
   EXPECT_NE(run_id(a), run_id(c));
   RunSpec d = a;
-  d.reuse_tape = true;
+  d.scheme = "victim";
   EXPECT_NE(run_id(a), run_id(d));
   RunSpec e = a;
   e.machine_fp ^= 1;
@@ -379,6 +378,32 @@ TEST_F(CheckpointTest, SpecMismatchIsRejected) {
   const auto out = run_checkpointed(dir_, other, {});
   EXPECT_FALSE(out.error.empty())
       << "a run dir must refuse a different spec";
+}
+
+/// A run directory written in journal format 1 (whose header still carried
+/// reuse_tape) is refused by every entry point, naming both formats.
+TEST_F(CheckpointTest, OldJournalFormatIsRefusedByName) {
+  fs::create_directories(dir_);
+  {
+    JournalWriter j((fs::path(dir_) / "journal.wal").string());
+    ASSERT_TRUE(j.append(JournalRecord("run")
+                             .add("id", "0123456789abcdef")
+                             .add("format", std::uint64_t{1})
+                             .add("kind", "sweep")
+                             .add("workload", "TPC-D,Q6")
+                             .add("machine", "base")
+                             .add("scheme", "bypass")
+                             .add("reuse_tape", "0")
+                             .add("csv_out", "")
+                             .add("jsonl_out", "")
+                             .add("machine_fp", std::uint64_t{1})
+                             .add("stream_fp", std::uint64_t{2})));
+  }
+  const std::string want =
+      "run directory uses journal format 1; this build reads format 2";
+  EXPECT_EQ(resume_checkpointed(dir_, {}).error, want);
+  EXPECT_EQ(inspect_run(dir_).error, want);
+  EXPECT_EQ(run_checkpointed(dir_, demo_spec(), {}).error, want);
 }
 
 TEST_F(CheckpointTest, ResumeWithoutJournalIsAnError) {

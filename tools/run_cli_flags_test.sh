@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CLI contract for the predict subcommands plus the replay-engine flags
-# (--batch / tape --stat), checkpointed sweeps (--run-dir) and run-file's
-# loop-step check: unknown flags, unknown commands and malformed
+# CLI contract for the predict subcommands plus the removed tape engine
+# (--batch, --reuse-tape, tape), checkpointed sweeps (--run-dir) and
+# run-file's loop-step check: unknown flags, unknown commands and malformed
 # invocations must exit 2 (same as every other subcommand), good runs 0,
 # and a failed cross-check 1.
 #
@@ -43,16 +43,18 @@ expect 0 "$cli" predict Perl base                    # non-analyzable is not an 
 expect 0 "$cli" predict Vpenta base --check
 expect 0 "$cli" predict Vpenta base --check --predict-classify
 
-# Replay-engine flags: a --batch value that does not parse as a plain
-# number must fail loudly (not silently flip the engine), and tape --stat
-# is an ordinary healthy invocation.
+# No command reaches the tape engine: --batch and --reuse-tape are unknown
+# flags and tape is an unknown command.
 expect 2 "$cli" sweep --workload Perl --batch abc
 expect 2 "$cli" sweep --workload Perl --batch -1
 expect 2 "$cli" sweep --workload Perl --batch            # value flag, no value
 expect 2 "$cli" suite --batch 1e9
+expect 2 "$cli" suite --batch 512
 expect 2 "$cli" tape Perl base --stat --bogus
-expect 0 "$cli" sweep --workload Perl --reuse-tape --batch 512
-expect 0 "$cli" tape Perl base --stat
+expect 2 "$cli" sweep --workload Perl --reuse-tape --batch 512
+expect 2 "$cli" sweep --workload Perl --reuse-tape
+expect 2 "$cli" tape Perl base --stat
+expect 2 "$cli" tape Perl base
 
 # A checkpointed sweep parses its flags like every other sweep: a malformed
 # value exits 2 before the run directory is touched.
@@ -66,9 +68,8 @@ printf 'program neg\narray A 16\nfor i = 0 .. 16 step -1 {\n  load A[i]\n}\n' \
   > "$tmp/neg_step.loop"
 expect 2 timeout 10 "$cli" run-file "$tmp/neg_step.loop"
 
-# No kernel switch (the build target picks the probe kernel) and no second
-# stream format (tapes are the only recording): a usage error and unknown
-# commands.
+# No kernel switch (the build target picks the probe kernel) and no stream
+# recording commands: a usage error and unknown commands.
 expect 2 "$cli" sweep --workload Perl --no-simd
 expect 2 "$cli" suite --no-simd
 expect 2 "$cli" trace-record --workload Perl --out "$tmp/perl.trace"

@@ -30,10 +30,12 @@ echo "traced sweep: serial and parallel outputs identical"
 # Shared interpretation under sanitizers: the 4-thread suite runs ride
 # groups, where one interpretation fans out to up to three simulations and
 # copies fill the versions whose code equals Base's. It must print what the
-# per-version tape engine prints. (The ctest run above includes the
-# same_code, reference-count and ride-planner unit tests.)
+# checkpoint engine prints, which runs run_version once per cell. (The
+# ctest run above includes the same_code, reference-count and ride-planner
+# unit tests.)
 "$cli" suite --threads 4 > "$tracedir/shared.txt"
-"$cli" suite --threads 4 --reuse-tape > "$tracedir/per_version.txt"
+"$cli" suite --threads 4 --run-dir "$tracedir/per_version" \
+  > "$tracedir/per_version.txt"
 diff "$tracedir/shared.txt" "$tracedir/per_version.txt"
 echo "shared suite: ride groups and per-version cells identical"
 
@@ -54,28 +56,6 @@ diff "$tracedir/fserial.csv" "$tracedir/fparallel.csv"
 diff "$tracedir/fserial.txt" "$tracedir/fparallel.txt"
 echo "faulted sweep: serial and parallel outputs identical"
 
-# Batched multi-config replay under sanitizers: a shared-decode sweep
-# (--reuse-tape --batch) must be byte-identical to the classic streaming
-# replay (the batch fan-out is where a lifetime bug would hide).
-"$cli" sweep --workload Compress --threads 1 --reuse-tape --batch 512 \
-  --trace-dir "$tracedir/batched" > /dev/null
-diff -r "$tracedir/serial" "$tracedir/batched"
-echo "batched sweep: streaming and batched replay outputs identical"
-
-# Tape replay equivalence under sanitizers: a traced sweep must be
-# byte-identical whether each cell is interpreted or replayed from its
-# recorded tape (encoder/decoder memory errors would surface here).
-"$cli" sweep --workload Compress --threads 1 --reuse-tape \
-  --trace-dir "$tracedir/taped" \
-  | sed "s|$tracedir/taped|TRACEDIR|" > "$tracedir/taped.txt"
-"$cli" sweep --workload Compress --threads 1 \
-  --trace-dir "$tracedir/interp" \
-  | sed "s|$tracedir/interp|TRACEDIR|" > "$tracedir/interp.txt"
-diff -r "$tracedir/serial" "$tracedir/taped"
-diff -r "$tracedir/interp" "$tracedir/taped"
-diff "$tracedir/interp.txt" "$tracedir/taped.txt"
-echo "taped sweep: interpreted and replayed outputs identical"
-
 # Persistent-store round trip under sanitizers: a warm sweep served from
 # the store must be byte-identical to the cold run that filled it, and a
 # truncated cell must degrade to a miss (re-simulated, healed, same rows).
@@ -92,9 +72,6 @@ mv "$storedir/trunc.tmp" "$storedir/cells/$victim"
   > "$tracedir/store_healed.txt"
 diff "$tracedir/store_cold.txt" "$tracedir/store_healed.txt"
 echo "stored sweep: cold, warm, and healed outputs identical"
-
-# Record-once/replay-many figure sweep, also under sanitizers.
-tools/run_tape_figure_test.sh build-asan/bench/bench_fig5_memlat
 
 # End-to-end failure isolation (injected crashes quarantine only their
 # cells), also under sanitizers.

@@ -36,12 +36,14 @@ fi
 
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
-  parallel_runner_test thread_pool_test tape_test tape_equivalence_test \
-  multi_replay_test fault_test run_ledger_test selcache
+  parallel_runner_test axis_test thread_pool_test tape_test \
+  tape_equivalence_test multi_replay_test fault_test run_ledger_test selcache
 
 # The concurrency-heavy tests: parallel sweep determinism (the shared
 # ride-group legs at 1, 4 and 8 threads against solo runs on a pool; a
-# ride's simulations all run on one task), the pool itself,
+# ride's simulations all run on one task), the axis engine (units of
+# several structural groups on one pool, saving store cells as they
+# finish, and a noted signal stopping them), the pool itself,
 # tape record/replay equivalence (shared tape cache), the batched
 # multi-config fan-out (one task per sink per batch), the resilient
 # sweep's failure isolation, and the checkpoint engine (its cells share the
@@ -51,7 +53,7 @@ cmake --build --preset tsan -j "$(nproc)" --target \
 # fan-out code at --threads 4, and the big ones run in the plain and ASan
 # lanes.
 ctest --preset tsan -j 2 \
-  -R 'SweepDeterminism|ParallelSweep|ThreadPool|RunCells|Tape|MultiReplay|Resilient|FaultSweep|Checkpoint|parallel' \
+  -R 'SweepDeterminism|SweepAxis|ParallelSweep|ThreadPool|RunCells|Tape|MultiReplay|Resilient|FaultSweep|Checkpoint|parallel' \
   -E 'MultiReplay.FullMatrix|MultiReplay.SharedDecode' "$@"
 
 # A real multi-threaded sweep end to end (4 workers over the full matrix),

@@ -9,7 +9,6 @@
 //   selcache run-file PROGRAM.loop [--machine M] [--version V] [--scheme S]
 //   selcache trace WORKLOAD VERSION [--machine M] [--scheme S] [--epoch N]
 //                [--events-out FILE] [--metrics-out FILE] [--csv-out FILE]
-//   selcache tape WORKLOAD VERSION [--machine M] [--scheme S] [--out FILE]
 //   selcache verify [FILE.loop] [--workload NAME] [--version V] [--csv]
 //   selcache predict WORKLOAD VERSION [--machine M] [--csv] [--check]
 //                [--predict-classify] [--threshold T] [--capacity-fraction F]
@@ -57,12 +56,10 @@
 #include "analysis/marker_elimination.h"
 #include <fstream>
 
-#include "tape/tape.h"
 #include "core/report.h"
 #include "core/runner.h"
 #include "ir/parser.h"
 #include "locality/crosscheck.h"
-#include "tape/multi_replayer.h"
 #include "locality/format.h"
 #include "locality/predictor.h"
 #include "ir/printer.h"
@@ -70,7 +67,6 @@
 #include "store/store.h"
 #include "support/signal_guard.h"
 #include "support/table.h"
-#include "tape/cache.h"
 #include "trace/jsonl.h"
 #include "trace/timeline.h"
 #include "transform/pipeline.h"
@@ -88,8 +84,7 @@ int usage() {
                " [--scheme S] [--threshold T] [--stats]\n"
                "  selcache sweep --workload NAME [--machine M] [--scheme S]"
                " [--threads N]\n"
-               "                 [--trace-dir DIR] [--epoch N] [--reuse-tape]"
-               " [--batch N]\n"
+               "                 [--trace-dir DIR] [--epoch N]\n"
                "                 [--store DIR] [--store-readonly]"
                " [--store-clear]\n"
                "                 [--run-dir DIR] [--deadline-ms N]"
@@ -97,9 +92,7 @@ int usage() {
                "                 [--cell-retries N] [--retry-backoff-ms N]"
                " [--csv-out F] [--jsonl-out F]\n"
                "  selcache suite [--machine M] [--scheme S] [--threads N]"
-               " [--verify-pipeline] [--trace-dir DIR] [--epoch N]"
-               " [--reuse-tape]\n"
-               "                 [--batch N]\n"
+               " [--verify-pipeline] [--trace-dir DIR] [--epoch N]\n"
                "                 [--store DIR] [--store-readonly]"
                " [--store-clear]\n"
                "                 [--run-dir DIR] [--deadline-ms N]"
@@ -117,8 +110,6 @@ int usage() {
                " [--epoch N]\n"
                "                 [--events-out F] [--metrics-out F]"
                " [--csv-out F]\n"
-               "  selcache tape  WORKLOAD VERSION [--machine M] [--scheme S]"
-               " [--out FILE] [--stat]\n"
                "  selcache verify [FILE.loop] [--workload NAME] [--version V]"
                " [--csv]\n"
                "  selcache predict WORKLOAD VERSION [--machine M] [--csv]"
@@ -439,23 +430,6 @@ bool parse_threads_flag(const std::map<std::string, std::string>& flags,
   return true;
 }
 
-/// Parse --batch (ops per decoded replay batch; 0 = classic streaming
-/// replay). Returns false after a diagnostic on a malformed value.
-bool parse_engine_flags(const std::map<std::string, std::string>& flags,
-                        core::RunOptions* opt) {
-  std::uint64_t b = opt->batch;
-  if (!parse_u64_flag(flags, "batch", &b)) return false;
-  if (b > 0xffffffffULL) {
-    std::fprintf(stderr,
-                 "selcache: flag '--batch' out of range (max 2^32-1), "
-                 "got '%s'\n",
-                 flags.at("batch").c_str());
-    return false;
-  }
-  opt->batch = static_cast<std::uint32_t>(b);
-  return true;
-}
-
 /// Parse the fault-campaign flags shared by faultsim and sweep/suite into
 /// a FaultConfig + DegradePolicy + watchdog. Returns false after a one-line
 /// diagnostic.
@@ -665,104 +639,10 @@ int cmd_faultsim(const std::string& wname, const std::string& vname,
   }
 }
 
-int cmd_tape(const std::string& wname, const std::string& vname,
-             const std::map<std::string, std::string>& flags) {
-  const auto* w = workload_by_name(wname);
-  if (w == nullptr) {
-    std::fprintf(stderr, "selcache: unknown workload '%s'\n", wname.c_str());
-    return 2;
-  }
-  const auto version = version_by_name(vname);
-  if (!version) {
-    std::fprintf(stderr, "selcache: unknown version '%s'\n", vname.c_str());
-    return 2;
-  }
-  const auto machine =
-      machine_by_name(flags.count("machine") ? flags.at("machine") : "");
-  const auto scheme =
-      scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
-  if (!machine || !scheme) return usage();
-
-  core::RunOptions opt;
-  opt.scheme = *scheme;
-  core::RunResult r;
-  const tape::Tape t = core::record_tape(*w, *machine, *version, opt, &r);
-  const double accesses = static_cast<double>(t.stats.data_accesses());
-  std::printf("%s / %s tape: %llu bytes, %llu data accesses"
-              " (%.3f bytes/access)\n",
-              w->name.c_str(), core::version_key(*version),
-              static_cast<unsigned long long>(t.bytes.size()),
-              static_cast<unsigned long long>(t.stats.data_accesses()),
-              accesses > 0 ? static_cast<double>(t.bytes.size()) / accesses
-                           : 0.0);
-  std::printf("  recording run: %llu cycles, L1 miss %.2f%%\n",
-              static_cast<unsigned long long>(r.cycles),
-              100.0 * r.l1_miss_rate);
-  if (flags.count("stat")) {
-    // Decoded-op histogram: the exact call stream the batched multi-replay
-    // engine feeds each machine point, and how many fan-out batches the
-    // default batch size cuts it into (the numbers kDefaultBatchOps was
-    // sized from).
-    struct CountingSink {
-      std::uint64_t loads = 0, stores = 0, ifetches = 0, branches = 0,
-                    computes = 0, toggles = 0;
-      void load(Addr, bool) { ++loads; }
-      void store(Addr) { ++stores; }
-      void touch_code(Addr, std::uint32_t) { ++ifetches; }
-      void branch(Addr, bool) { ++branches; }
-      void compute(std::uint64_t) { ++computes; }
-      void toggle(bool, std::int32_t) { ++toggles; }
-    } c;
-    tape::replay_into(t, c);
-    const std::uint64_t total = c.loads + c.stores + c.ifetches +
-                                c.branches + c.computes + c.toggles;
-    const auto pct = [total](std::uint64_t n) {
-      return total > 0 ? 100.0 * static_cast<double>(n) /
-                             static_cast<double>(total)
-                       : 0.0;
-    };
-    std::printf("  decoded ops: %llu total\n",
-                static_cast<unsigned long long>(total));
-    std::printf("    load    %12llu  (%5.1f%%)\n",
-                static_cast<unsigned long long>(c.loads), pct(c.loads));
-    std::printf("    store   %12llu  (%5.1f%%)\n",
-                static_cast<unsigned long long>(c.stores), pct(c.stores));
-    std::printf("    ifetch  %12llu  (%5.1f%%)\n",
-                static_cast<unsigned long long>(c.ifetches), pct(c.ifetches));
-    std::printf("    branch  %12llu  (%5.1f%%)\n",
-                static_cast<unsigned long long>(c.branches), pct(c.branches));
-    std::printf("    compute %12llu  (%5.1f%%)\n",
-                static_cast<unsigned long long>(c.computes), pct(c.computes));
-    std::printf("    toggle  %12llu  (%5.1f%%)\n",
-                static_cast<unsigned long long>(c.toggles), pct(c.toggles));
-    const std::uint64_t batches =
-        (total + tape::kDefaultBatchOps - 1) / tape::kDefaultBatchOps;
-    std::printf("  batches: %llu of up to %u ops (default --batch %u)\n",
-                static_cast<unsigned long long>(batches),
-                tape::kDefaultBatchOps, tape::kDefaultBatchOps);
-  }
-  if (flags.count("out")) {
-    if (!tape::save_tape(t, flags.at("out"))) {
-      std::fprintf(stderr, "selcache: cannot write %s\n",
-                   flags.at("out").c_str());
-      return 2;
-    }
-    std::printf("  saved to %s\n", flags.at("out").c_str());
-  }
-  return 0;
-}
-
-/// The tape cache a store-enabled sweep records into / replays from.
-tape::TapeCache& sweep_tape_cache(const core::RunOptions& opt) {
-  return opt.tape_cache != nullptr ? *opt.tape_cache
-                                   : tape::TapeCache::global();
-}
-
 /// Open the persistent result store requested by --store/--store-readonly/
 /// --store-clear into `opt`. Returns the owning handle (nullptr when no
 /// store was requested); sets *ok=false after a one-line diagnostic on
-/// misuse or an un-creatable directory. Preloads persisted tapes when the
-/// sweep replays tapes, so figure-style warm runs skip recording too.
+/// misuse or an un-creatable directory.
 std::unique_ptr<store::ResultStore> open_store_flags(
     const std::map<std::string, std::string>& flags, core::RunOptions* opt,
     bool* ok) {
@@ -789,7 +669,6 @@ std::unique_ptr<store::ResultStore> open_store_flags(
     auto s = std::make_unique<store::ResultStore>(
         flags.at("store"), store::ResultStore::Options{.read_only = read_only});
     if (clear) s->clear();
-    if (opt->reuse_tape) s->preload_tapes(sweep_tape_cache(*opt));
     opt->result_store = s.get();
     return s;
   } catch (const std::exception& e) {
@@ -799,14 +678,10 @@ std::unique_ptr<store::ResultStore> open_store_flags(
   }
 }
 
-/// Persist freshly recorded tapes and report the store's hit/miss ledger.
-/// Accounting goes to stderr: stdout must stay byte-identical between a
-/// cold and a warm run.
-void finish_store(store::ResultStore* s, const core::RunOptions& opt) {
-  if (s == nullptr) return;
-  std::size_t tapes = 0;
-  if (opt.reuse_tape) tapes = s->persist_tapes(sweep_tape_cache(opt));
-  std::fprintf(stderr, "%s\n", s->summary(tapes).c_str());
+/// Report the store's hit/miss ledger. Accounting goes to stderr: stdout
+/// must stay byte-identical between a cold and a warm run.
+void finish_store(const store::ResultStore* s) {
+  if (s != nullptr) std::fprintf(stderr, "%s\n", s->summary().c_str());
 }
 
 /// `selcache store ACTION --store DIR` — inspect or prune a store.
@@ -1000,7 +875,6 @@ int cmd_checkpointed(const std::string& kind,
   spec.workload = w != nullptr ? w->name : "";
   spec.machine = flags.count("machine") ? flags.at("machine") : "base";
   spec.scheme = flags.count("scheme") ? flags.at("scheme") : "bypass";
-  spec.reuse_tape = opt.reuse_tape;
   if (flags.count("csv-out")) spec.csv_out = flags.at("csv-out");
   if (flags.count("jsonl-out")) spec.jsonl_out = flags.at("jsonl-out");
   spec.machine_fp = core::machine_fingerprint(machine);
@@ -1101,11 +975,9 @@ int cmd_sweep(const std::map<std::string, std::string>& flags, bool suite) {
   if ((!suite && w == nullptr) || !machine || !scheme) return usage();
   core::RunOptions opt;
   opt.scheme = *scheme;
-  opt.reuse_tape = flags.count("reuse-tape") > 0;
   core::ParallelSweepOptions par;
   if (!parse_threads_flag(flags, &par.num_threads) ||
-      !parse_epoch_flag(flags, &opt.trace_epoch) ||
-      !parse_engine_flags(flags, &opt))
+      !parse_epoch_flag(flags, &opt.trace_epoch))
     return 2;
   if (flags.count("verify-pipeline")) {
     std::vector<const workloads::WorkloadInfo*> ws;
@@ -1157,7 +1029,7 @@ int cmd_sweep(const std::map<std::string, std::string>& flags, bool suite) {
     const int frc = emit_failure_report(*report, flags);
     if (rc == 0) rc = frc;
   }
-  finish_store(rstore.get(), opt);
+  finish_store(rstore.get());
   const int erc = emit_figure_files(
       rows, flags.count("csv-out") ? flags.at("csv-out") : "",
       flags.count("jsonl-out") ? flags.at("jsonl-out") : "");
@@ -1507,20 +1379,20 @@ int main(int argc, char** argv) {
       {"sweep",
        {"sweep",
         {"workload", "machine", "scheme", "threads", "trace-dir", "epoch",
-         "batch", "fault-kind", "fault-rate", "fault-seed", "fault-budget",
-         "watchdog-accesses", "max-retries", "failures-out", "failures-jsonl",
-         "store", "run-dir", "deadline-ms", "cell-deadline-ms",
-         "cell-retries", "retry-backoff-ms", "csv-out", "jsonl-out"},
-        {"inject-faults", "integrity-checks", "reuse-tape", "store-readonly",
-         "store-clear"}}},
-      {"suite",
-       {"suite",
-        {"machine", "scheme", "threads", "trace-dir", "epoch", "batch",
          "fault-kind", "fault-rate", "fault-seed", "fault-budget",
          "watchdog-accesses", "max-retries", "failures-out", "failures-jsonl",
          "store", "run-dir", "deadline-ms", "cell-deadline-ms",
          "cell-retries", "retry-backoff-ms", "csv-out", "jsonl-out"},
-        {"verify-pipeline", "inject-faults", "integrity-checks", "reuse-tape",
+        {"inject-faults", "integrity-checks", "store-readonly",
+         "store-clear"}}},
+      {"suite",
+       {"suite",
+        {"machine", "scheme", "threads", "trace-dir", "epoch", "fault-kind",
+         "fault-rate", "fault-seed", "fault-budget",
+         "watchdog-accesses", "max-retries", "failures-out", "failures-jsonl",
+         "store", "run-dir", "deadline-ms", "cell-deadline-ms",
+         "cell-retries", "retry-backoff-ms", "csv-out", "jsonl-out"},
+        {"verify-pipeline", "inject-faults", "integrity-checks",
          "store-readonly", "store-clear"}}},
       {"store", {"store", {"store", "max-bytes"}, {}}},
       {"resume",
@@ -1540,7 +1412,6 @@ int main(int argc, char** argv) {
         {"machine", "scheme", "epoch", "events-out", "metrics-out",
          "csv-out"},
         {}}},
-      {"tape", {"tape", {"machine", "scheme", "out"}, {"stat"}}},
       {"verify", {"verify", {"workload", "version"}, {"csv"}}},
       {"predict",
        {"predict", {"machine", "threshold", "capacity-fraction"},
@@ -1592,8 +1463,7 @@ int main(int argc, char** argv) {
     positional = argv[2];
     flag_start = 3;
   }
-  if (cmd == "trace" || cmd == "faultsim" || cmd == "tape" ||
-      cmd == "predict") {
+  if (cmd == "trace" || cmd == "faultsim" || cmd == "predict") {
     if (argc < 4 || std::string(argv[2]).rfind("--", 0) == 0 ||
         std::string(argv[3]).rfind("--", 0) == 0) {
       std::fprintf(stderr,
@@ -1618,7 +1488,6 @@ int main(int argc, char** argv) {
   if (cmd == "run-file") return cmd_run_file(positional, flags);
   if (cmd == "trace") return cmd_trace(positional, positional2, flags);
   if (cmd == "faultsim") return cmd_faultsim(positional, positional2, flags);
-  if (cmd == "tape") return cmd_tape(positional, positional2, flags);
   if (cmd == "store") return cmd_store(positional, flags);
   if (cmd == "resume") return cmd_resume(positional, flags);
   if (cmd == "predict") return cmd_predict(positional, positional2, flags);
