@@ -36,7 +36,6 @@
 #include "core/report.h"
 #include "core/runner.h"
 #include "store/store.h"
-#include "support/run_guard.h"
 #include "support/signal_guard.h"
 
 namespace selcache::bench {
@@ -147,20 +146,31 @@ struct SweepPoint {
 
 namespace detail {
 
-inline void maybe_write_csv(const std::string& title,
+/// `s` lowercased, each run of non-alphanumerics one '_' (none at the ends).
+inline std::string slug(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (isalnum(static_cast<unsigned char>(c))) {
+      out.push_back(static_cast<char>(tolower(static_cast<unsigned char>(c))));
+    } else if (!out.empty() && out.back() != '_') {
+      out.push_back('_');
+    }
+  }
+  if (!out.empty() && out.back() == '_') out.pop_back();
+  return out;
+}
+
+inline void maybe_write_csv(const SweepPoint& point,
                             const std::vector<core::ImprovementRow>& rows) {
   // Optional plotting output: SELCACHE_CSV_DIR=<dir> writes one CSV per
-  // figure point, named after the title's leading word(s).
+  // figure point, named after the title's leading word(s) and the point's
+  // machine, e.g. figure_5_mem_lat_100.csv.
   const char* dir = std::getenv("SELCACHE_CSV_DIR");
   if (dir == nullptr) return;
-  std::string slug;
-  for (char c : title) {
-    if (c == ':') break;
-    slug.push_back(isalnum(static_cast<unsigned char>(c))
-                       ? static_cast<char>(tolower(c))
-                       : '_');
-  }
-  const std::string path = std::string(dir) + "/" + slug + ".csv";
+  const std::string path =
+      std::string(dir) + "/" +
+      slug(point.title.substr(0, point.title.find(':'))) + "_" +
+      slug(point.machine.name) + ".csv";
   if (!core::write_text_file(path, core::figure_csv(rows)))
     std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
 }
@@ -193,7 +203,7 @@ inline int run_figure_sweep(std::vector<SweepPoint> points,
     std::printf("%s", core::format_machine(points[i].machine).c_str());
     std::printf("%s\n",
                 core::format_figure(points[i].title, rows[i]).c_str());
-    detail::maybe_write_csv(points[i].title, rows[i]);
+    detail::maybe_write_csv(points[i], rows[i]);
   }
   std::printf("(simulated in %.1fs: %zu machine point%s, scheme=%s)\n", dt,
               points.size(), points.size() == 1 ? "" : "s",

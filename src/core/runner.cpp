@@ -11,7 +11,6 @@
 #include "fault/injector.h"
 #include "store/store.h"
 #include "support/fingerprint.h"
-#include "support/run_guard.h"
 #include "support/signal_guard.h"
 #include "support/thread_pool.h"
 #include "tape/cache.h"
@@ -118,10 +117,6 @@ struct Simulation {
       SELCACHE_CHECK_MSG(share_structure(group.front(), m),
                          "simulation group differs beyond memory latency");
     hierarchy.attach_hw(scheme.get());
-    // Optional run supervision (stop token / wall-clock deadline): exports
-    // no stats and changes no results — only adds exit paths — so it is
-    // invisible to the tape and store eligibility rules.
-    if (opt.run_guard != nullptr) hierarchy.set_run_guard(opt.run_guard);
 
     // Optional fault campaign: the injector lives on this task's stack like
     // the trace recorder, and attaching it is the only thing that makes any
@@ -503,10 +498,6 @@ std::vector<RunResult> multi_replay_tape(
                                                 trace_of(g.front())));
     sinks.push_back(&sims.back()->cpu);
   }
-  if (par.num_threads > 1 && machines.size() > 1)
-    SELCACHE_CHECK_MSG(opt.run_guard == nullptr,
-                       "multi_replay_tape: a RunGuard is not thread-safe "
-                       "across the parallel fan-out");
   if (par.num_threads > 1 && sims.size() > 1) {
     // Each batch fans out one task per Simulation; more workers would idle.
     support::ThreadPool pool(
@@ -727,35 +718,28 @@ std::vector<std::vector<RunResult>> run_ride(
   return out;
 }
 
-/// sweep_axis's engine: cells[i][p] is cell i = (workload i / 5, version
-/// i % 5) at point p.
-std::vector<std::vector<RunResult>> run_rides(
-    std::span<const workloads::WorkloadInfo> suite,
-    const std::vector<MachineConfig>& machines, const RunOptions& opt,
-    unsigned threads) {
+/// The one unit loop behind sweep_axis and run_units. cells[i * np + p]
+/// is cell i = (workload i / 5, version i % 5) at point p. Simulates every
+/// (cell, point) that `missed` marks, by one ride pass per structural
+/// group, and settles each into `cells` as its unit finishes: kept, saved
+/// to opt.result_store (if attached; the store is never read here) and
+/// reported to hooks.saved. A cell is simulated in a group when any of the
+/// group's points missed. Copies are settled last, from their sources'
+/// results, which the caller supplies for cells it does not mark.
+///
+/// Without hooks.start a unit starts only while no signal is noted, and a
+/// noted signal makes the sweep throw support::RunSuspended; without
+/// hooks.failed a unit's exception propagates.
+void run_rides(std::span<const workloads::WorkloadInfo> suite,
+               const std::vector<MachineConfig>& machines,
+               const RunOptions& opt, unsigned threads,
+               const std::vector<bool>& missed,
+               std::vector<std::optional<RunResult>>& cells,
+               const UnitHooks& hooks) {
   constexpr std::size_t nv = kAllVersions.size();
   const std::size_t n = suite.size() * nv;
   const std::size_t np = machines.size();
-  std::vector<std::vector<RunResult>> cells(n, std::vector<RunResult>(np));
-  // missed[i * np + p]: cell i at point p is not served by the store.
-  std::vector<char> missed(n * np, 1);
-  std::vector<std::string> skeys;
   const bool stored = store_eligible(opt, nullptr);
-  if (stored) {
-    skeys.resize(n * np);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t p = 0; p < np; ++p) {
-        std::string& key = skeys[i * np + p];
-        key = store_key(suite[i / nv], machines[p], kAllVersions[i % nv], opt);
-        if (std::optional<store::StoredResult> hit =
-                opt.result_store->load(key)) {
-          cells[i][p] = from_stored(*hit);
-          missed[i * np + p] = 0;
-        }
-      }
-    }
-  }
-
   const std::vector<std::vector<std::size_t>> groups =
       group_points(np, [&](std::size_t a, std::size_t b) {
         return share_structure(machines[a], machines[b]);
@@ -765,63 +749,113 @@ std::vector<std::vector<RunResult>> run_rides(
   for (std::size_t g = 0; g < groups.size(); ++g)
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t p : groups[g])
-        if (missed[i * np + p] != 0) wanted[g][i] = true;
+        if (missed[i * np + p]) wanted[g][i] = true;
   const RidePlan plan = plan_rides(suite, wanted, opt.optimize, threads);
 
-  // Cell i's results at the points of group g, kept (and saved) where the
-  // store missed.
+  // Cell i's results at the points of group g, settled where it missed.
   const auto settle = [&](std::size_t i, std::size_t g,
                           std::vector<RunResult> rs) {
     for (std::size_t k = 0; k < rs.size(); ++k) {
       const std::size_t p = groups[g][k];
-      if (missed[i * np + p] == 0) continue;
-      cells[i][p] = std::move(rs[k]);
+      if (!missed[i * np + p]) continue;
+      const RunResult& r = *(cells[i * np + p] = std::move(rs[k]));
       if (stored)
-        opt.result_store->save(skeys[i * np + p], to_stored(cells[i][p]));
+        opt.result_store->save(
+            store_key(suite[i / nv], machines[p], kAllVersions[i % nv], opt),
+            to_stored(r));
+      if (hooks.saved) hooks.saved(i, r);
     }
   };
   support::run_cells(plan.rides.size(), threads, [&](std::size_t u) {
-    if (support::SignalGuard::stop_requested()) return;
     const Ride& r = plan.rides[u];
-    std::vector<std::vector<RunResult>> rs =
-        run_ride(r, pick(machines, groups[r.group]), opt);
+    std::vector<std::size_t> ids;
+    for (std::size_t vi : r.sims) ids.push_back(r.wi * nv + vi);
+    if (hooks.start ? !hooks.start(ids)
+                    : support::SignalGuard::stop_requested())
+      return;
+    std::vector<std::vector<RunResult>> rs;
+    try {
+      rs = run_ride(r, pick(machines, groups[r.group]), opt);
+    } catch (const std::exception& e) {
+      if (!hooks.failed) throw;
+      for (const Copy& c : plan.copies)
+        if (c.group == r.group &&
+            std::find(ids.begin(), ids.end(), c.source) != ids.end())
+          ids.push_back(c.copy);
+      hooks.failed(ids, e.what());
+      return;
+    }
     for (std::size_t k = 0; k < rs.size(); ++k)
-      settle(r.wi * nv + r.sims[k], r.group, std::move(rs[k]));
+      settle(ids[k], r.group, std::move(rs[k]));
   });
-  if (support::SignalGuard::stop_requested())
+  if (!hooks.start && support::SignalGuard::stop_requested())
     throw support::RunSuspended("sweep stopped by a signal");
   for (const Copy& c : plan.copies) {
     std::vector<RunResult> rs;
-    for (std::size_t p : groups[c.group]) rs.push_back(cells[c.source][p]);
-    settle(c.copy, c.group, std::move(rs));
+    for (std::size_t p : groups[c.group])
+      if (const std::optional<RunResult>& src = cells[c.source * np + p])
+        rs.push_back(*src);
+    if (rs.size() == groups[c.group].size()) {
+      settle(c.copy, c.group, std::move(rs));
+    } else if (!wanted[c.group][c.source] && hooks.failed) {
+      hooks.failed({c.copy}, "its source cell has no result");
+    }
+    // Otherwise the source's unit was skipped (the copy stays unsettled) or
+    // failed (and reported the copy with it).
   }
-  return cells;
 }
 
-/// rows[point] from cells[cell][point], in fixed (workload, version) order.
+/// rows[point] from cells[cell * np + point], in fixed (workload, version)
+/// order; a missing cell renders as make_row_partial renders it.
 std::vector<std::vector<ImprovementRow>> axis_rows(
     std::span<const workloads::WorkloadInfo> suite,
-    std::vector<std::vector<RunResult>>& cells, std::size_t np) {
+    std::vector<std::optional<RunResult>>& cells, std::size_t np) {
   constexpr std::size_t nv = kAllVersions.size();
   std::vector<std::vector<ImprovementRow>> rows(np);
   for (std::size_t p = 0; p < np; ++p) {
     rows[p].reserve(suite.size());
     for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-      std::array<RunResult, nv> results;
+      std::array<std::optional<RunResult>, nv> results;
       for (std::size_t vi = 0; vi < nv; ++vi)
-        results[vi] = std::move(cells[wi * nv + vi][p]);
-      rows[p].push_back(make_improvement_row(suite[wi], results));
+        results[vi] = std::move(cells[(wi * nv + vi) * np + p]);
+      rows[p].push_back(make_row_partial(suite[wi], results));
     }
   }
   return rows;
 }
 
+/// A plain sweep over every point of `machines` by ride units: the store
+/// (if attached) serves each (cell, point) it holds, and run_rides
+/// simulates the rest.
+std::vector<std::vector<ImprovementRow>> ride_axis(
+    std::span<const workloads::WorkloadInfo> suite,
+    const std::vector<MachineConfig>& machines, const RunOptions& opt,
+    unsigned threads) {
+  constexpr std::size_t nv = kAllVersions.size();
+  const std::size_t np = machines.size();
+  std::vector<std::optional<RunResult>> cells(suite.size() * nv * np);
+  std::vector<bool> missed(cells.size(), true);
+  if (store_eligible(opt, nullptr)) {
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      const std::size_t i = k / np;
+      if (std::optional<store::StoredResult> hit = opt.result_store->load(
+              store_key(suite[i / nv], machines[k % np], kAllVersions[i % nv],
+                        opt))) {
+        cells[k] = from_stored(*hit);
+        missed[k] = false;
+      }
+    }
+  }
+  run_rides(suite, machines, opt, threads, missed, cells, {});
+  return axis_rows(suite, cells, np);
+}
+
 /// May a sweep's cells ride shared interpretations? Only where each would
-/// otherwise run by plain interpretation: no tape, no fault, watchdog or
-/// degrade campaign, and no run guard (its deadline is per cell). Traced
-/// and guarded-retry sweeps are ruled out by their callers.
+/// otherwise run by plain interpretation: no tape, and no fault, watchdog or
+/// degrade campaign. Traced and guarded-retry sweeps are ruled out by their
+/// callers.
 bool rides_allowed(const RunOptions& opt) {
-  return !opt.reuse_tape && pricing_shareable(opt) && opt.run_guard == nullptr;
+  return !opt.reuse_tape && pricing_shareable(opt);
 }
 
 }  // namespace
@@ -899,19 +933,17 @@ Cell run_cell(const workloads::WorkloadInfo& w, const MachineConfig& m,
 /// shared executor, then rows, the outcome ledger and trace captures are
 /// assembled in fixed (workload, version) order, so the result is
 /// bit-identical at any thread count. An untraced plain sweep runs by ride
-/// groups (run_rides at one point); its ledger is left empty.
+/// groups (ride_axis at one point); its ledger is left empty.
 ResilientSweep sweep_cells(std::span<const workloads::WorkloadInfo> suite,
                            const MachineConfig& m, const RunOptions& opt,
                            const ParallelSweepOptions& par,
                            std::optional<std::uint32_t> max_retries,
                            std::vector<TraceCapture>* traces) {
   constexpr std::size_t nv = kAllVersions.size();
-  if (!max_retries && traces == nullptr && rides_allowed(opt)) {
-    std::vector<std::vector<RunResult>> cells =
-        run_rides(suite, {m}, opt, par.num_threads);
-    return {.rows = std::move(axis_rows(suite, cells, 1).front()),
+  if (!max_retries && traces == nullptr && rides_allowed(opt))
+    return {.rows = std::move(ride_axis(suite, {m}, opt, par.num_threads)
+                                  .front()),
             .report = {}};
-  }
   std::vector<Cell> cells(suite.size() * nv);
   support::run_cells(cells.size(), par.num_threads, [&](std::size_t i) {
     cells[i] = run_cell(suite[i / nv], m, i % nv, opt, max_retries,
@@ -965,9 +997,19 @@ std::vector<std::vector<ImprovementRow>> sweep_axis(
           sweep_cells(suite, m, opt, par, std::nullopt, nullptr).rows);
     return rows;
   }
-  std::vector<std::vector<RunResult>> cells =
-      run_rides(suite, machines, opt, par.num_threads);
-  return axis_rows(suite, cells, machines.size());
+  return ride_axis(suite, machines, opt, par.num_threads);
+}
+
+void run_units(std::span<const workloads::WorkloadInfo> suite,
+               const MachineConfig& m, const RunOptions& opt,
+               const ParallelSweepOptions& par, const std::vector<bool>& todo,
+               std::vector<std::optional<RunResult>>& cells,
+               const UnitHooks& hooks) {
+  SELCACHE_CHECK_MSG(rides_allowed(opt), "run_units: options rule rides out");
+  SELCACHE_CHECK_MSG(todo.size() == suite.size() * kAllVersions.size() &&
+                         cells.size() == todo.size(),
+                     "run_units: one todo flag and one cell per version");
+  run_rides(suite, {m}, opt, par.num_threads, todo, cells, hooks);
 }
 
 ResilientSweep sweep_resilient(
@@ -1075,28 +1117,30 @@ std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
   const auto& suite = workloads::all_workloads();
   const std::size_t nv = kAllVersions.size();
 
-  // cells[wi * nv + vi][pi]: every result of the whole axis, computed
-  // cell-major (one decode per cell) and assembled point-major in fixed
-  // order — the same rows per-point sweep_suite calls would build.
-  std::vector<std::vector<RunResult>> cells;
   const bool one_group =
       !machines.empty() &&
       std::all_of(machines.begin(), machines.end(),
                   [&](const MachineConfig& m) {
                     return share_structure(machines.front(), m);
                   });
-  if (opt.result_store == nullptr && one_group) {
-    // Without a store nothing reads a fresh tape, so the cells ride shared
-    // interpretations.
-    cells = run_rides(suite, machines, opt, par.num_threads);
-  } else {
-    cells.resize(suite.size() * nv);
-    support::run_cells(cells.size(), par.num_threads, [&](std::size_t i) {
-      run_cell_shared_decode(suite[i / nv], kAllVersions[i % nv], machines,
-                             opt, cells[i]);
-    });
-  }
-  return axis_rows(suite, cells, machines.size());
+  // Without a store nothing reads a fresh tape, so the cells ride shared
+  // interpretations.
+  if (opt.result_store == nullptr && one_group)
+    return ride_axis(suite, machines, opt, par.num_threads);
+
+  // per_cell[wi * nv + vi][pi]: every result of the whole axis, computed
+  // cell-major (one decode per cell) and assembled point-major in fixed
+  // order — the same rows per-point sweep_suite calls would build.
+  const std::size_t np = machines.size();
+  std::vector<std::vector<RunResult>> per_cell(suite.size() * nv);
+  support::run_cells(per_cell.size(), par.num_threads, [&](std::size_t i) {
+    run_cell_shared_decode(suite[i / nv], kAllVersions[i % nv], machines, opt,
+                           per_cell[i]);
+  });
+  std::vector<std::optional<RunResult>> cells(per_cell.size() * np);
+  for (std::size_t k = 0; k < cells.size(); ++k)
+    cells[k] = std::move(per_cell[k / np][k % np]);
+  return axis_rows(suite, cells, np);
 }
 
 double average_improvement(const std::vector<ImprovementRow>& rows, Version v,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -28,10 +29,6 @@ class TapeCache;
 namespace selcache::store {
 class ResultStore;
 struct StoredResult;
-}
-
-namespace selcache::support {
-class RunGuard;
 }
 
 namespace selcache::core {
@@ -78,13 +75,6 @@ struct RunOptions {
   /// (mirroring the tape rule: their outputs are not pure functions of the
   /// cell key, or carry a recording the store does not).
   store::ResultStore* result_store = nullptr;
-  /// Run-supervision guard polled once per hierarchy access (nullptr = no
-  /// supervision). Unlike the fault injector it exports no stats and never
-  /// perturbs results, so it does NOT affect tape or store eligibility —
-  /// it only adds two exit paths (support::RunSuspended on the run's stop
-  /// token, support::CellDeadlineExceeded on the cell's wall clock). Not
-  /// thread-safe: give each parallel task its own guard.
-  support::RunGuard* run_guard = nullptr;
 };
 
 /// How to schedule the independent simulations of a sweep.
@@ -161,10 +151,7 @@ RunResult replay_tape(const tape::Tape& t, const MachineConfig& m, Version v,
 /// — at any par.num_threads (each simulation is driven by one task at a
 /// time, in strict tape order) and any opt.batch. `traces` (optional)
 /// supplies one Recording* per machine (entries may be nullptr); traced
-/// simulations record exactly what a solo traced replay would. With
-/// par.num_threads > 1 opt.run_guard must be nullptr (a RunGuard is not
-/// thread-safe, and here it would be polled by every simulation
-/// concurrently).
+/// simulations record exactly what a solo traced replay would.
 std::vector<RunResult> multi_replay_tape(
     const tape::Tape& t, const std::vector<MachineConfig>& machines, Version v,
     const RunOptions& opt = {}, const ParallelSweepOptions& par = {},
@@ -238,10 +225,10 @@ ImprovementRow improvements_for(const workloads::WorkloadInfo& w,
 /// `traces` (optional) collects per-(workload, version) recordings in
 /// (workload, version) order — also bit-identical across thread counts.
 ///
-/// Without traces, tapes, a run guard, or a fault, watchdog or degrade
-/// campaign, this is the one-point case of sweep_axis: the unit of work is
-/// a ride group (ride_groups), one interpretation of a code product driving
-/// one Simulation per version it serves, and versions whose code equals
+/// Without traces, tapes, or a fault, watchdog or degrade campaign, this is
+/// the one-point case of sweep_axis: the unit of work is a ride group
+/// (ride_groups), one interpretation of a code product driving one
+/// Simulation per version it serves, and versions whose code equals
 /// Base's take its results. A store is consulted per version first; copies
 /// are saved under their own keys. The products are built before any cell
 /// runs, so a workload whose program fails to build throws then.
@@ -257,8 +244,8 @@ std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
 /// pass run on one support::run_cells call. The store (if attached) is read
 /// and written per (cell, point): a cell is simulated in a group when any
 /// of the group's points missed, and only missed points are saved, each as
-/// its unit finishes. Options that rule rides out (tapes, a run guard, a
-/// fault, watchdog or degrade campaign) run one sweep_suite per point.
+/// its unit finishes. Options that rule rides out (tapes, a fault, watchdog
+/// or degrade campaign) run one sweep_suite per point.
 ///
 /// Once support::SignalGuard::stop_requested() is set (only an installed
 /// guard that caught a signal sets it), no further unit starts and the call
@@ -268,6 +255,38 @@ std::vector<std::vector<ImprovementRow>> sweep_axis(
     const ParallelSweepOptions& par = {},
     std::span<const workloads::WorkloadInfo> suite =
         workloads::all_workloads());
+
+/// How a caller that keeps its own record of cells (the checkpoint
+/// journal) follows run_units. Cell wi * kAllVersions.size() + vi is
+/// version vi of workload wi. The hooks run on the workers, concurrently;
+/// no two calls at once concern the same cell.
+struct UnitHooks {
+  /// Before a unit starts, with its cells; false skips the unit, leaving
+  /// its cells and the copies they feed unsettled.
+  std::function<bool(const std::vector<std::size_t>& cells)> start;
+  /// After a cell's result is settled (and saved, when a store is
+  /// attached), copies included.
+  std::function<void(std::size_t cell, const RunResult& r)> saved;
+  /// When a unit throws: its cells and the copies that depend on them, none
+  /// of which is settled. A copy whose source the caller neither asked for
+  /// nor supplied is reported here too.
+  std::function<void(const std::vector<std::size_t>& cells,
+                     const std::string& reason)>
+      failed;
+};
+
+/// The ride units of one machine's sweep over exactly the cells `todo`
+/// marks: planned and run as sweep_suite would (par.num_threads sets the
+/// critical-path rule), each result settled into `cells` and saved to
+/// opt.result_store (if attached) without reading the store. A copy takes
+/// its source's result from `cells`, so the caller supplies the results of
+/// cells it does not mark. Options must allow rides (no tapes, no fault,
+/// watchdog or degrade campaign).
+void run_units(std::span<const workloads::WorkloadInfo> suite,
+               const MachineConfig& m, const RunOptions& opt,
+               const ParallelSweepOptions& par, const std::vector<bool>& todo,
+               std::vector<std::optional<RunResult>>& cells,
+               const UnitHooks& hooks);
 
 /// Which versions of one workload one interpretation can drive, decided by
 /// ir::same_code on its three built code products (§4.4).

@@ -20,7 +20,6 @@
 
 #include "fault/injector.h"
 #include "memsys/cache.h"
-#include "support/run_guard.h"
 #include "memsys/hw_hooks.h"
 #include "memsys/main_memory.h"
 #include "memsys/miss_classifier.h"
@@ -85,13 +84,6 @@ class Hierarchy {
   /// Attach (non-owning) an L1D access probe; nullptr detaches.
   void set_probe(DataAccessProbe* p) { probe_ = p; }
 
-  /// Attach (non-owning) a run-supervision guard; nullptr detaches. The
-  /// guard is polled once per demand access, before any state changes, and
-  /// may throw support::RunSuspended / support::CellDeadlineExceeded —
-  /// unlike the fault injector it exports no stats, so attaching it leaves
-  /// the simulation's results bit-identical.
-  void set_run_guard(support::RunGuard* g) { guard_ = g; }
-
   /// Perform one demand access; returns the total latency in cycles. With
   /// a fault injector attached this may throw fault::WatchdogExceeded or
   /// fault::InjectedCrash — all simulator state is task-local, so the
@@ -101,11 +93,8 @@ class Hierarchy {
   /// replay loop's throughput rides on.
   Cycle access(Addr addr, AccessKind kind) {
     // Watchdog / crash clock before any state changes: a killed access
-    // never half-updates the hierarchy. Same rule for the run guard — a
-    // suspended cell leaves the hierarchy exactly as the last completed
-    // access did.
+    // never half-updates the hierarchy.
     if (fault_ != nullptr) fault_->on_access();
-    if (guard_ != nullptr) guard_->poll();
     const Cycle lat = access_impl(addr, kind);
     // Epoch clock ticks after the access fully updated its counters, so an
     // epoch boundary at access N covers exactly accesses [.., N).
@@ -202,7 +191,6 @@ class Hierarchy {
   trace::Recorder* trace_ = nullptr;
   fault::Injector* fault_ = nullptr;
   DataAccessProbe* probe_ = nullptr;
-  support::RunGuard* guard_ = nullptr;
   std::unique_ptr<MissClassifier> classifier_;
 };
 

@@ -1,13 +1,12 @@
-// Checkpointed sweep engine: executes a RunSpec's cell matrix under a
-// write-ahead journal so the run can be killed — SIGKILL included — at any
+// Checkpointed sweep: a write-ahead journal around core's one unit loop
+// (core::run_units), so the run can be killed — SIGKILL included — at any
 // point and resumed to the byte-identical output of an uninterrupted run.
 //
 // A cell is one (workload, version) simulation. Its lifecycle is journaled
 // as planned -> started(attempt, seed) -> done(result fingerprint) |
-// failed(attempt, reason) | quarantined(reason), with run-level records
+// failed(attempt, reason) + quarantined(reason), with run-level records
 // around it (run header, suspended, complete). The journal records
-// TRANSITIONS; the run directory's result store holds the cell RESULTS
-// (the same store core::run_version already consults), so:
+// TRANSITIONS; the run directory's result store holds the cell RESULTS, so:
 //
 //   * a `done` record whose stored result round-trips with a matching
 //     fingerprint is trusted and never re-simulated;
@@ -16,22 +15,23 @@
 //     promise about history, the store is re-verified every resume;
 //   * everything else (planned/started/failed) re-plans the cell.
 //
-// Suspension: the engine polls a stop token (typically a SignalGuard's)
-// and an optional whole-run deadline at access granularity via
-// support::RunGuard. A trip abandons the in-flight cells (RunSuspended
-// unwinds them; their partial state is task-local); every cell not yet
-// started sees the stop at its attempt boundary and returns without
-// journaling. The engine then appends a `suspended` record, flushes the
-// cells.csv ledger, and returns with outcome.suspended set. Nothing torn is left
-// behind: every artifact goes through the atomic writer, and the journal
-// reader drops a torn tail by design.
+// Every cell the journal cannot vouch for goes to core::run_units, which
+// plans ride units for exactly those cells (as the plain sweep would),
+// simulates them without reading them back from the store, and saves each
+// result. Its hooks journal `started` for a unit's cells before it runs,
+// `done` after each cell is saved (copies included), and `failed` +
+// `quarantined` for a unit that throws, along with the copies that depend
+// on it. A unit's failure is a deterministic error (--run-dir refuses fault
+// injection), so it is not retried. Quarantined cells contribute 0.0
+// improvement to their row, mirroring the resilient sweep engine.
 //
-// Failure: a cell attempt that throws anything else (injected crash,
-// internal check, cell wall-clock deadline) is retried up to
-// opts.cell_retries times with bounded exponential backoff and
-// deterministic seed-derived jitter, then quarantined. Quarantined cells
-// contribute 0.0 improvement to their row, mirroring the resilient sweep
-// engine's convention.
+// Suspension: a stop token (typically a SignalGuard's) or the whole-run
+// deadline is checked as each unit is about to start. Once either trips,
+// in-flight units finish and are journaled, and no other unit starts: its
+// cells stay unjournaled. The engine then appends a `suspended` record,
+// flushes the cells.csv ledger, and returns with outcome.suspended set.
+// Nothing torn is left behind: every artifact goes through the atomic
+// writer, and the journal reader drops a torn tail by design.
 #pragma once
 
 #include <atomic>
@@ -46,16 +46,10 @@ namespace selcache::run {
 
 struct CheckpointOptions {
   unsigned threads = 0;  ///< 0/1 = serial, N = worker pool
-  /// Whole-run wall-clock budget (0 = none). Expiry suspends the run at a
-  /// cell boundary, exactly like a signal; `resume` picks it back up.
+  /// Whole-run wall-clock budget (0 = none). Expiry suspends the run as the
+  /// next unit would start, exactly like a signal; `resume` picks it back
+  /// up.
   std::uint64_t run_deadline_ms = 0;
-  /// Per-cell wall-clock soft deadline (0 = none). Expiry fails the
-  /// ATTEMPT (retried, then quarantined), not the run.
-  std::uint64_t cell_deadline_ms = 0;
-  std::uint32_t cell_retries = 1;  ///< attempts = cell_retries + 1
-  /// Base for retry backoff: delay before attempt k (k >= 1) is
-  /// base * 2^(k-1) plus deterministic jitter in [0, base). 0 = no wait.
-  std::uint64_t retry_backoff_ms = 0;
   /// External stop token (nonzero = suspend); typically
   /// support::SignalGuard::token(). May be null.
   const std::atomic<int>* stop = nullptr;
@@ -76,7 +70,7 @@ struct CheckpointOutcome {
   std::string error;
 
   std::vector<core::ImprovementRow> rows;  ///< fixed workload order
-  bool suspended = false;  ///< stopped at a cell boundary; resume to finish
+  bool suspended = false;  ///< stopped at a unit boundary; resume to finish
   bool complete = false;   ///< every cell reached done|quarantined
 
   std::string id;  ///< the run's content fingerprint (run_id(spec))
@@ -86,15 +80,6 @@ struct CheckpointOutcome {
   std::uint64_t cells_quarantined = 0;
   std::uint64_t failed_attempts = 0;
 };
-
-/// Deterministic backoff before retry attempt `attempt` (1-based; attempt 0
-/// is the first try and never waits): base * 2^(attempt-1), exponent capped,
-/// plus seed-derived jitter in [0, base) so parallel retries de-correlate
-/// without a global RNG. Exposed for tests.
-std::uint64_t retry_backoff_delay_ms(std::uint64_t base_ms,
-                                     const std::string& workload,
-                                     std::size_t version_index,
-                                     std::uint32_t attempt);
 
 /// Execute (or resume) the run described by `spec` in `run_dir`. Creates
 /// the directory, journal, and result store on first use; on a non-empty

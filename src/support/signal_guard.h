@@ -2,12 +2,12 @@
 //
 // A SignalGuard installs SIGINT/SIGTERM handlers for its lifetime. The
 // handlers do the only async-signal-safe thing possible — record the signal
-// number in a static atomic — and the run engine polls `stop_requested()`
-// at cell boundaries (and, through support::RunGuard, at hierarchy-access
-// granularity), so an interrupted sweep finishes or abandons in-flight
-// cells cleanly, journals a `suspended` record, flushes partial artifacts
-// through the atomic writers, and exits with the conventional 128+signo
-// code (130 for SIGINT, 143 for SIGTERM) instead of dying mid-write.
+// number in a static atomic — and the sweep engines check it as each unit
+// of work is about to start, so an interrupted sweep lets its in-flight
+// units finish, starts no other, journals a `suspended` record (under
+// --run-dir), flushes partial artifacts through the atomic writers, and
+// exits with the conventional 128+signo code (130 for SIGINT, 143 for
+// SIGTERM) instead of dying mid-write.
 //
 // One guard at a time: the class is a scoped singleton (nested guards are a
 // programming error and assert). The destructor restores the previous
@@ -15,8 +15,16 @@
 #pragma once
 
 #include <atomic>
+#include <stdexcept>
 
 namespace selcache::support {
+
+/// Thrown by a sweep that a stop (a guarded signal) kept from starting all
+/// of its units. Results saved before the stop stay valid.
+class RunSuspended : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class SignalGuard {
  public:
@@ -43,7 +51,7 @@ class SignalGuard {
 
   /// The stop flag as a pollable token — the same atomic the handlers set,
   /// nonzero meaning stop. Stable for the process lifetime, so it can be
-  /// handed to RunGuard consumers that outlive the guard.
+  /// handed to consumers that outlive the guard.
   static const std::atomic<int>* token() { return &signo_; }
 
   /// Record a signal. Async-signal-safe; only the first call sticks. Public

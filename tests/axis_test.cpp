@@ -1,17 +1,20 @@
 // The axis engine: core::sweep_axis runs every point of a machine axis by
 // ride groups, one pass per structural group, and reads and writes the
 // result store per (cell, point); a guarded signal stops a sweep before
-// its next unit.
+// its next unit. core::run_units runs the same units for exactly the cells
+// a caller asks for and reports them through its hooks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/runner.h"
+#include "ir/builder.h"
 #include "store/store.h"
-#include "support/run_guard.h"
 #include "support/signal_guard.h"
 
 namespace selcache::core {
@@ -150,6 +153,111 @@ TEST(SweepAxis, NotedSignalStopsTheSweepBeforeAnyUnit) {
   improvements_for(w, base_machine(), opt);
   EXPECT_EQ(s.counters().writes, kAllVersions.size());
   fs::remove_all(dir);
+}
+
+/// A workload whose every interpretation throws: it chases a record pool,
+/// which the data environment refuses once the reference runs.
+workloads::WorkloadInfo throwing_workload() {
+  workloads::WorkloadInfo w;
+  w.name = "Throws";
+  w.category = workloads::Category::Mixed;
+  w.build = [] {
+    ir::ProgramBuilder b("throws");
+    const ir::PoolId records = b.record_pool("R", 16, 32);
+    b.begin_loop("i", 0, 4);
+    b.stmt({ir::chase(records)});
+    b.end_loop();
+    return b.finish();
+  };
+  return w;
+}
+
+/// The cells run_units reported to each hook, sorted, and the last failure.
+struct Seen {
+  std::mutex mu;
+  std::vector<std::size_t> started, saved, failed;
+  std::string reason;
+
+  UnitHooks hooks(bool start = true) {
+    const auto note = [this](std::vector<std::size_t>& to,
+                             const std::vector<std::size_t>& ids) {
+      std::lock_guard lock(mu);
+      to.insert(to.end(), ids.begin(), ids.end());
+      std::sort(to.begin(), to.end());
+    };
+    return {.start = [=, this](const std::vector<std::size_t>& ids) {
+              if (start) note(started, ids);
+              return start;
+            },
+            .saved = [=, this](std::size_t i,
+                               const RunResult&) { note(saved, {i}); },
+            .failed = [=, this](const std::vector<std::size_t>& ids,
+                                const std::string& why) {
+              note(failed, ids);
+              std::lock_guard lock(mu);
+              reason = why;
+            }};
+  }
+};
+
+/// Perl's optimizer changes nothing, so Base, Pure Hardware and Selective
+/// (cells 0, 1, 4) are simulated and Pure Software and Combined (2, 3) copy
+/// Base and Pure Hardware. The second workload's units throw: the failure
+/// hook gets their cells with the copies that depend on them, none of
+/// which is settled, and Perl's row is improvements_for's. A start hook
+/// that refuses every unit settles nothing. Copies alone take the results
+/// the caller supplies, and a copy whose source is neither asked for nor
+/// supplied fails.
+TEST(RunUnits, HooksReportStartsSavesAndFailures) {
+  const std::vector<workloads::WorkloadInfo> suite = {
+      workloads::workload("Perl"), throwing_workload()};
+  constexpr std::size_t nv = kAllVersions.size();
+  const std::vector<ImprovementRow> perl = {
+      improvements_for(suite[0], base_machine())};
+  const std::vector<bool> all(suite.size() * nv, true);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Seen seen;
+    std::vector<std::optional<RunResult>> cells(all.size());
+    run_units(suite, base_machine(), {}, {.num_threads = threads}, all, cells,
+              seen.hooks());
+    EXPECT_EQ(seen.saved, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(seen.failed, (std::vector<std::size_t>{5, 6, 7, 8, 9}));
+    EXPECT_NE(seen.reason.find("is not a chase pool"), std::string::npos)
+        << seen.reason;
+    EXPECT_EQ(std::count_if(seen.started.begin(), seen.started.end(),
+                            [](std::size_t i) { return i < nv; }),
+              3);
+    std::array<std::optional<RunResult>, nv> row;
+    std::copy(cells.begin(), cells.begin() + nv, row.begin());
+    expect_rows_identical(perl, {make_row_partial(suite[0], row)});
+    for (std::size_t i = nv; i < cells.size(); ++i)
+      EXPECT_FALSE(cells[i].has_value()) << i;
+
+    Seen refused;
+    std::vector<std::optional<RunResult>> none(all.size());
+    run_units(suite, base_machine(), {}, {.num_threads = threads}, all, none,
+              refused.hooks(/*start=*/false));
+    EXPECT_TRUE(refused.saved.empty() && refused.failed.empty());
+    EXPECT_EQ(std::count(none.begin(), none.end(), std::nullopt),
+              static_cast<std::ptrdiff_t>(none.size()));
+
+    // Pure Software's source (Base) is supplied; Combined's (Pure
+    // Hardware) is not.
+    Seen copies;
+    std::vector<std::optional<RunResult>> partial(all.size());
+    partial[0] = cells[0];
+    std::vector<bool> todo(all.size(), false);
+    todo[2] = todo[3] = true;
+    run_units(suite, base_machine(), {}, {.num_threads = threads}, todo,
+              partial, copies.hooks());
+    EXPECT_TRUE(copies.started.empty());
+    EXPECT_EQ(copies.saved, (std::vector<std::size_t>{2}));
+    EXPECT_EQ(copies.failed, (std::vector<std::size_t>{3}));
+    ASSERT_TRUE(partial[2].has_value());
+    EXPECT_EQ(partial[2]->cycles, cells[2]->cycles);
+    EXPECT_FALSE(partial[3].has_value());
+  }
 }
 
 }  // namespace

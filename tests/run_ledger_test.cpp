@@ -1,9 +1,9 @@
 // Run-ledger tests: journal framing (escaping, torn tails, checksum
 // corruption), run identity (RunSpec fingerprint round-trip + tamper
-// rejection), deterministic retry backoff, and the checkpoint engine
-// itself — fresh runs match the plain sweep engine, suspension leaves a
-// resumable journal, and resume trusts `done` records only when the stored
-// result round-trips with a matching fingerprint.
+// rejection), and the checkpoint engine itself — fresh runs match the
+// plain sweep engine, suspension leaves a resumable journal, and resume
+// trusts `done` records only when the stored result round-trips with a
+// matching fingerprint.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +17,7 @@
 #include "run/checkpoint.h"
 #include "run/journal.h"
 #include "run/spec.h"
+#include "store/store.h"
 #include "workloads/registry.h"
 
 namespace selcache::run {
@@ -219,33 +220,6 @@ TEST(RunSpec, RecordRoundTripAndTamperRejection) {
   EXPECT_FALSE(from_record(wrong_type).has_value());
 }
 
-// -- retry backoff -----------------------------------------------------------
-
-TEST(RetryBackoff, DeterministicBoundedAndCapped) {
-  // Attempt 0 (the first try) never waits.
-  EXPECT_EQ(retry_backoff_delay_ms(50, "w", 0, 0), 0u);
-  // Zero base = no waiting at any attempt.
-  EXPECT_EQ(retry_backoff_delay_ms(0, "w", 0, 3), 0u);
-
-  // Deterministic: same inputs, same delay.
-  EXPECT_EQ(retry_backoff_delay_ms(50, "Vpenta", 2, 1),
-            retry_backoff_delay_ms(50, "Vpenta", 2, 1));
-  // Jitter de-correlates sibling cells.
-  bool any_differ = false;
-  for (std::size_t vi = 1; vi < 5; ++vi)
-    any_differ |= retry_backoff_delay_ms(50, "Vpenta", vi, 1) !=
-                  retry_backoff_delay_ms(50, "Vpenta", 0, 1);
-  EXPECT_TRUE(any_differ);
-
-  // Bounds: base*2^(k-1) <= delay < base*2^(k-1) + base, exponent capped.
-  for (std::uint32_t k = 1; k <= 12; ++k) {
-    const std::uint64_t delay = retry_backoff_delay_ms(10, "w", 1, k);
-    const std::uint64_t expo = std::uint64_t{1} << (k - 1 < 6 ? k - 1 : 6);
-    EXPECT_GE(delay, 10 * expo) << "attempt " << k;
-    EXPECT_LT(delay, 10 * expo + 10) << "attempt " << k;
-  }
-}
-
 // -- checkpoint engine -------------------------------------------------------
 
 class CheckpointTest : public ::testing::Test {
@@ -369,6 +343,77 @@ TEST_F(CheckpointTest, TamperedStoreDegradesToReRunNotWrongOutput) {
   EXPECT_EQ(res.cells_done, first.cells.size());
   ASSERT_EQ(res.rows.size(), 1u);
   expect_rows_equal(res.rows[0], first.rows[0]);
+}
+
+/// A store entry that is well formed but differs from what the journal's
+/// `done` fingerprint promised (here Selective's, rewritten with doubled
+/// cycles as ResultStore::save would write it) is not served: resume
+/// simulates the cell again and overwrites the entry.
+TEST_F(CheckpointTest, RewrittenStoreCellIsResimulatedNotServed) {
+  const auto first = run_checkpointed(dir_, demo_spec(), {});
+  ASSERT_TRUE(first.complete);
+  const std::string key =
+      core::store_key(workloads::workload("TPC-D,Q6"), core::base_machine(),
+                      core::Version::Selective, {});
+  const std::string store_dir = (fs::path(dir_) / "store").string();
+  std::optional<store::StoredResult> kept;
+  {
+    store::ResultStore s(store_dir);
+    kept = s.load(key);
+    ASSERT_TRUE(kept.has_value());
+    store::StoredResult edited = *kept;
+    edited.cycles *= 2;
+    s.save(key, edited);
+  }
+  const auto res = resume_checkpointed(dir_, {});
+  ASSERT_TRUE(res.error.empty()) << res.error;
+  EXPECT_TRUE(res.complete);
+  EXPECT_EQ(res.cells_done, 1u);
+  EXPECT_EQ(res.cells_from_store, 4u);
+  ASSERT_EQ(res.rows.size(), 1u);
+  expect_rows_equal(res.rows[0], first.rows[0]);
+  const std::optional<store::StoredResult> healed =
+      store::ResultStore(store_dir).load(key);
+  ASSERT_TRUE(healed.has_value());
+  EXPECT_EQ(healed->cycles, kept->cycles);
+}
+
+/// Perl's optimizer changes nothing, so its Pure Software and Combined
+/// copy Base's and Pure Hardware's results. At 1 thread one unit simulates
+/// Base, Pure Hardware and Selective; at 4 threads the critical-path rule
+/// makes that three units of one. Either way every cell, copies included,
+/// is journaled done and the row is the plain engine's.
+TEST_F(CheckpointTest, CopiesAreJournaledDone) {
+  RunSpec spec = demo_spec();
+  spec.workload = "Perl";
+  const workloads::WorkloadInfo& w = workloads::workload("Perl");
+  const core::ImprovementRow plain =
+      core::improvements_for(w, core::base_machine(), {});
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const core::SweepPlan plan =
+        core::plan_sweep({&w, 1}, {}, {.num_threads = threads});
+    EXPECT_EQ(plan.interpretations, threads == 1 ? 1u : 3u);
+    EXPECT_EQ(plan.copies, 2u);
+
+    const std::string dir = dir_ + "_" + std::to_string(threads);
+    fs::remove_all(dir);
+    CheckpointOptions opts;
+    opts.threads = threads;
+    const auto out = run_checkpointed(dir, spec, opts);
+    ASSERT_TRUE(out.error.empty()) << out.error;
+    EXPECT_TRUE(out.complete);
+    EXPECT_EQ(out.cells_done, core::kAllVersions.size());
+    ASSERT_EQ(out.rows.size(), 1u);
+    expect_rows_equal(out.rows[0], plain);
+
+    const auto st = inspect_run(dir);
+    ASSERT_TRUE(st.error.empty()) << st.error;
+    EXPECT_TRUE(st.complete);
+    ASSERT_EQ(st.cells.size(), core::kAllVersions.size());
+    for (const auto& c : st.cells) EXPECT_EQ(c.status, "done") << c.version;
+    fs::remove_all(dir);
+  }
 }
 
 TEST_F(CheckpointTest, SpecMismatchIsRejected) {

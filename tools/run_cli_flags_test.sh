@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CLI contract for the predict subcommands plus the removed tape engine
-# (--batch, --reuse-tape, tape), checkpointed sweeps (--run-dir) and
-# run-file's loop-step check: unknown flags, unknown commands and malformed
+# (--batch, --reuse-tape, tape), checkpointed sweeps (--run-dir, without
+# per-cell retry or deadline flags) and run-file's loop-step check: unknown flags, unknown commands and malformed
 # invocations must exit 2 (same as every other subcommand), good runs 0,
 # and a failed cross-check 1.
 #
@@ -60,6 +60,14 @@ expect 2 "$cli" tape Perl base
 # value exits 2 before the run directory is touched.
 expect 2 "$cli" sweep --workload Chaos --run-dir "$tmp/run" --batch abc
 expect 2 "$cli" sweep --workload Chaos --run-dir "$tmp/run" --epoch 0
+
+# A checkpointed run has no per-cell retry, backoff or deadline: its cells
+# share ride units, and the only wall-clock bound is the whole run's
+# --deadline-ms. The three flags are unknown.
+expect 2 "$cli" sweep --workload Chaos --run-dir "$tmp/run" --cell-retries 1
+expect 2 "$cli" suite --run-dir "$tmp/run" --cell-deadline-ms 5
+expect 2 "$cli" suite --run-dir "$tmp/run" --retry-backoff-ms 10
+expect 2 "$cli" resume "$tmp/run" --cell-retries 1
 
 # A loop step that is not positive would never reach its bound: run-file
 # rejects it with a diagnostic instead of running forever (`timeout` turns

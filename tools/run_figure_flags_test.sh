@@ -1,8 +1,8 @@
 #!/bin/sh
 # The figure benches' shared flags: malformed numbers, unknown flags and
-# the removed engine flags exit 2 before any simulation runs, and a SIGTERM
+# the removed engine flags exit 2 before any simulation runs, a SIGTERM
 # during a sweep exits 143 without printing the tables the sweep would
-# have produced.
+# have produced, and SELCACHE_CSV_DIR keeps one CSV per machine point.
 #
 #   tools/run_figure_flags_test.sh BENCH_FIG5 BENCH_FIG6 BENCH_TABLE3
 set -eu
@@ -58,4 +58,16 @@ expect_sigterm_exit "$FIG5" --max-points 2 --threads 1
 expect_sigterm_exit "$FIG5" --max-points 1
 expect_sigterm_exit "$FIG6" --threads 1
 
-echo "figure_flags OK: usage errors exit 2, SIGTERM exits 143 with no table"
+# SELCACHE_CSV_DIR names each point's CSV after its machine as well as its
+# figure: two memory-latency points leave two files, whose rows differ.
+mkdir "$TMP/csv"
+SELCACHE_CSV_DIR="$TMP/csv" "$FIG5" --max-points 2 --threads 4 > /dev/null
+set -- "$TMP"/csv/*.csv
+if [ "$#" -ne 2 ] || [ ! -f "$1" ] || cmp -s "$1" "$2"; then
+  echo "FAIL: SELCACHE_CSV_DIR with two points left $# file(s), expected" \
+       "two with different rows:" "$@" >&2
+  exit 1
+fi
+
+echo "figure_flags OK: usage errors exit 2, SIGTERM exits 143 with no" \
+     "table, one CSV per point"

@@ -29,15 +29,20 @@ echo "traced sweep: serial and parallel outputs identical"
 
 # Shared interpretation under sanitizers: the 4-thread suite runs ride
 # groups, where one interpretation fans out to up to three simulations and
-# copies fill the versions whose code equals Base's. It must print what the
-# checkpoint engine prints, which runs run_version once per cell. (The
-# ctest run above includes the same_code, reference-count and ride-planner
-# unit tests.)
+# copies fill the versions whose code equals Base's. The checkpoint engine
+# (--run-dir) journals the same ride units and must print the same table.
+# The independent reference is the resilient engine with a watchdog that
+# never trips: it runs run_version once per cell, and its fault report,
+# which follows the table, is cut off. (The ctest run above includes the
+# same_code, reference-count and ride-planner unit tests.)
 "$cli" suite --threads 4 > "$tracedir/shared.txt"
-"$cli" suite --threads 4 --run-dir "$tracedir/per_version" \
-  > "$tracedir/per_version.txt"
+"$cli" suite --threads 4 --run-dir "$tracedir/run_dir" \
+  > "$tracedir/run_dir.txt"
+"$cli" suite --threads 4 --watchdog-accesses 18446744073709551615 \
+  | sed '/^fault report:/,$d' > "$tracedir/per_version.txt"
+diff "$tracedir/shared.txt" "$tracedir/run_dir.txt"
 diff "$tracedir/shared.txt" "$tracedir/per_version.txt"
-echo "shared suite: ride groups and per-version cells identical"
+echo "shared suite: ride groups, checkpointed and per-version cells identical"
 
 # Same contract under fault injection: a faulted sweep's figure output,
 # FailureReport, and captured traces must not depend on the thread count —

@@ -43,17 +43,18 @@ cmake --build --preset tsan -j "$(nproc)" --target \
 # ride-group legs at 1, 4 and 8 threads against solo runs on a pool; a
 # ride's simulations all run on one task), the axis engine (units of
 # several structural groups on one pool, saving store cells as they
-# finish, and a noted signal stopping them), the pool itself,
+# finish, and a noted signal stopping them; run_units calling a caller's
+# hooks from every worker), the pool itself,
 # tape record/replay equivalence (shared tape cache), the batched
 # multi-config fan-out (one task per sink per batch), the resilient
-# sweep's failure isolation, and the checkpoint engine (its cells share the
-# journal writer, the run-dir store and a tape cache). The two suite-scale
-# MultiReplay cases (full 13x5 matrix, shared-decode axis) are excluded —
-# minutes each under TSan; the remaining MultiReplay cases drive the same
-# fan-out code at --threads 4, and the big ones run in the plain and ASan
-# lanes.
+# sweep's failure isolation, and the checkpoint engine (its units' hooks
+# share the journal writer, and their cells the run-dir store). The two
+# suite-scale MultiReplay cases (full 13x5 matrix, shared-decode axis) are
+# excluded — minutes each under TSan; the remaining MultiReplay cases drive
+# the same fan-out code at --threads 4, and the big ones run in the plain
+# and ASan lanes.
 ctest --preset tsan -j 2 \
-  -R 'SweepDeterminism|SweepAxis|ParallelSweep|ThreadPool|RunCells|Tape|MultiReplay|Resilient|FaultSweep|Checkpoint|parallel' \
+  -R 'SweepDeterminism|SweepAxis|RunUnits|ParallelSweep|ThreadPool|RunCells|Tape|MultiReplay|Resilient|FaultSweep|Checkpoint|parallel' \
   -E 'MultiReplay.FullMatrix|MultiReplay.SharedDecode' "$@"
 
 # A real multi-threaded sweep end to end (4 workers over the full matrix),

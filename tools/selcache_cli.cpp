@@ -27,11 +27,11 @@
 // checkpointed (write-ahead journal + per-cell result store in DIR). A run
 // killed at any point — SIGKILL included — is picked up by `selcache
 // resume DIR`, whose output is byte-identical to an uninterrupted run at
-// any --threads. SIGINT/SIGTERM suspend gracefully at a cell boundary
-// (exit 130/143); --deadline-ms suspends the same way when the wall-clock
-// budget expires (exit 124). --run-dir is mutually exclusive with fault
-// injection, tracing, and an external --store (the run directory has its
-// own store and ledger).
+// any --threads. SIGINT/SIGTERM suspend gracefully: running units finish
+// and no other starts (exit 130/143); --deadline-ms suspends the same way
+// when the wall-clock budget expires (exit 124). --run-dir is mutually
+// exclusive with fault injection, tracing, and an external --store (the
+// run directory has its own store and ledger).
 //
 // Exit code 0 on success, 1 when verification reports diagnostics or a
 // single faultsim run dies to an injected fault, 2 on usage errors
@@ -88,16 +88,12 @@ int usage() {
                "                 [--store DIR] [--store-readonly]"
                " [--store-clear]\n"
                "                 [--run-dir DIR] [--deadline-ms N]"
-               " [--cell-deadline-ms N]\n"
-               "                 [--cell-retries N] [--retry-backoff-ms N]"
                " [--csv-out F] [--jsonl-out F]\n"
                "  selcache suite [--machine M] [--scheme S] [--threads N]"
                " [--verify-pipeline] [--trace-dir DIR] [--epoch N]\n"
                "                 [--store DIR] [--store-readonly]"
                " [--store-clear]\n"
                "                 [--run-dir DIR] [--deadline-ms N]"
-               " [--cell-deadline-ms N]\n"
-               "                 [--cell-retries N] [--retry-backoff-ms N]"
                " [--csv-out F] [--jsonl-out F]\n"
                "  selcache store ACTION --store DIR [--max-bytes N]"
                "   # ACTION: stats ls gc\n"
@@ -779,27 +775,6 @@ int emit_figure_files(const std::vector<core::ImprovementRow>& rows,
   return 0;
 }
 
-/// Parse the checkpoint-engine flags (all but --threads) shared by --run-dir
-/// sweeps/suites and `resume`. Returns false after a one-line diagnostic.
-bool parse_checkpoint_options(const std::map<std::string, std::string>& flags,
-                              run::CheckpointOptions* copts) {
-  if (!parse_u64_flag(flags, "deadline-ms", &copts->run_deadline_ms))
-    return false;
-  if (!parse_u64_flag(flags, "cell-deadline-ms", &copts->cell_deadline_ms))
-    return false;
-  std::uint64_t retries = copts->cell_retries;
-  if (!parse_u64_flag(flags, "cell-retries", &retries)) return false;
-  if (retries > 100) {
-    std::fprintf(stderr,
-                 "selcache: flag '--cell-retries' out of range (max 100)\n");
-    return false;
-  }
-  copts->cell_retries = static_cast<std::uint32_t>(retries);
-  if (!parse_u64_flag(flags, "retry-backoff-ms", &copts->retry_backoff_ms))
-    return false;
-  return true;
-}
-
 /// Report a checkpointed run's outcome: print the figure for a completed
 /// run (byte-identical to the uncheckpointed path), a resume hint for a
 /// suspended one. Accounting goes to stderr, mirroring the store rule.
@@ -852,9 +827,9 @@ int cmd_checkpointed(const std::string& kind,
                      const core::MachineConfig& machine,
                      const core::RunOptions& opt, unsigned threads,
                      const std::map<std::string, std::string>& flags) {
-  // The run directory owns its ledger, store, and retry policy; features
-  // that perturb results (faults, watchdogs) or attach per-run sinks
-  // (tracing, an external store) are incompatible by design.
+  // The run directory owns its ledger and store; features that perturb
+  // results (faults, watchdogs) or attach per-run sinks (tracing, an
+  // external store) are incompatible by design.
   static const char* kIncompatible[] = {
       "inject-faults", "fault-kind",   "fault-rate",     "fault-seed",
       "fault-budget",  "integrity-checks", "watchdog-accesses",
@@ -882,7 +857,7 @@ int cmd_checkpointed(const std::string& kind,
 
   run::CheckpointOptions copts;
   copts.threads = threads;
-  if (!parse_checkpoint_options(flags, &copts)) return 2;
+  if (!parse_u64_flag(flags, "deadline-ms", &copts.run_deadline_ms)) return 2;
   support::SignalGuard guard;
   copts.stop = support::SignalGuard::token();
   const run::CheckpointOutcome out =
@@ -923,7 +898,7 @@ int cmd_resume(const std::string& run_dir,
 
   run::CheckpointOptions copts;
   if (!parse_threads_flag(flags, &copts.threads) ||
-      !parse_checkpoint_options(flags, &copts))
+      !parse_u64_flag(flags, "deadline-ms", &copts.run_deadline_ms))
     return 2;
   support::SignalGuard guard;
   copts.stop = support::SignalGuard::token();
@@ -1381,8 +1356,7 @@ int main(int argc, char** argv) {
         {"workload", "machine", "scheme", "threads", "trace-dir", "epoch",
          "fault-kind", "fault-rate", "fault-seed", "fault-budget",
          "watchdog-accesses", "max-retries", "failures-out", "failures-jsonl",
-         "store", "run-dir", "deadline-ms", "cell-deadline-ms",
-         "cell-retries", "retry-backoff-ms", "csv-out", "jsonl-out"},
+         "store", "run-dir", "deadline-ms", "csv-out", "jsonl-out"},
         {"inject-faults", "integrity-checks", "store-readonly",
          "store-clear"}}},
       {"suite",
@@ -1390,16 +1364,12 @@ int main(int argc, char** argv) {
         {"machine", "scheme", "threads", "trace-dir", "epoch", "fault-kind",
          "fault-rate", "fault-seed", "fault-budget",
          "watchdog-accesses", "max-retries", "failures-out", "failures-jsonl",
-         "store", "run-dir", "deadline-ms", "cell-deadline-ms",
-         "cell-retries", "retry-backoff-ms", "csv-out", "jsonl-out"},
+         "store", "run-dir", "deadline-ms", "csv-out", "jsonl-out"},
         {"verify-pipeline", "inject-faults", "integrity-checks",
          "store-readonly", "store-clear"}}},
       {"store", {"store", {"store", "max-bytes"}, {}}},
       {"resume",
-       {"resume",
-        {"threads", "deadline-ms", "cell-deadline-ms", "cell-retries",
-         "retry-backoff-ms"},
-        {"status"}}},
+       {"resume", {"threads", "deadline-ms"}, {"status"}}},
       {"faultsim",
        {"faultsim",
         {"machine", "scheme", "fault-kind", "fault-rate", "fault-seed",
