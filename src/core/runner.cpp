@@ -16,7 +16,6 @@
 #include "tape/cache.h"
 #include "tape/multi_replayer.h"
 #include "tape/recording_model.h"
-#include "tape/replayer.h"
 #include "trace/recorder.h"
 
 namespace selcache::core {
@@ -301,15 +300,14 @@ std::uint64_t machine_fingerprint(const MachineConfig& m) {
 namespace {
 
 /// Is this run allowed on the tape path? Fault campaigns and watchdogs
-/// perturb or truncate the run midstream, so they always interpret.
-bool tape_eligible(const RunOptions& opt) {
-  return opt.reuse_tape && !opt.fault.enabled() && opt.watchdog_accesses == 0;
-}
-
-/// The tape cache a run consults: opt.tape_cache, or the process-global one.
-tape::TapeCache& tape_cache(const RunOptions& opt) {
-  return opt.tape_cache != nullptr ? *opt.tape_cache
-                                   : tape::TapeCache::global();
+/// perturb or truncate the run midstream, and a traced run records its
+/// phases as it interprets, so they always interpret. Tapes live only in
+/// the caller's opt.tape_cache.
+bool tape_eligible(const RunOptions& opt, const trace::Recording* trace_out) {
+  SELCACHE_CHECK_MSG(!opt.reuse_tape || opt.tape_cache != nullptr,
+                     "reuse_tape needs RunOptions::tape_cache");
+  return opt.reuse_tape && trace_out == nullptr && !opt.fault.enabled() &&
+         opt.watchdog_accesses == 0;
 }
 
 /// Is this run allowed on the persistent-store path? Stored results carry
@@ -447,46 +445,30 @@ std::vector<RunResult> simulate_group(const ir::Program& product,
 
 tape::Tape record_tape(const workloads::WorkloadInfo& w,
                        const MachineConfig& m, Version v,
-                       const RunOptions& opt, RunResult* result,
-                       trace::Recording* trace_out) {
+                       const RunOptions& opt, RunResult* result) {
   tape::TapeBuilder builder;
   std::vector<RunResult> r =
       simulate_group(prepare_program(w.build(), v, opt.optimize), {m}, v,
-                     opt, trace_out, &builder);
+                     opt, /*trace_out=*/nullptr, &builder);
   if (result != nullptr) *result = std::move(r.front());
   return builder.take();
 }
 
 RunResult replay_tape(const tape::Tape& t, const MachineConfig& m, Version v,
-                      const RunOptions& opt, trace::Recording* trace_out) {
-  Simulation sim({m}, v, opt, trace_out);
-  if (opt.batch > 0) {
-    // Batched decode loop: same op stream, delivered batch by batch.
-    const std::vector<cpu::TimingModel*> sinks{&sim.cpu};
-    tape::multi_replay(t, sinks, /*pool=*/nullptr, opt.batch);
-  } else {
-    tape::TapeReplayer::replay(t, sim.cpu);
-  }
+                      const RunOptions& opt) {
+  Simulation sim({m}, v, opt, /*trace_out=*/nullptr);
+  tape::replay_into(t, sim.cpu);
   return std::move(sim.collect().front());
 }
 
 std::vector<RunResult> multi_replay_tape(
     const tape::Tape& t, const std::vector<MachineConfig>& machines, Version v,
-    const RunOptions& opt, const ParallelSweepOptions& par,
-    const std::vector<trace::Recording*>* traces) {
-  SELCACHE_CHECK_MSG(traces == nullptr || traces->size() == machines.size(),
-                     "multi_replay_tape: traces/machines size mismatch");
-  const auto trace_of = [traces](std::size_t i) {
-    return traces != nullptr ? (*traces)[i] : nullptr;
-  };
-  // Untraced points that share_structure() ride one Simulation, priced at
-  // each of their latencies; every other point gets its own. Each
-  // Simulation owns all of its mutable state, so the fan-out below never
-  // shares anything but the immutable batch.
+    const RunOptions& opt) {
+  // Points that share_structure() ride one Simulation, priced at each of
+  // their latencies; every other point gets its own.
   const std::vector<std::vector<std::size_t>> groups =
       group_points(machines.size(), [&](std::size_t a, std::size_t b) {
-        return pricing_shareable(opt) && trace_of(a) == nullptr &&
-               trace_of(b) == nullptr &&
+        return pricing_shareable(opt) &&
                share_structure(machines[a], machines[b]);
       });
   std::vector<std::unique_ptr<Simulation>> sims;
@@ -495,17 +477,10 @@ std::vector<RunResult> multi_replay_tape(
   sinks.reserve(groups.size());
   for (const std::vector<std::size_t>& g : groups) {
     sims.push_back(std::make_unique<Simulation>(pick(machines, g), v, opt,
-                                                trace_of(g.front())));
+                                                /*trace_out=*/nullptr));
     sinks.push_back(&sims.back()->cpu);
   }
-  if (par.num_threads > 1 && sims.size() > 1) {
-    // Each batch fans out one task per Simulation; more workers would idle.
-    support::ThreadPool pool(
-        std::min<std::size_t>(par.num_threads, sims.size()));
-    tape::multi_replay(t, sinks, &pool, opt.batch);
-  } else {
-    tape::multi_replay(t, sinks, nullptr, opt.batch);
-  }
+  tape::multi_replay(t, sinks, opt.batch);
   std::vector<RunResult> out(machines.size());
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     std::vector<RunResult> rs = sims[gi]->collect();
@@ -522,6 +497,7 @@ RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
   // from disk and skips simulation entirely (including the tape path — a
   // stored result is strictly cheaper than a replay). A miss falls through
   // to whichever execution path applies and persists its result.
+  const bool taped = tape_eligible(opt, trace_out);
   const bool stored = store_eligible(opt, trace_out);
   std::string skey;
   if (stored) {
@@ -531,20 +507,19 @@ RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
   }
 
   RunResult result = [&]() -> RunResult {
-    if (tape_eligible(opt)) {
-      tape::TapeCache& cache = tape_cache(opt);
+    if (taped) {
       // First run for this key records (and its results are used directly —
       // the recording run IS the interpreted run); every later run replays.
       std::optional<RunResult> recorded;
       const tape::TapeCache::TapePtr t =
-          cache.get_or_record(tape_key(w, v, opt), [&] {
+          opt.tape_cache->get_or_record(tape_key(w, v, opt), [&] {
             RunResult r;
-            tape::Tape fresh = record_tape(w, m, v, opt, &r, trace_out);
+            tape::Tape fresh = record_tape(w, m, v, opt, &r);
             recorded = std::move(r);
             return fresh;
           });
       if (recorded) return std::move(*recorded);
-      return replay_tape(*t, m, v, opt, trace_out);
+      return replay_tape(*t, m, v, opt);
     }
 
     return std::move(
@@ -990,13 +965,7 @@ std::vector<std::vector<ImprovementRow>> sweep_axis(
     const std::vector<MachineConfig>& machines, const RunOptions& opt,
     const ParallelSweepOptions& par,
     std::span<const workloads::WorkloadInfo> suite) {
-  if (!rides_allowed(opt)) {
-    std::vector<std::vector<ImprovementRow>> rows;
-    for (const MachineConfig& m : machines)
-      rows.push_back(
-          sweep_cells(suite, m, opt, par, std::nullopt, nullptr).rows);
-    return rows;
-  }
+  SELCACHE_CHECK_MSG(rides_allowed(opt), "sweep_axis: options rule rides out");
   return ride_axis(suite, machines, opt, par.num_threads);
 }
 
@@ -1022,16 +991,14 @@ ResilientSweep sweep_resilient(
 namespace {
 
 /// One (workload, version) cell of a shared-decode axis sweep: results for
-/// every machine point from ONE decode of the cell's tape. Store hits are
-/// served per point. The first un-served point's group — every un-served
-/// point that share_structure()s with it — is interpreted and simulated
-/// once (exactly the simulation run_version would run at each). The run
-/// records the cell's tape only when something reads it: a pending point
-/// outside the group, which rides the multi-replay fan-out below, or a
-/// writable store, through which the caller keeps it with
-/// ResultStore::persist_tapes. A tape already in the cache is replayed at
-/// every pending point. Fresh results are persisted under the same store
-/// keys run_version would use.
+/// every machine point. Store hits are served per point. The cell's product
+/// is built once and interpreted once per structural group of the pending
+/// points (every pending point that share_structure()s with the group's
+/// first), exactly the simulation run_version would run at each. The first
+/// group's run records the cell's tape only when a writable store lets the
+/// caller keep it (ResultStore::persist_tapes) and the cache lacks it.
+/// Fresh results are persisted under the same store keys run_version would
+/// use.
 void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
                             const std::vector<MachineConfig>& machines,
                             const RunOptions& opt,
@@ -1055,52 +1022,29 @@ void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
   }
   if (pending.empty()) return;
 
-  std::vector<std::size_t> group;
-  std::vector<std::size_t> replayed;
-  for (std::size_t pi : pending) {
-    if (share_structure(machines[pending.front()], machines[pi])) {
-      group.push_back(pi);
-    } else {
-      replayed.push_back(pi);
-    }
-  }
-  tape::TapeCache& cache = tape_cache(opt);
+  const ir::Program product = prepare_program(w.build(), v, opt.optimize);
   const std::string key = tape_key(w, v, opt);
   // Within one sweep each tape key belongs to this one cell, so find()
   // cannot miss a tape another task is still recording.
-  const bool read_later =
-      !replayed.empty() || (stored && !opt.result_store->read_only());
-  tape::TapeCache::TapePtr t;
-  std::optional<std::vector<RunResult>> fresh;
-  if (read_later) {
-    t = cache.get_or_record(key, [&] {
-      tape::TapeBuilder builder;
-      fresh = simulate_group(prepare_program(w.build(), v, opt.optimize),
-                             pick(machines, group), v, opt,
-                             /*trace_out=*/nullptr, &builder);
-      return builder.take();
-    });
-  } else if ((t = cache.find(key)) == nullptr) {
-    fresh = simulate_group(prepare_program(w.build(), v, opt.optimize),
-                           pick(machines, group), v, opt,
-                           /*trace_out=*/nullptr, /*builder=*/nullptr);
+  const bool record = stored && !opt.result_store->read_only() &&
+                      opt.tape_cache->find(key) == nullptr;
+  tape::TapeBuilder builder;
+  const std::vector<std::vector<std::size_t>> groups =
+      group_points(pending.size(), [&](std::size_t a, std::size_t b) {
+        return share_structure(machines[pending[a]], machines[pending[b]]);
+      });
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    std::vector<std::size_t> points;
+    for (std::size_t k : groups[g]) points.push_back(pending[k]);
+    std::vector<RunResult> rs =
+        simulate_group(product, pick(machines, points), v, opt,
+                       /*trace_out=*/nullptr,
+                       record && g == 0 ? &builder : nullptr);
+    for (std::size_t i = 0; i < points.size(); ++i)
+      out[points[i]] = std::move(rs[i]);
   }
-
-  if (fresh) {
-    for (std::size_t i = 0; i < group.size(); ++i)
-      out[group[i]] = std::move((*fresh)[i]);
-  } else {
-    replayed = pending;  // tape existed (preloaded / earlier cell of a rerun)
-  }
-  if (!replayed.empty()) {
-    // Serial fan-out inside the cell: axis-level parallelism (one task per
-    // cell) already saturates the pool, and interleaving on one thread
-    // keeps every simulation's call order trivially deterministic.
-    std::vector<RunResult> rr =
-        multi_replay_tape(*t, pick(machines, replayed), v, opt, {});
-    for (std::size_t i = 0; i < replayed.size(); ++i)
-      out[replayed[i]] = std::move(rr[i]);
-  }
+  if (record)
+    opt.tape_cache->get_or_record(key, [&] { return builder.take(); });
   if (stored)
     for (std::size_t pi : pending)
       opt.result_store->save(skeys[pi], to_stored(out[pi]));
@@ -1111,7 +1055,7 @@ void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
 std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
     const std::vector<MachineConfig>& machines, const RunOptions& opt,
     const ParallelSweepOptions& par) {
-  SELCACHE_CHECK_MSG(tape_eligible(opt) && !opt.degrade.armed(),
+  SELCACHE_CHECK_MSG(tape_eligible(opt, nullptr) && !opt.degrade.armed(),
                      "sweep_axis_shared_decode needs a tape-eligible run "
                      "(reuse_tape, no faults/watchdog/degrade)");
   const auto& suite = workloads::all_workloads();
@@ -1123,14 +1067,14 @@ std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
                   [&](const MachineConfig& m) {
                     return share_structure(machines.front(), m);
                   });
-  // Without a store nothing reads a fresh tape, so the cells ride shared
-  // interpretations.
+  // Without a store no cell records a tape, so one structural group rides
+  // shared interpretations.
   if (opt.result_store == nullptr && one_group)
     return ride_axis(suite, machines, opt, par.num_threads);
 
   // per_cell[wi * nv + vi][pi]: every result of the whole axis, computed
-  // cell-major (one decode per cell) and assembled point-major in fixed
-  // order — the same rows per-point sweep_suite calls would build.
+  // cell-major and assembled point-major in fixed order — the same rows
+  // per-point sweep_suite calls would build.
   const std::size_t np = machines.size();
   std::vector<std::vector<RunResult>> per_cell(suite.size() * nv);
   support::run_cells(per_cell.size(), par.num_threads, [&](std::size_t i) {

@@ -52,20 +52,20 @@ struct RunOptions {
   /// Controller self-check policy; default-disarmed.
   hw::DegradePolicy degrade{};
   /// Serve this run from a trace tape when one exists for its (workload,
-  /// version, stream-fingerprint) key, recording it on first use. Replay is
-  /// bit-identical to interpretation. No command sets it: the axis engine
-  /// (sweep_axis) shares interpretations through ride groups instead, and
-  /// only the benchmark harness and the tape layer's own tests use tapes.
-  /// Fault-armed runs (a fault campaign or an access watchdog) always fall
-  /// back to plain interpretation and never touch the cache.
+  /// version, stream-fingerprint) key in opt.tape_cache, recording it on
+  /// first use. Replay is bit-identical to interpretation. No command sets
+  /// it: the axis engine (sweep_axis) shares interpretations through ride
+  /// groups instead, and only the benchmark harness and the tape layer's own
+  /// tests use tapes. Traced and fault-armed runs (a fault campaign or an
+  /// access watchdog) always interpret and never touch the cache.
   bool reuse_tape = false;
-  /// Cache consulted by reuse_tape; nullptr = the process-global cache.
+  /// The cache reuse_tape reads and fills; run_version and
+  /// sweep_axis_shared_decode throw std::logic_error when reuse_tape is set
+  /// without one.
   tape::TapeCache* tape_cache = nullptr;
-  /// Ops per decoded batch for batched tape replay (tape::MultiReplayer).
-  /// 0 = classic streaming replay (decode and simulate fused, one pass).
-  /// Any value selects the batched decode loop for replay_tape and the
-  /// shared-decode sweep engines; the op stream each simulation sees is
-  /// identical either way, so results are bit-identical at any batch size.
+  /// Ops per decoded batch in multi_replay_tape (tape::kDefaultBatchOps
+  /// when 0). The op stream each simulation sees is identical at any batch
+  /// size, so results are too.
   std::uint32_t batch = 0;
   /// Persistent result store consulted before simulating and updated after
   /// (nullptr = no store). A hit skips the whole simulation — program
@@ -97,9 +97,10 @@ struct RunResult {
 };
 
 /// Simulate one version of one workload on one machine. When `trace_out` is
-/// non-null the run records a phase trace into it (epoch metrics every
-/// opt.trace_epoch accesses plus discrete toggle/decay/bypass/promotion
-/// events); pass nullptr for an untraced run at full speed.
+/// non-null the run interprets and records a phase trace into it (epoch
+/// metrics every opt.trace_epoch accesses plus discrete toggle/decay/
+/// bypass/promotion events), bypassing the store and the tape cache; pass
+/// nullptr for an untraced run at full speed.
 RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
                       Version v, const RunOptions& opt = {},
                       trace::Recording* trace_out = nullptr);
@@ -123,39 +124,31 @@ std::string store_key(const workloads::WorkloadInfo& w, const MachineConfig& m,
 
 /// Record one (workload, version) trace tape by running an instrumented
 /// interpretation on machine `m`. The recording run is a bona fide
-/// simulation: pass `result` / `trace_out` to keep its results. Must not be
-/// called with a fault campaign or watchdog armed (the tape would capture a
-/// truncated or perturbed stream); run_version enforces the same rule by
-/// falling back to interpretation.
+/// simulation: pass `result` to keep its results. Must not be called with a
+/// fault campaign or watchdog armed (the tape would capture a truncated or
+/// perturbed stream); run_version enforces the same rule by falling back to
+/// interpretation.
 tape::Tape record_tape(const workloads::WorkloadInfo& w,
                        const MachineConfig& m, Version v,
-                       const RunOptions& opt = {}, RunResult* result = nullptr,
-                       trace::Recording* trace_out = nullptr);
+                       const RunOptions& opt = {}, RunResult* result = nullptr);
 
 /// Replay a recorded tape on machine `m` as version `v`, reconstructing the
 /// machine exactly as run_version would and driving it with the tape
 /// instead of the IR. Bit-identical to the interpreted run for any machine.
-/// With opt.batch > 0 the tape is decoded through the batched loop
-/// (tape::MultiReplayer) instead of the fused streaming replayer.
 RunResult replay_tape(const tape::Tape& t, const MachineConfig& m, Version v,
-                      const RunOptions& opt = {},
-                      trace::Recording* trace_out = nullptr);
+                      const RunOptions& opt = {});
 
 /// Replay one tape across N machine configurations with a SINGLE decode:
-/// the tape expands once into op batches, and every batch drives each
-/// Simulation before the next batch is decoded. Untraced machines that
-/// differ only in main-memory latency share one Simulation: one structural
-/// pass, priced at each machine's latency. Every other machine — traced,
-/// or in a fault-, watchdog- or degrade-armed run — gets its own. Results
-/// are in machines order and bit-identical to N separate replay_tape calls
-/// — at any par.num_threads (each simulation is driven by one task at a
-/// time, in strict tape order) and any opt.batch. `traces` (optional)
-/// supplies one Recording* per machine (entries may be nullptr); traced
-/// simulations record exactly what a solo traced replay would.
+/// the tape expands once into batches of opt.batch ops, and every batch
+/// drives each Simulation, interleaved on the calling thread, before the
+/// next batch is decoded. Machines that differ only in main-memory latency
+/// share one Simulation: one structural pass, priced at each machine's
+/// latency. In a fault-, watchdog- or degrade-armed run every machine gets
+/// its own. Results are in machines order and bit-identical to N separate
+/// replay_tape calls at any opt.batch.
 std::vector<RunResult> multi_replay_tape(
     const tape::Tape& t, const std::vector<MachineConfig>& machines, Version v,
-    const RunOptions& opt = {}, const ParallelSweepOptions& par = {},
-    const std::vector<trace::Recording*>* traces = nullptr);
+    const RunOptions& opt = {});
 
 /// One (workload, version) phase-trace recording from a sweep.
 struct TraceCapture {
@@ -244,8 +237,8 @@ std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
 /// pass run on one support::run_cells call. The store (if attached) is read
 /// and written per (cell, point): a cell is simulated in a group when any
 /// of the group's points missed, and only missed points are saved, each as
-/// its unit finishes. Options that rule rides out (tapes, a fault, watchdog
-/// or degrade campaign) run one sweep_suite per point.
+/// its unit finishes. Options must allow rides (no tapes, no fault,
+/// watchdog or degrade campaign); others throw std::logic_error.
 ///
 /// Once support::SignalGuard::stop_requested() is set (only an installed
 /// guard that caught a signal sets it), no further unit starts and the call
@@ -329,30 +322,23 @@ SweepPlan plan_sweep(std::span<const workloads::WorkloadInfo> suite,
                      const RunOptions& opt = {},
                      const ParallelSweepOptions& par = {});
 
-/// Whole-AXIS sweep with shared decode: the full suite over every machine
-/// point of a figure axis, decoding each (workload, version) cell's tape
-/// ONCE and fanning the batches out to the pending machine points
-/// (tape::MultiReplayer) instead of re-decoding per point. Points that
-/// differ only in main-memory latency share one structural simulation; the
-/// cell's one interpreted run prices the whole group of the first pending
-/// point, so a pure latency axis interprets and simulates each cell once.
-/// When every point shares structure with the first and no store is
-/// attached, nothing reads a tape: the cells run on sweep_axis's ride
-/// engine, so such an axis interprets each code product once and neither
-/// reads nor fills opt.tape_cache. Otherwise a cell's run records its tape
-/// only when something reads it: a pending point outside the group replays
-/// it, or a writable opt.result_store lets the caller keep it
-/// (ResultStore::persist_tapes). A tape already in the cache is replayed
-/// at every pending point. Returns
-/// rows[point] exactly as `machines.size()` sweep_suite calls would — same
-/// rows, same stats, same store cells — just cheaper. Requires a
-/// tape-eligible configuration (opt.reuse_tape set, no fault campaign or
-/// watchdog, opt.degrade disarmed). The persistent store (if attached) is
-/// consulted per (cell, point) before simulating and updated after, like
-/// run_version. The 13x5 cells run on support::run_cells (each cell
-/// multi-replays its points on one thread); results merge in fixed
-/// (workload, version, point) order — bit-identical to the serial engine
-/// and to per-point sweep_suite at any thread count.
+/// The suite over every machine point of a figure axis, built on a tape
+/// cache: rows[point] exactly as `machines.size()` sweep_suite calls would
+/// build them — same rows, same stats, same store cells. Requires a
+/// tape-eligible configuration (opt.reuse_tape with opt.tape_cache, no
+/// fault campaign or watchdog, opt.degrade disarmed). When every point
+/// shares structure with the first and no store is attached, the cells run
+/// on sweep_axis's ride engine, so such an axis interprets each code
+/// product once and neither reads nor fills the cache. Otherwise each
+/// (workload, version) cell is one support::run_cells task: its store hits
+/// (if a store is attached) are served per point, and its product is built
+/// once and interpreted once per structural group of its pending points,
+/// pricing every point of the group. The first group's run records the
+/// cell's tape only when a writable store lets the caller keep it
+/// (ResultStore::persist_tapes) and the cache lacks it. No tape is
+/// replayed. Fresh results are saved under run_version's store keys, and
+/// results merge in fixed (workload, version, point) order, bit-identical
+/// at any thread count.
 std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
     const std::vector<MachineConfig>& machines, const RunOptions& opt = {},
     const ParallelSweepOptions& par = {});

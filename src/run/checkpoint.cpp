@@ -223,19 +223,14 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
   }
 
   // The journal around each unit. Once the run is stopping, no unit
-  // starts, so its cells stay unjournaled and resume re-plans them. This
-  // call's records carry each cell's attempt index: its earlier starts.
+  // starts, so its cells stay unjournaled and resume re-plans them.
   CrashHook crash;
   std::vector<char> started(n_cells, 0);
-  std::atomic<std::uint64_t> failed{0};
   core::UnitHooks hooks;
   hooks.start = [&](const std::vector<std::size_t>& ids) {
     if (stopping()) return false;
     for (std::size_t i : ids) {
-      append(JournalRecord("started")
-                 .add("cell", name_of(i))
-                 .add("attempt", std::uint64_t{cells[i].attempts})
-                 .add("seed", opt.data_seed));
+      append(JournalRecord("started").add("cell", name_of(i)));
       started[i] = 1;
     }
     return true;
@@ -243,8 +238,7 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
   hooks.saved = [&](std::size_t i, const core::RunResult& r) {
     append(JournalRecord("done")
                .add("cell", name_of(i))
-               .add("fp", result_fingerprint(r))
-               .add("attempt", std::uint64_t{cells[i].attempts}));
+               .add("fp", result_fingerprint(r)));
     cells[i].status = "done";
     crash.tick();
   };
@@ -253,7 +247,6 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
     for (std::size_t i : ids) {
       append(JournalRecord("failed")
                  .add("cell", name_of(i))
-                 .add("attempt", std::uint64_t{cells[i].attempts})
                  .add("reason", reason));
       append(JournalRecord("quarantined")
                  .add("cell", name_of(i))
@@ -261,7 +254,6 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
       cells[i].status = "quarantined";
       cells[i].reason = reason;
     }
-    failed.fetch_add(ids.size(), std::memory_order_relaxed);
   };
   core::run_units(suite, *machine, opt, {.num_threads = opts.threads}, todo,
                   results, hooks);
@@ -272,7 +264,6 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
     if (cells[i].status == "stored") ++out.cells_from_store;
     if (cells[i].status == "quarantined") ++out.cells_quarantined;
   }
-  out.failed_attempts = failed.load();
   out.cells = std::move(cells);
   // Only a stop leaves a cell pending: its unit, or its copy's source's
   // unit, never started.

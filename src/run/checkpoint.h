@@ -3,10 +3,10 @@
 // point and resumed to the byte-identical output of an uninterrupted run.
 //
 // A cell is one (workload, version) simulation. Its lifecycle is journaled
-// as planned -> started(attempt, seed) -> done(result fingerprint) |
-// failed(attempt, reason) + quarantined(reason), with run-level records
-// around it (run header, suspended, complete). The journal records
-// TRANSITIONS; the run directory's result store holds the cell RESULTS, so:
+// as planned -> started -> done(result fingerprint) | failed(reason) +
+// quarantined(reason), with run-level records around it (run header,
+// suspended, complete). The journal records TRANSITIONS; the run
+// directory's result store holds the cell RESULTS, so:
 //
 //   * a `done` record whose stored result round-trips with a matching
 //     fingerprint is trusted and never re-simulated;
@@ -78,7 +78,6 @@ struct CheckpointOutcome {
   std::uint64_t cells_done = 0;        ///< simulated to completion this call
   std::uint64_t cells_from_store = 0;  ///< trusted done records (resume)
   std::uint64_t cells_quarantined = 0;
-  std::uint64_t failed_attempts = 0;
 };
 
 /// Execute (or resume) the run described by `spec` in `run_dir`. Creates

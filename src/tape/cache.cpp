@@ -78,9 +78,4 @@ void TapeCache::clear() {
   tapes_.clear();
 }
 
-TapeCache& TapeCache::global() {
-  static TapeCache cache;
-  return cache;
-}
-
 }  // namespace selcache::tape

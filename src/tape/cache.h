@@ -52,10 +52,6 @@ class TapeCache {
   std::size_t size() const;
   void clear();
 
-  /// Process-wide cache used when RunOptions::reuse_tape is set without an
-  /// explicit cache.
-  static TapeCache& global();
-
  private:
   mutable std::mutex mu_;
   // map (not unordered_map) so snapshot() is deterministically ordered.

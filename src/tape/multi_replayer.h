@@ -1,9 +1,9 @@
 // Batched multi-config replay: decode a tape ONCE and fan every decoded
 // batch out to N independent simulations.
 //
-// The classic replay loop (replayer.h) re-decodes the tape for every machine
-// configuration a sweep visits — an N-point figure axis pays the varint/
-// zigzag decode N times per cell. MultiReplayer splits decode from
+// Streaming replay (replay_into straight into a TimingModel) re-decodes the
+// tape for every machine configuration — an N-point axis pays the varint/
+// zigzag decode N times per cell. multi_replay splits decode from
 // simulation: replay_into drives a BatchingSink that expands the tape into
 // fixed-size structure-of-arrays op batches (op kind, flag, payload,
 // address), and each full batch is fed to every sink before the next batch
@@ -12,11 +12,9 @@
 //
 // Determinism contract: every sink receives exactly the same call sequence,
 // in exactly tape order, as a dedicated replay_into would deliver — the
-// batch is immutable while it fans out, and each sink is driven by a single
-// task at a time. With a ThreadPool the N sinks advance concurrently (one
-// task per sink per batch, joined before the next batch); without one they
-// advance interleaved on the calling thread. Either way each simulation's
-// state evolution is bit-identical to a solo replay at any thread count.
+// batch is immutable while it fans out, and the sinks advance interleaved
+// on the calling thread, so each simulation's state evolution is
+// bit-identical to a solo replay.
 //
 // Batch lookahead: while feeding op i, the decoded address of a data op a
 // few slots ahead is known, so the sink's L1D/DTLB sets can be software-
@@ -26,12 +24,9 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
-#include <future>
 #include <utility>
 #include <vector>
 
-#include "support/thread_pool.h"
 #include "tape/tape.h"
 
 namespace selcache::tape {
@@ -153,38 +148,16 @@ class BatchingSink {
 };
 
 /// Decode `tape` once and drive every sink in `sinks` with its full op
-/// stream. With a pool, each batch fans out as one task per sink (joined —
-/// with every task finished — before the next batch is decoded; a thrown
-/// simulation exception is re-thrown only after the join, so no task ever
-/// outlives the batch it reads). Without a pool, sinks advance interleaved
-/// on the calling thread. Throws what replay_into / the sinks throw.
+/// stream, one batch of `batch_ops` ops (kDefaultBatchOps when 0) at a time.
+/// Throws what replay_into / the sinks throw.
 template <typename Sink>
 void multi_replay(const Tape& tape, const std::vector<Sink*>& sinks,
-                  support::ThreadPool* pool = nullptr,
                   std::uint32_t batch_ops = kDefaultBatchOps) {
   if (sinks.empty()) return;
   if (batch_ops == 0) batch_ops = kDefaultBatchOps;
-  const bool fan_out = pool != nullptr && sinks.size() > 1;
-  auto feed = [&](const OpBatch& b) {
-    if (fan_out) {
-      std::vector<std::future<void>> done;
-      done.reserve(sinks.size());
-      for (Sink* s : sinks)
-        done.push_back(pool->submit([&b, s] { replay_batch(b, *s); }));
-      std::exception_ptr err;
-      for (auto& f : done) {
-        try {
-          f.get();
-        } catch (...) {
-          if (err == nullptr) err = std::current_exception();
-        }
-      }
-      if (err != nullptr) std::rethrow_exception(err);
-    } else {
-      for (Sink* s : sinks) replay_batch(b, *s);
-    }
-  };
-  BatchingSink sink(batch_ops, feed);
+  BatchingSink sink(batch_ops, [&](const OpBatch& b) {
+    for (Sink* s : sinks) replay_batch(b, *s);
+  });
   replay_into(tape, sink);
   sink.flush();
 }

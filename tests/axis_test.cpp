@@ -129,6 +129,21 @@ TEST(SweepAxis, MatchesSoloRowsAndServesTheStorePerCellAndPoint) {
   fs::remove_all(partial);
 }
 
+/// Options that rule rides out are a precondition failure: a tape or a
+/// fault campaign throws before any unit runs.
+TEST(SweepAxis, OptionsThatRuleRidesOutThrow) {
+  const std::vector<workloads::WorkloadInfo> suite = {
+      workloads::workload("Perl")};
+  RunOptions taped;
+  taped.reuse_tape = true;
+  EXPECT_THROW(sweep_axis(mixed_axis(), taped, {}, suite), std::logic_error);
+  RunOptions faulted;
+  faulted.fault.kind = fault::FaultKind::ToggleDrop;
+  faulted.fault.rate = 0.5;
+  EXPECT_THROW(sweep_axis(mixed_axis(), faulted, {}, suite),
+               std::logic_error);
+}
+
 /// Once a guarded signal has been noted, a sweep starts no unit: it throws
 /// support::RunSuspended and saves nothing. Cleared, the same call
 /// completes and saves every cell.

@@ -1,9 +1,10 @@
 // The batched multi-config replay contract: decoding a tape ONCE and
-// fanning its batches out to N machine configurations (multi_replay_tape /
-// sweep_axis_shared_decode) is bit-identical to N separate per-config
-// replays — same RunResults and merged StatSets, same phase-trace JSONL,
-// same persistent-store fingerprints — at any thread count and any batch
-// size.
+// fanning its batches out to N machine configurations (multi_replay_tape)
+// is bit-identical to N separate per-config replays — same RunResults and
+// merged StatSets — at any batch size. The shared-decode axis engine
+// (sweep_axis_shared_decode) builds the same rows and persistent-store
+// cells as per-point sweeps at any thread count, and records a tape only
+// for a writable store.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,7 +15,6 @@
 #include "core/runner.h"
 #include "store/store.h"
 #include "tape/cache.h"
-#include "trace/jsonl.h"
 
 namespace selcache::core {
 namespace {
@@ -52,9 +52,8 @@ void expect_rows_identical(const std::vector<ImprovementRow>& a,
 }
 
 /// The headline criterion: every cell of the 13x5 matrix, fanned across a
-/// 4-machine axis with one decode, matches per-config replay bit for bit
-/// at --threads 1, 4, and 8.
-TEST(MultiReplay, FullMatrixMatchesPerConfigReplayAtEveryThreadCount) {
+/// 4-machine axis with one decode, matches per-config replay bit for bit.
+TEST(MultiReplay, FullMatrixMatchesPerConfigReplay) {
   const std::vector<MachineConfig> machines = axis_machines();
   const RunOptions opt;
   for (const auto& w : workloads::all_workloads()) {
@@ -65,15 +64,11 @@ TEST(MultiReplay, FullMatrixMatchesPerConfigReplayAtEveryThreadCount) {
       std::vector<RunResult> solo;
       for (const MachineConfig& m : machines)
         solo.push_back(replay_tape(t, m, v, opt));
-      for (const unsigned threads : {1u, 4u, 8u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        const std::vector<RunResult> fanned = multi_replay_tape(
-            t, machines, v, opt,
-            ParallelSweepOptions{.num_threads = threads});
-        ASSERT_EQ(fanned.size(), machines.size());
-        for (std::size_t i = 0; i < machines.size(); ++i)
-          expect_results_identical(solo[i], fanned[i]);
-      }
+      const std::vector<RunResult> fanned =
+          multi_replay_tape(t, machines, v, opt);
+      ASSERT_EQ(fanned.size(), machines.size());
+      for (std::size_t i = 0; i < machines.size(); ++i)
+        expect_results_identical(solo[i], fanned[i]);
     }
   }
 }
@@ -95,45 +90,9 @@ TEST(MultiReplay, BatchSizeNeverChangesResults) {
     RunOptions opt;
     opt.batch = batch;
     const std::vector<RunResult> fanned =
-        multi_replay_tape(t, machines, Version::Selective, opt,
-                          ParallelSweepOptions{.num_threads = 4});
+        multi_replay_tape(t, machines, Version::Selective, opt);
     for (std::size_t i = 0; i < machines.size(); ++i)
       expect_results_identical(solo[i], fanned[i]);
-  }
-}
-
-/// The trace layer rides along: a traced fan-out records, per machine, the
-/// exact epochs and events of a solo traced replay — compared both as
-/// structures and as the serialized JSONL bytes the CLI emits.
-TEST(MultiReplay, TracedFanOutMatchesSoloTraceJsonl) {
-  const auto& w = workloads::all_workloads().front();
-  const std::vector<MachineConfig> machines = axis_machines();
-  RunOptions opt;
-  opt.trace_epoch = 2000;  // several epochs per run
-  const tape::Tape t = record_tape(w, base_machine(), Version::Selective, opt);
-
-  std::vector<trace::Recording> solo(machines.size());
-  for (std::size_t i = 0; i < machines.size(); ++i)
-    (void)replay_tape(t, machines[i], Version::Selective, opt, &solo[i]);
-
-  for (const unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::vector<trace::Recording> fanned(machines.size());
-    std::vector<trace::Recording*> sinks;
-    for (auto& r : fanned) sinks.push_back(&r);
-    (void)multi_replay_tape(t, machines, Version::Selective, opt,
-                            ParallelSweepOptions{.num_threads = threads},
-                            &sinks);
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-      SCOPED_TRACE("machine " + std::to_string(i));
-      ASSERT_FALSE(fanned[i].epochs.empty());
-      EXPECT_EQ(solo[i], fanned[i]);
-      const trace::SimTag tag{.workload = w.name, .version = "selective"};
-      EXPECT_EQ(trace::events_jsonl(solo[i], tag),
-                trace::events_jsonl(fanned[i], tag));
-      EXPECT_EQ(trace::metrics_jsonl(solo[i], tag),
-                trace::metrics_jsonl(fanned[i], tag));
-    }
   }
 }
 
@@ -167,8 +126,7 @@ TEST(MultiReplay, GroupingSeparatesPointsBeyondMemoryLatency) {
       SCOPED_TRACE(to_string(v));
       const tape::Tape t = record_tape(w, base_machine(), v);
       const std::vector<RunResult> grouped =
-          multi_replay_tape(t, machines, v, RunOptions{},
-                            ParallelSweepOptions{.num_threads = 4});
+          multi_replay_tape(t, machines, v);
       ASSERT_EQ(grouped.size(), machines.size());
       for (std::size_t i = 0; i < machines.size(); ++i) {
         SCOPED_TRACE("machine " + std::to_string(i));
@@ -178,10 +136,11 @@ TEST(MultiReplay, GroupingSeparatesPointsBeyondMemoryLatency) {
   }
 }
 
-/// The shared-decode axis engine is the sweep-level wrapper: rows for each
-/// machine point must equal the per-point sweep_suite rows — and the
-/// result-store cells it persists must carry the exact same fingerprinted
-/// payloads, so a store warmed by either engine serves the other.
+/// The shared-decode axis engine interprets each cell once per structural
+/// group: rows for each machine point must equal the per-point sweep_suite
+/// rows — and the result-store cells it persists must carry the exact same
+/// fingerprinted payloads, so a store warmed by either engine serves the
+/// other.
 TEST(MultiReplay, SharedDecodeAxisMatchesPerPointSweepAndStoreCells) {
   const std::vector<MachineConfig> machines = axis_machines();
 
@@ -215,7 +174,8 @@ TEST(MultiReplay, SharedDecodeAxisMatchesPerPointSweepAndStoreCells) {
     const auto shared = sweep_axis_shared_decode(
         machines, axis_opt, ParallelSweepOptions{.num_threads = threads});
     ASSERT_EQ(shared.size(), machines.size());
-    // Mixed points replay the tape, and the writable store keeps it too.
+    // The writable store keeps every cell's tape, recorded by the run that
+    // simulates its first structural group.
     EXPECT_EQ(axis_cache.size(), suite_cells());
     for (std::size_t i = 0; i < machines.size(); ++i) {
       SCOPED_TRACE("machine " + std::to_string(i));
@@ -245,12 +205,12 @@ TEST(MultiReplay, SharedDecodeAxisMatchesPerPointSweepAndStoreCells) {
   std::filesystem::remove_all(axis_dir);
 }
 
-/// A cell records its tape only when something reads it. On a latency-only
-/// axis every point is priced by the cell's one simulation, so no point
-/// replays: without a store nothing is recorded; a writable store keeps
-/// every tape for persist_tapes; and a cache preloaded with those tapes
-/// replays every cell without recording. A cell's row does not depend on
-/// which route served it.
+/// A cell records its tape only when something reads it: a writable store
+/// that keeps it. On a latency-only axis every point is priced by the
+/// cell's one simulation: without a store nothing is recorded; a writable
+/// store keeps every tape for persist_tapes; and a cache preloaded with
+/// those tapes is left as it was while every cell is interpreted. A cell's
+/// row does not depend on which route served it.
 TEST(MultiReplay, LatencyAxisRecordsOnlyTapesSomethingReads) {
   std::vector<MachineConfig> machines;
   for (const unsigned lat : {100u, 300u}) {
@@ -286,13 +246,14 @@ TEST(MultiReplay, LatencyAxisRecordsOnlyTapesSomethingReads) {
   EXPECT_EQ(kept.size(), suite_cells());
   EXPECT_EQ(kept_store.persist_tapes(kept), suite_cells());
 
-  // 3. A fresh store and sweep 2's tapes: every cell replays, none records.
+  // 3. A fresh store and sweep 2's tapes: every cell is interpreted, and
+  // none records, since the cache holds its tape.
   tape::TapeCache preloaded;
   ASSERT_EQ(store::ResultStore(kept_dir).preload_tapes(preloaded),
             suite_cells());
   const auto before = preloaded.snapshot();
   store::ResultStore fresh_store(fresh_dir);
-  const auto replayed =
+  const auto refilled =
       sweep_axis_shared_decode(machines, taped(preloaded, &fresh_store), par);
   EXPECT_EQ(preloaded.snapshot(), before);
   EXPECT_EQ(fresh_store.counters().writes, machines.size() * suite_cells());
@@ -305,12 +266,12 @@ TEST(MultiReplay, LatencyAxisRecordsOnlyTapesSomethingReads) {
 
   ASSERT_EQ(plain.size(), machines.size());
   ASSERT_EQ(stored.size(), machines.size());
-  ASSERT_EQ(replayed.size(), machines.size());
+  ASSERT_EQ(refilled.size(), machines.size());
   ASSERT_EQ(cached.size(), machines.size());
   for (std::size_t i = 0; i < machines.size(); ++i) {
     SCOPED_TRACE("machine " + std::to_string(i));
     expect_rows_identical(plain[i], stored[i]);
-    expect_rows_identical(plain[i], replayed[i]);
+    expect_rows_identical(plain[i], refilled[i]);
     expect_rows_identical(plain[i], cached[i]);
   }
   std::filesystem::remove_all(kept_dir);

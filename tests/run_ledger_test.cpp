@@ -416,6 +416,56 @@ TEST_F(CheckpointTest, CopiesAreJournaledDone) {
   }
 }
 
+/// Journals from before this writer dropped its write-only fields carry
+/// `attempt` on started, done and failed records and `seed` on started
+/// ones. Readers ignore fields they do not know, so such a journal resumes:
+/// its done cells are served from the store, the others simulated, and the
+/// rows are the first run's. The records the resume appends carry neither
+/// field.
+TEST_F(CheckpointTest, RetiredAttemptAndSeedFieldsResumeToTheSameRows) {
+  const auto first = run_checkpointed(dir_, demo_spec(), {});
+  ASSERT_TRUE(first.complete);
+  const std::string wal = (fs::path(dir_) / "journal.wal").string();
+  const JournalReadResult kept = read_journal(wal);
+  fs::remove(wal);
+  std::size_t old_records = 0;
+  {
+    JournalWriter w(wal, /*sync_each=*/false);
+    std::size_t done = 0;
+    for (JournalRecord rec : kept.records) {
+      if (rec.type == "complete") continue;
+      if (rec.type == "started")
+        rec.add("attempt", std::uint64_t{0}).add("seed", std::uint64_t{7});
+      if (rec.type == "done") {
+        if (++done > 3) continue;  // the rest stay started
+        if (done == 3)             // ends failed, not quarantined
+          rec = JournalRecord("failed")
+                    .add("cell", rec.get("cell"))
+                    .add("reason", "an earlier build's failure");
+        rec.add("attempt", std::uint64_t{0});
+      }
+      ASSERT_TRUE(w.append(rec));
+      ++old_records;
+    }
+  }
+  const auto res = resume_checkpointed(dir_, {});
+  ASSERT_TRUE(res.error.empty()) << res.error;
+  EXPECT_TRUE(res.complete);
+  EXPECT_EQ(res.cells_from_store, 2u);
+  EXPECT_EQ(res.cells_done, first.cells.size() - 2);
+  ASSERT_EQ(res.rows.size(), 1u);
+  expect_rows_equal(res.rows[0], first.rows[0]);
+  const JournalReadResult after = read_journal(wal);
+  ASSERT_GT(after.records.size(), old_records);
+  for (std::size_t k = old_records; k < after.records.size(); ++k) {
+    EXPECT_EQ(after.records[k].find("attempt"), nullptr)
+        << after.records[k].type;
+    EXPECT_EQ(after.records[k].find("seed"), nullptr) << after.records[k].type;
+  }
+  for (const auto& c : inspect_run(dir_).cells)
+    EXPECT_EQ(c.status, "done") << c.version;
+}
+
 TEST_F(CheckpointTest, SpecMismatchIsRejected) {
   ASSERT_TRUE(run_checkpointed(dir_, demo_spec(), {}).error.empty());
   RunSpec other = demo_spec();

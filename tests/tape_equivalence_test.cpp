@@ -1,13 +1,14 @@
 // The trace-tape contract: replaying a recorded tape is bit-identical to
-// interpreting the IR — same cycles, same merged stat counters, same phase
-// traces — for every (workload, version) cell and for ANY machine point,
-// including machines other than the one the tape was recorded on. Fault-
-// armed runs must bypass the tape path entirely and match the plain faulted
-// run, and the reuse_tape sweep stays deterministic at every thread count.
+// interpreting the IR — same cycles, same merged stat counters — for every
+// (workload, version) cell and for ANY machine point, including machines
+// other than the one the tape was recorded on. Traced and fault-armed runs
+// must bypass the tape path entirely and match the plain run, and the
+// reuse_tape sweep stays deterministic at every thread count.
 #include <gtest/gtest.h>
 
 #include "core/runner.h"
 #include "tape/cache.h"
+#include "trace/jsonl.h"
 
 namespace selcache::core {
 namespace {
@@ -110,33 +111,43 @@ TEST(TapeEquivalence, TapeRecordedOnBaseReplaysOnEveryOtherMachine) {
       << "cross-machine replays must reuse the base-machine tapes";
 }
 
-/// The bit-identical contract extends to the phase-trace layer: a traced
-/// replay produces the same epochs and events as a traced interpretation.
-TEST(TapeEquivalence, TracedReplayRecordsIdenticalPhases) {
+/// Tracing has one home, the interpreted run: a traced run with reuse_tape
+/// interprets, records the same phases (as structures and as the JSONL
+/// bytes the CLI writes) as a traced run without it, and neither reads nor
+/// fills the tape cache.
+TEST(TapeEquivalence, TracedRunInterpretsAndLeavesTheCacheAlone) {
   const MachineConfig m = base_machine();
   const auto& w = workloads::all_workloads().front();
   RunOptions opt;
   opt.trace_epoch = 2000;  // small epochs so several snapshots land
 
   trace::Recording interp;
-  (void)run_version(w, m, Version::Selective, opt, &interp);
+  const RunResult plain = run_version(w, m, Version::Selective, opt, &interp);
   ASSERT_FALSE(interp.epochs.empty());
 
   tape::TapeCache cache;
   RunOptions taped = opt;
   taped.reuse_tape = true;
   taped.tape_cache = &cache;
+  trace::Recording traced;
+  const RunResult r = run_version(w, m, Version::Selective, taped, &traced);
+  expect_results_identical(plain, r);
+  EXPECT_EQ(interp, traced);
+  const trace::SimTag tag{.workload = w.name, .version = "selective"};
+  EXPECT_EQ(trace::events_jsonl(interp, tag), trace::events_jsonl(traced, tag));
+  EXPECT_EQ(trace::metrics_jsonl(interp, tag),
+            trace::metrics_jsonl(traced, tag));
+  EXPECT_EQ(cache.size(), 0u) << "a traced run must not record a tape";
+}
 
-  trace::Recording from_record;
-  const RunResult r1 =
-      run_version(w, m, Version::Selective, taped, &from_record);
-  trace::Recording from_replay;
-  const RunResult r2 =
-      run_version(w, m, Version::Selective, taped, &from_replay);
-  (void)r1;
-  (void)r2;
-  EXPECT_EQ(interp, from_record);
-  EXPECT_EQ(interp, from_replay);
+/// A tape lives only in the caller's cache: reuse_tape without one is a
+/// precondition failure.
+TEST(TapeEquivalence, ReuseTapeWithoutACacheThrows) {
+  RunOptions taped;
+  taped.reuse_tape = true;
+  EXPECT_THROW((void)run_version(workloads::all_workloads().front(),
+                                 base_machine(), Version::Base, taped),
+               std::logic_error);
 }
 
 /// Fault-armed runs never touch the tape machinery: they fall back to plain

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CLI contract for the predict subcommands plus the removed tape engine
 # (--batch, --reuse-tape, tape), checkpointed sweeps (--run-dir, without
-# per-cell retry or deadline flags) and run-file's loop-step check: unknown flags, unknown commands and malformed
-# invocations must exit 2 (same as every other subcommand), good runs 0,
-# and a failed cross-check 1.
+# per-cell retry or deadline flags), sweep/suite flags that need another
+# flag's mode, and run-file's loop-step check: unknown flags, unknown
+# commands and malformed invocations must exit 2 (same as every other
+# subcommand), good runs 0, and a failed cross-check 1.
 #
 #   tools/run_cli_flags_test.sh path/to/selcache
 set -u
@@ -68,6 +69,32 @@ expect 2 "$cli" sweep --workload Chaos --run-dir "$tmp/run" --cell-retries 1
 expect 2 "$cli" suite --run-dir "$tmp/run" --cell-deadline-ms 5
 expect 2 "$cli" suite --run-dir "$tmp/run" --retry-backoff-ms 10
 expect 2 "$cli" resume "$tmp/run" --cell-retries 1
+
+# A flag that only another flag's mode reads exits 2 instead of being
+# ignored: --deadline-ms needs --run-dir, --epoch needs --trace-dir, and the
+# resilient sweep's flags need --inject-faults or --watchdog-accesses (a
+# zero watchdog arms nothing).
+expect 2 "$cli" suite --deadline-ms 1 --threads 4
+expect 2 "$cli" sweep --workload TPC-D,Q6 --epoch 500
+expect 2 "$cli" sweep --workload TPC-D,Q6 --run-dir "$tmp/epoch_run" --epoch 500
+expect 2 "$cli" sweep --workload TPC-D,Q6 --max-retries 3 \
+  --failures-out "$tmp/ignored.csv"
+expect 2 "$cli" sweep --workload TPC-D,Q6 --failures-jsonl "$tmp/ignored.jsonl"
+expect 2 "$cli" sweep --workload TPC-D,Q6 --fault-budget 5
+expect 2 "$cli" sweep --workload TPC-D,Q6 --integrity-checks
+expect 2 "$cli" sweep --workload TPC-D,Q6 --watchdog-accesses 0 --max-retries 1
+if [ -e "$tmp/ignored.csv" ] || [ -e "$tmp/epoch_run" ]; then
+  echo "FAIL: a refused sweep wrote its output"
+  fails=$((fails + 1))
+fi
+# A watchdog that never trips selects the resilient engine, which reads them.
+expect 0 "$cli" sweep --workload TPC-D,Q6 \
+  --watchdog-accesses 18446744073709551615 --max-retries 0 \
+  --failures-out "$tmp/watchdog.csv"
+if [ ! -s "$tmp/watchdog.csv" ]; then
+  echo "FAIL: the resilient sweep wrote no --failures-out file"
+  fails=$((fails + 1))
+fi
 
 # A loop step that is not positive would never reach its bound: run-file
 # rejects it with a diagnostic instead of running forever (`timeout` turns

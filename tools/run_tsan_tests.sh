@@ -45,17 +45,18 @@ cmake --build --preset tsan -j "$(nproc)" --target \
 # several structural groups on one pool, saving store cells as they
 # finish, and a noted signal stopping them; run_units calling a caller's
 # hooks from every worker), the pool itself,
-# tape record/replay equivalence (shared tape cache), the batched
-# multi-config fan-out (one task per sink per batch), the resilient
-# sweep's failure isolation, and the checkpoint engine (its units' hooks
-# share the journal writer, and their cells the run-dir store). The two
-# suite-scale MultiReplay cases (full 13x5 matrix, shared-decode axis) are
-# excluded — minutes each under TSan; the remaining MultiReplay cases drive
-# the same fan-out code at --threads 4, and the big ones run in the plain
-# and ASan lanes.
+# tape record/replay equivalence (workers racing on the shared tape cache's
+# once-per-key claims), the shared-decode axis's cell tasks at --threads 4
+# (they share the result store and the tape cache), the resilient sweep's
+# failure isolation, and the checkpoint engine (its units' hooks share the
+# journal writer, and their cells the run-dir store). Excluded: the two
+# suite-scale MultiReplay cases (full 13x5 matrix, shared-decode axis at
+# 1/4/8 threads), minutes each under TSan, which run in the plain and ASan
+# lanes; and the batch-size and grouping cases, whose multi-config fan-out
+# runs on the calling thread.
 ctest --preset tsan -j 2 \
   -R 'SweepDeterminism|SweepAxis|RunUnits|ParallelSweep|ThreadPool|RunCells|Tape|MultiReplay|Resilient|FaultSweep|Checkpoint|parallel' \
-  -E 'MultiReplay.FullMatrix|MultiReplay.SharedDecode' "$@"
+  -E 'MultiReplay.FullMatrix|MultiReplay.SharedDecode|MultiReplay.BatchSize|MultiReplay.Grouping' "$@"
 
 # A real multi-threaded sweep end to end (4 workers over the full matrix),
 # plus the same under fault injection: the paths where sweep tasks share

@@ -465,8 +465,8 @@ bool parse_fault_common(const std::map<std::string, std::string>& flags,
 
 /// Parse the sweep/suite resilience flags. `*active` comes back true when
 /// the resilient engine should run (--inject-faults, or a watchdog alone);
-/// only then does the campaign reach `opt`, so --fault-budget or
-/// --integrity-checks alone arm nothing.
+/// only then does the campaign reach `opt`, and the flags that only that
+/// engine reads are refused without it.
 bool parse_sweep_fault_flags(const std::map<std::string, std::string>& flags,
                              core::RunOptions* opt, std::uint32_t* max_retries,
                              bool* active) {
@@ -494,6 +494,16 @@ bool parse_sweep_fault_flags(const std::map<std::string, std::string>& flags,
     return false;
   }
   *active = inject || campaign.watchdog_accesses > 0;
+  for (const char* f : {"max-retries", "fault-budget", "integrity-checks",
+                        "failures-out", "failures-jsonl"}) {
+    if (!*active && flags.count(f)) {
+      std::fprintf(stderr,
+                   "selcache: flag '--%s' requires '--inject-faults' or"
+                   " '--watchdog-accesses'\n",
+                   f);
+      return false;
+    }
+  }
   if (*active) {
     opt->fault = campaign.fault;
     opt->watchdog_accesses = campaign.watchdog_accesses;
@@ -810,12 +820,11 @@ int finish_checkpoint(const std::string& run_dir, const run::RunSpec& spec,
   if (rc != 0) return rc;
   std::fprintf(stderr,
                "run %s: %llu cells simulated, %llu from ledger, %llu"
-               " quarantined, %llu failed attempts -> %s\n",
+               " quarantined -> %s\n",
                out.id.c_str(),
                static_cast<unsigned long long>(out.cells_done),
                static_cast<unsigned long long>(out.cells_from_store),
                static_cast<unsigned long long>(out.cells_quarantined),
-               static_cast<unsigned long long>(out.failed_attempts),
                run_dir.c_str());
   return 0;
 }
@@ -954,6 +963,15 @@ int cmd_sweep(const std::map<std::string, std::string>& flags, bool suite) {
   if (!parse_threads_flag(flags, &par.num_threads) ||
       !parse_epoch_flag(flags, &opt.trace_epoch))
     return 2;
+  // A flag that only another flag's mode reads would be ignored alone.
+  for (const auto& [flag, needs] :
+       {std::pair{"deadline-ms", "run-dir"}, std::pair{"epoch", "trace-dir"}}) {
+    if (flags.count(flag) && !flags.count(needs)) {
+      std::fprintf(stderr, "selcache: flag '--%s' requires '--%s'\n", flag,
+                   needs);
+      return 2;
+    }
+  }
   if (flags.count("verify-pipeline")) {
     std::vector<const workloads::WorkloadInfo*> ws;
     for (const auto& wi : workloads::all_workloads()) ws.push_back(&wi);
