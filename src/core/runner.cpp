@@ -313,8 +313,8 @@ bool tape_eligible(const RunOptions& opt, const trace::Recording* trace_out) {
 /// Is this run allowed on the persistent-store path? Stored results carry
 /// no fault/degradation counters and no trace recording, so any of those
 /// features forces a live simulation.
-bool store_eligible(const RunOptions& opt, const trace::Recording* trace_out) {
-  return opt.result_store != nullptr && trace_out == nullptr &&
+bool store_eligible(const RunOptions& opt, bool traced) {
+  return opt.result_store != nullptr && !traced &&
          !opt.fault.enabled() && opt.watchdog_accesses == 0 &&
          !opt.degrade.armed();
 }
@@ -498,7 +498,7 @@ RunResult run_version(const workloads::WorkloadInfo& w, const MachineConfig& m,
   // stored result is strictly cheaper than a replay). A miss falls through
   // to whichever execution path applies and persists its result.
   const bool taped = tape_eligible(opt, trace_out);
-  const bool stored = store_eligible(opt, trace_out);
+  const bool stored = store_eligible(opt, trace_out != nullptr);
   std::string skey;
   if (stored) {
     skey = store_key(w, m, v, opt);
@@ -667,19 +667,24 @@ RidePlan plan_rides(std::span<const workloads::WorkloadInfo> suite,
 /// Interpret r.code once, driving one Simulation per version of the ride,
 /// each pricing every machine of `group`; returns each version's results,
 /// in r.sims order. A ride of one runs the plain engine on the version's
-/// own product.
+/// own product. With `traces` (one-machine groups only), the Simulation of
+/// version vi records into its cell's entry, (*traces)[r.wi * 5 + vi].
 std::vector<std::vector<RunResult>> run_ride(
     const Ride& r, const std::vector<MachineConfig>& group,
-    const RunOptions& opt) {
+    const RunOptions& opt, std::vector<trace::Recording>* traces) {
+  const auto trace_of = [&](std::size_t vi) -> trace::Recording* {
+    return traces != nullptr ? &(*traces)[r.wi * kAllVersions.size() + vi]
+                             : nullptr;
+  };
   if (r.sims.size() == 1)
     return {simulate_group(*r.code, group, kAllVersions[r.sims.front()], opt,
-                           /*trace_out=*/nullptr, /*builder=*/nullptr)};
+                           trace_of(r.sims.front()), /*builder=*/nullptr)};
   std::vector<std::unique_ptr<Simulation>> sims;
   std::vector<cpu::TimingModel*> models;
   cpu::TimingModel* marked = nullptr;
   for (std::size_t vi : r.sims) {
     sims.push_back(std::make_unique<Simulation>(group, kAllVersions[vi], opt,
-                                                /*trace_out=*/nullptr));
+                                                trace_of(vi)));
     models.push_back(&sims.back()->cpu);
     if (kAllVersions[vi] == Version::Selective) marked = models.back();
   }
@@ -702,6 +707,10 @@ std::vector<std::vector<RunResult>> run_ride(
 /// group's points missed. Copies are settled last, from their sources'
 /// results, which the caller supplies for cells it does not mark.
 ///
+/// With `traces` (one machine only; nothing is saved), each simulated cell
+/// records its phase trace into (*traces)[cell], and a copy takes its
+/// source's recording with its results.
+///
 /// Without hooks.start a unit starts only while no signal is noted, and a
 /// noted signal makes the sweep throw support::RunSuspended; without
 /// hooks.failed a unit's exception propagates.
@@ -710,11 +719,13 @@ void run_rides(std::span<const workloads::WorkloadInfo> suite,
                const RunOptions& opt, unsigned threads,
                const std::vector<bool>& missed,
                std::vector<std::optional<RunResult>>& cells,
-               const UnitHooks& hooks) {
+               std::vector<trace::Recording>* traces, const UnitHooks& hooks) {
   constexpr std::size_t nv = kAllVersions.size();
   const std::size_t n = suite.size() * nv;
   const std::size_t np = machines.size();
-  const bool stored = store_eligible(opt, nullptr);
+  SELCACHE_CHECK_MSG(traces == nullptr || np == 1,
+                     "a traced sweep runs one machine");
+  const bool stored = store_eligible(opt, traces != nullptr);
   const std::vector<std::vector<std::size_t>> groups =
       group_points(np, [&](std::size_t a, std::size_t b) {
         return share_structure(machines[a], machines[b]);
@@ -750,7 +761,7 @@ void run_rides(std::span<const workloads::WorkloadInfo> suite,
       return;
     std::vector<std::vector<RunResult>> rs;
     try {
-      rs = run_ride(r, pick(machines, groups[r.group]), opt);
+      rs = run_ride(r, pick(machines, groups[r.group]), opt, traces);
     } catch (const std::exception& e) {
       if (!hooks.failed) throw;
       for (const Copy& c : plan.copies)
@@ -771,6 +782,7 @@ void run_rides(std::span<const workloads::WorkloadInfo> suite,
       if (const std::optional<RunResult>& src = cells[c.source * np + p])
         rs.push_back(*src);
     if (rs.size() == groups[c.group].size()) {
+      if (traces != nullptr) (*traces)[c.copy] = (*traces)[c.source];
       settle(c.copy, c.group, std::move(rs));
     } else if (!wanted[c.group][c.source] && hooks.failed) {
       hooks.failed({c.copy}, "its source cell has no result");
@@ -784,7 +796,7 @@ void run_rides(std::span<const workloads::WorkloadInfo> suite,
 /// order; a missing cell renders as make_row_partial renders it.
 std::vector<std::vector<ImprovementRow>> axis_rows(
     std::span<const workloads::WorkloadInfo> suite,
-    std::vector<std::optional<RunResult>>& cells, std::size_t np) {
+    std::vector<std::optional<RunResult>> cells, std::size_t np) {
   constexpr std::size_t nv = kAllVersions.size();
   std::vector<std::vector<ImprovementRow>> rows(np);
   for (std::size_t p = 0; p < np; ++p) {
@@ -799,18 +811,20 @@ std::vector<std::vector<ImprovementRow>> axis_rows(
   return rows;
 }
 
-/// A plain sweep over every point of `machines` by ride units: the store
-/// (if attached) serves each (cell, point) it holds, and run_rides
-/// simulates the rest.
-std::vector<std::vector<ImprovementRow>> ride_axis(
+/// A plain sweep's cells at every point of `machines`, laid out as
+/// run_rides lays them out, by ride units: the store (if attached) serves
+/// each (cell, point) it holds, and run_rides simulates the rest. With
+/// `traces` (one machine only) every cell is simulated and recorded there,
+/// and the store is neither read nor written.
+std::vector<std::optional<RunResult>> ride_axis(
     std::span<const workloads::WorkloadInfo> suite,
     const std::vector<MachineConfig>& machines, const RunOptions& opt,
-    unsigned threads) {
+    unsigned threads, std::vector<trace::Recording>* traces) {
   constexpr std::size_t nv = kAllVersions.size();
   const std::size_t np = machines.size();
   std::vector<std::optional<RunResult>> cells(suite.size() * nv * np);
   std::vector<bool> missed(cells.size(), true);
-  if (store_eligible(opt, nullptr)) {
+  if (store_eligible(opt, traces != nullptr)) {
     for (std::size_t k = 0; k < cells.size(); ++k) {
       const std::size_t i = k / np;
       if (std::optional<store::StoredResult> hit = opt.result_store->load(
@@ -821,14 +835,13 @@ std::vector<std::vector<ImprovementRow>> ride_axis(
       }
     }
   }
-  run_rides(suite, machines, opt, threads, missed, cells, {});
-  return axis_rows(suite, cells, np);
+  run_rides(suite, machines, opt, threads, missed, cells, traces, {});
+  return cells;
 }
 
 /// May a sweep's cells ride shared interpretations? Only where each would
 /// otherwise run by plain interpretation: no tape, and no fault, watchdog or
-/// degrade campaign. Traced and guarded-retry sweeps are ruled out by their
-/// callers.
+/// degrade campaign. Guarded-retry sweeps are ruled out by their caller.
 bool rides_allowed(const RunOptions& opt) {
   return !opt.reuse_tape && pricing_shareable(opt);
 }
@@ -849,30 +862,30 @@ SweepPlan plan_sweep(std::span<const workloads::WorkloadInfo> suite,
 
 namespace {
 
-/// One (workload, version) cell of a sweep: its result (nullopt when every
-/// attempt failed), its outcome-ledger entry and its phase recording.
+/// One (workload, version) cell of a per-cell sweep: its result (nullopt
+/// when every attempt failed) and its outcome-ledger entry.
 struct Cell {
   std::optional<RunResult> result;
   fault::CellOutcome outcome;
-  trace::Recording recording;
 };
 
-/// Run one cell. Plain (no max_retries): one run_version call, whose
-/// exception propagates. Guarded: catches everything a simulation can
-/// throw — injected crashes, watchdog kills, internal check failures — and
-/// retries up to *max_retries times. Each attempt reseeds the injector
+/// Run one cell, recording its phase trace into `trace_out` when non-null.
+/// Plain (no max_retries): one run_version call, whose exception
+/// propagates. Guarded: catches everything a simulation can throw —
+/// injected crashes, watchdog kills, internal check failures — and retries
+/// up to *max_retries times. Each attempt reseeds the injector
 /// deterministically and records into a fresh Recording, so a failed
 /// attempt leaves no partial trace behind.
 Cell run_cell(const workloads::WorkloadInfo& w, const MachineConfig& m,
               std::size_t vi, const RunOptions& base_opt,
-              std::optional<std::uint32_t> max_retries, bool want_trace) {
+              std::optional<std::uint32_t> max_retries,
+              trace::Recording* trace_out) {
   const Version v = kAllVersions[vi];
   Cell cell;
   cell.outcome.workload = w.name;
   cell.outcome.version = version_key(v);
   if (!max_retries) {
-    cell.result = run_version(w, m, v, base_opt,
-                              want_trace ? &cell.recording : nullptr);
+    cell.result = run_version(w, m, v, base_opt, trace_out);
     return cell;
   }
   for (std::uint32_t attempt = 0;; ++attempt) {
@@ -883,7 +896,8 @@ Cell run_cell(const workloads::WorkloadInfo& w, const MachineConfig& m,
     cell.outcome.attempts = attempt + 1;
     trace::Recording rec;
     try {
-      RunResult r = run_version(w, m, v, opt, want_trace ? &rec : nullptr);
+      RunResult r =
+          run_version(w, m, v, opt, trace_out != nullptr ? &rec : nullptr);
       cell.outcome.status = r.degradations > 0
                                 ? fault::CellOutcome::Status::Degraded
                                 : fault::CellOutcome::Status::Ok;
@@ -891,7 +905,7 @@ Cell run_cell(const workloads::WorkloadInfo& w, const MachineConfig& m,
       cell.outcome.degradations = r.degradations;
       cell.outcome.error.clear();
       cell.result = std::move(r);
-      cell.recording = std::move(rec);
+      if (trace_out != nullptr) *trace_out = std::move(rec);
       return cell;
     } catch (const std::exception& e) {
       cell.outcome.error = e.what();
@@ -904,41 +918,41 @@ Cell run_cell(const workloads::WorkloadInfo& w, const MachineConfig& m,
 }
 
 /// The one sweep loop behind improvements_for, sweep_suite and
-/// sweep_resilient: every (workload, version) cell of `suite` runs on the
-/// shared executor, then rows, the outcome ledger and trace captures are
-/// assembled in fixed (workload, version) order, so the result is
-/// bit-identical at any thread count. An untraced plain sweep runs by ride
-/// groups (ride_axis at one point); its ledger is left empty.
+/// sweep_resilient. A plain sweep whose options allow rides, traced or
+/// not, runs by ride groups (ride_axis at one point) and leaves the ledger
+/// empty. A guarded sweep, or one whose options rule rides out, runs every
+/// (workload, version) cell on its own on the shared executor. Either way
+/// rows and trace captures are assembled here, in fixed (workload,
+/// version) order, so the result is bit-identical at any thread count.
 ResilientSweep sweep_cells(std::span<const workloads::WorkloadInfo> suite,
                            const MachineConfig& m, const RunOptions& opt,
                            const ParallelSweepOptions& par,
                            std::optional<std::uint32_t> max_retries,
                            std::vector<TraceCapture>* traces) {
   constexpr std::size_t nv = kAllVersions.size();
-  if (!max_retries && traces == nullptr && rides_allowed(opt))
-    return {.rows = std::move(ride_axis(suite, {m}, opt, par.num_threads)
-                                  .front()),
-            .report = {}};
-  std::vector<Cell> cells(suite.size() * nv);
-  support::run_cells(cells.size(), par.num_threads, [&](std::size_t i) {
-    cells[i] = run_cell(suite[i / nv], m, i % nv, opt, max_retries,
-                        traces != nullptr);
-  });
+  const std::size_t n = suite.size() * nv;
+  std::vector<trace::Recording> recordings(traces != nullptr ? n : 0);
   ResilientSweep out;
-  out.rows.reserve(suite.size());
-  out.report.cells.reserve(cells.size());
-  for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-    std::array<std::optional<RunResult>, nv> results;
-    for (std::size_t vi = 0; vi < nv; ++vi) {
-      Cell& c = cells[wi * nv + vi];
-      results[vi] = std::move(c.result);
+  std::vector<std::optional<RunResult>> results;
+  if (!max_retries && rides_allowed(opt)) {
+    results = ride_axis(suite, {m}, opt, par.num_threads,
+                        traces != nullptr ? &recordings : nullptr);
+  } else {
+    std::vector<Cell> cells(n);
+    support::run_cells(n, par.num_threads, [&](std::size_t i) {
+      cells[i] = run_cell(suite[i / nv], m, i % nv, opt, max_retries,
+                          traces != nullptr ? &recordings[i] : nullptr);
+    });
+    out.report.cells.reserve(n);
+    for (Cell& c : cells) {
+      results.push_back(std::move(c.result));
       out.report.cells.push_back(std::move(c.outcome));
-      if (traces != nullptr)
-        traces->push_back(
-            {suite[wi].name, kAllVersions[vi], std::move(c.recording)});
     }
-    out.rows.push_back(make_row_partial(suite[wi], results));
   }
+  out.rows = std::move(axis_rows(suite, std::move(results), 1).front());
+  for (std::size_t i = 0; i < recordings.size(); ++i)
+    traces->push_back(
+        {suite[i / nv].name, kAllVersions[i % nv], std::move(recordings[i])});
   return out;
 }
 
@@ -966,7 +980,9 @@ std::vector<std::vector<ImprovementRow>> sweep_axis(
     const ParallelSweepOptions& par,
     std::span<const workloads::WorkloadInfo> suite) {
   SELCACHE_CHECK_MSG(rides_allowed(opt), "sweep_axis: options rule rides out");
-  return ride_axis(suite, machines, opt, par.num_threads);
+  return axis_rows(suite,
+                   ride_axis(suite, machines, opt, par.num_threads, nullptr),
+                   machines.size());
 }
 
 void run_units(std::span<const workloads::WorkloadInfo> suite,
@@ -978,7 +994,7 @@ void run_units(std::span<const workloads::WorkloadInfo> suite,
   SELCACHE_CHECK_MSG(todo.size() == suite.size() * kAllVersions.size() &&
                          cells.size() == todo.size(),
                      "run_units: one todo flag and one cell per version");
-  run_rides(suite, {m}, opt, par.num_threads, todo, cells, hooks);
+  run_rides(suite, {m}, opt, par.num_threads, todo, cells, nullptr, hooks);
 }
 
 ResilientSweep sweep_resilient(
@@ -1005,7 +1021,7 @@ void run_cell_shared_decode(const workloads::WorkloadInfo& w, Version v,
                             std::vector<RunResult>& out) {
   const std::size_t np = machines.size();
   out.resize(np);
-  const bool stored = store_eligible(opt, nullptr);
+  const bool stored = store_eligible(opt, /*traced=*/false);
   std::vector<std::string> skeys(np);
   std::vector<std::size_t> pending;
   pending.reserve(np);
@@ -1070,7 +1086,9 @@ std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
   // Without a store no cell records a tape, so one structural group rides
   // shared interpretations.
   if (opt.result_store == nullptr && one_group)
-    return ride_axis(suite, machines, opt, par.num_threads);
+    return axis_rows(suite,
+                     ride_axis(suite, machines, opt, par.num_threads, nullptr),
+                     machines.size());
 
   // per_cell[wi * nv + vi][pi]: every result of the whole axis, computed
   // cell-major and assembled point-major in fixed order — the same rows
@@ -1084,7 +1102,7 @@ std::vector<std::vector<ImprovementRow>> sweep_axis_shared_decode(
   std::vector<std::optional<RunResult>> cells(per_cell.size() * np);
   for (std::size_t k = 0; k < cells.size(); ++k)
     cells[k] = std::move(per_cell[k / np][k % np]);
-  return axis_rows(suite, cells, np);
+  return axis_rows(suite, std::move(cells), np);
 }
 
 double average_improvement(const std::vector<ImprovementRow>& rows, Version v,

@@ -200,10 +200,11 @@ std::uint64_t stream_fingerprint(const RunOptions& opt);
 std::uint64_t machine_fingerprint(const MachineConfig& m);
 
 /// The five versions of one workload on one machine, run like sweep_suite.
-/// When `traces` is non-null, every per-version run is traced and its
+/// When `traces` is non-null, every version's simulation is traced and its
 /// recording appended in fixed version order (the determinism contract
-/// extends to traces: each task records privately; captures are appended
-/// in kAllVersions order regardless of scheduling).
+/// extends to traces: each Simulation records privately, a copied version
+/// takes its source's recording, and captures are appended in kAllVersions
+/// order regardless of scheduling).
 ImprovementRow improvements_for(const workloads::WorkloadInfo& w,
                                 const MachineConfig& m,
                                 const RunOptions& opt = {},
@@ -218,13 +219,16 @@ ImprovementRow improvements_for(const workloads::WorkloadInfo& w,
 /// `traces` (optional) collects per-(workload, version) recordings in
 /// (workload, version) order — also bit-identical across thread counts.
 ///
-/// Without traces, tapes, or a fault, watchdog or degrade campaign, this is
-/// the one-point case of sweep_axis: the unit of work is a ride group
+/// Without tapes, or a fault, watchdog or degrade campaign, this is the
+/// one-point case of sweep_axis: the unit of work is a ride group
 /// (ride_groups), one interpretation of a code product driving one
 /// Simulation per version it serves, and versions whose code equals
-/// Base's take its results. A store is consulted per version first; copies
-/// are saved under their own keys. The products are built before any cell
-/// runs, so a workload whose program fails to build throws then.
+/// Base's take its results (and, when traced, its recording). An untraced
+/// sweep consults the store per version first and saves copies under
+/// their own keys; a traced one neither reads nor writes it. The products
+/// are built before any cell runs, so a workload whose program fails to
+/// build throws then. Options that rule rides out run one run_version call
+/// per cell.
 std::vector<ImprovementRow> sweep_suite(const MachineConfig& m,
                                         const RunOptions& opt = {},
                                         const ParallelSweepOptions& par = {},
@@ -311,7 +315,7 @@ struct SweepPlan {
 };
 
 /// The plan sweep_suite / improvements_for run for `suite` at
-/// par.num_threads, without traces and with every version a store miss.
+/// par.num_threads, traced or not, with every version a store miss.
 /// Each workload's ride groups are kept merged while a group's simulated
 /// references (its code's ir::Program::dynamic_ref_count times its
 /// simulations) are at most 1/num_threads of the sweep's total; a larger

@@ -439,5 +439,31 @@ TEST(Tlb, StampWrapPreservesExactRecencyOrder) {
   EXPECT_EQ(forced.stats().misses, normal.stats().misses);
 }
 
+// Randomized oracle for the plain set-associative cache: a cache with
+// assoc == blocks must match an exact LRU reference model on any trace.
+TEST(CacheOracle, FullyAssociativeMatchesReferenceLru) {
+  constexpr std::uint32_t kBlocks = 16;
+  Cache c(CacheConfig{.name = "fa",
+                      .size_bytes = kBlocks * 32,
+                      .assoc = kBlocks,
+                      .block_size = 32,
+                      .latency = 1});
+  std::vector<Addr> lru;  // back = most recent (reference model)
+  Rng rng(23);
+  for (int k = 0; k < 50000; ++k) {
+    const Addr frame = rng.below(64);
+    const Addr addr = frame * 32;
+    const bool model_hit =
+        std::find(lru.begin(), lru.end(), frame) != lru.end();
+    const bool cache_hit = c.access(addr, false);
+    ASSERT_EQ(cache_hit, model_hit) << "at access " << k;
+    if (!cache_hit) c.fill(addr, false);
+    // Update reference LRU.
+    if (model_hit) lru.erase(std::find(lru.begin(), lru.end(), frame));
+    lru.push_back(frame);
+    if (lru.size() > kBlocks) lru.erase(lru.begin());
+  }
+}
+
 }  // namespace
 }  // namespace selcache::memsys

@@ -273,5 +273,52 @@ TEST(TracedRun, ParallelTracesBitIdenticalToSerial) {
   EXPECT_EQ(a, b);
 }
 
+/// A traced sweep rides like a plain one: one interpretation drives the
+/// Simulation of every version it serves, each recording its own phase
+/// trace, and a copied version takes its source's recording. Every capture
+/// must equal a solo traced run_version of its version, as a Recording and
+/// as the JSONL that --trace-dir writes. Perl's optimizer changes nothing:
+/// at 1 thread one interpretation of its marked code drives Base, Pure
+/// Hardware and Selective and the other two copy, and at 4 threads that
+/// ride splits. TPC-D,Q6's marked code drives Pure Software, Combined and
+/// Selective.
+TEST(TracedSweep, RideRecordingsEqualSoloRecordings) {
+  const core::MachineConfig m = core::base_machine();
+  const workloads::WorkloadInfo& perl = workloads::workload("Perl");
+  EXPECT_EQ(core::plan_sweep({&perl, 1}, {}, {.num_threads = 1}).copies, 2u);
+  for (const hw::SchemeKind scheme :
+       {hw::SchemeKind::Bypass, hw::SchemeKind::Victim}) {
+    core::RunOptions opt;
+    opt.scheme = scheme;
+    opt.trace_epoch = 2000;
+    for (const char* name : {"Perl", "TPC-D,Q6"}) {
+      const workloads::WorkloadInfo& w = workloads::workload(name);
+      std::vector<Recording> solo(core::kAllVersions.size());
+      for (std::size_t i = 0; i < solo.size(); ++i) {
+        core::run_version(w, m, core::kAllVersions[i], opt, &solo[i]);
+        ASSERT_GT(solo[i].epochs.size(), 2u);
+      }
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::string(name) + " " + hw::to_string(scheme) +
+                     " threads=" + std::to_string(threads));
+        std::vector<core::TraceCapture> traces;
+        core::improvements_for(w, m, opt, {.num_threads = threads}, &traces);
+        ASSERT_EQ(traces.size(), solo.size());
+        for (std::size_t i = 0; i < traces.size(); ++i) {
+          const core::Version v = core::kAllVersions[i];
+          EXPECT_EQ(traces[i].workload, w.name);
+          EXPECT_EQ(traces[i].version, v);
+          EXPECT_EQ(traces[i].recording, solo[i]) << core::to_string(v);
+          const SimTag tag{w.name, core::version_key(v)};
+          EXPECT_EQ(events_jsonl(traces[i].recording, tag),
+                    events_jsonl(solo[i], tag));
+          EXPECT_EQ(metrics_jsonl(traces[i].recording, tag),
+                    metrics_jsonl(solo[i], tag));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace selcache::trace

@@ -2,9 +2,10 @@
 # CLI contract for the predict subcommands plus the removed tape engine
 # (--batch, --reuse-tape, tape), checkpointed sweeps (--run-dir, without
 # per-cell retry or deadline flags), sweep/suite flags that need another
-# flag's mode, and run-file's loop-step check: unknown flags, unknown
-# commands and malformed invocations must exit 2 (same as every other
-# subcommand), good runs 0, and a failed cross-check 1.
+# flag's mode or that it refuses (the store flags), and run-file's loop-step
+# check: unknown flags, unknown commands and malformed invocations must exit
+# 2 (same as every other subcommand), good runs 0, and a failed cross-check
+# 1.
 #
 #   tools/run_cli_flags_test.sh path/to/selcache
 set -u
@@ -83,6 +84,12 @@ expect 2 "$cli" sweep --workload TPC-D,Q6 --failures-jsonl "$tmp/ignored.jsonl"
 expect 2 "$cli" sweep --workload TPC-D,Q6 --fault-budget 5
 expect 2 "$cli" sweep --workload TPC-D,Q6 --integrity-checks
 expect 2 "$cli" sweep --workload TPC-D,Q6 --watchdog-accesses 0 --max-retries 1
+# --fault-rate shapes only an injected campaign; --fault-seed also seeds a
+# watchdog's per-attempt report, so it needs one of the two.
+expect 2 "$cli" sweep --workload TPC-D,Q6 --fault-rate 0.5 --fault-seed 9
+expect 2 "$cli" sweep --workload TPC-D,Q6 --fault-seed 9
+expect 2 "$cli" sweep --workload TPC-D,Q6 \
+  --watchdog-accesses 18446744073709551615 --fault-rate 0.5
 if [ -e "$tmp/ignored.csv" ] || [ -e "$tmp/epoch_run" ]; then
   echo "FAIL: a refused sweep wrote its output"
   fails=$((fails + 1))
@@ -95,6 +102,25 @@ if [ ! -s "$tmp/watchdog.csv" ]; then
   echo "FAIL: the resilient sweep wrote no --failures-out file"
   fails=$((fails + 1))
 fi
+expect 0 "$cli" sweep --workload TPC-D,Q6 \
+  --watchdog-accesses 18446744073709551615 --fault-seed 9
+
+# Traced and resilient sweeps never touch a store: the store flags exit 2
+# before the store directory is created.
+expect 2 "$cli" sweep --workload Compress --trace-dir "$tmp/traces" \
+  --store "$tmp/store_traced"
+expect 2 "$cli" sweep --workload TPC-D,Q6 --watchdog-accesses 100000000000 \
+  --store "$tmp/store_watchdog"
+expect 2 "$cli" sweep --workload TPC-D,Q6 --inject-faults \
+  --fault-kind toggle-drop --store "$tmp/store_faults" --store-clear
+expect 2 "$cli" sweep --workload TPC-D,Q6 --trace-dir "$tmp/traces" \
+  --store-readonly
+for d in traces store_traced store_watchdog store_faults; do
+  if [ -e "$tmp/$d" ]; then
+    echo "FAIL: a refused sweep created $d"
+    fails=$((fails + 1))
+  fi
+done
 
 # A loop step that is not positive would never reach its bound: run-file
 # rejects it with a diagnostic instead of running forever (`timeout` turns

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Build and run the multi-threaded portions of the suite under
-# ThreadSanitizer: the parallel sweep runner, the thread pool and the
-# run_cells executor, tape record/replay under concurrency, the
+# ThreadSanitizer: the parallel sweep runner, traced ride sweeps, the thread
+# pool and the run_cells executor, tape record/replay under concurrency, the
 # fault-resilient sweep, and the checkpoint engine.
 #
 #   tools/run_tsan_tests.sh [extra ctest args...]
@@ -36,12 +36,14 @@ fi
 
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
-  parallel_runner_test axis_test thread_pool_test tape_test \
+  parallel_runner_test axis_test trace_test thread_pool_test tape_test \
   tape_equivalence_test multi_replay_test fault_test run_ledger_test selcache
 
 # The concurrency-heavy tests: parallel sweep determinism (the shared
 # ride-group legs at 1, 4 and 8 threads against solo runs on a pool; a
-# ride's simulations all run on one task), the axis engine (units of
+# ride's simulations all run on one task), traced ride sweeps (each unit
+# records into its own cells' recordings, and copies read their sources'
+# after every unit has finished), the axis engine (units of
 # several structural groups on one pool, saving store cells as they
 # finish, and a noted signal stopping them; run_units calling a caller's
 # hooks from every worker), the pool itself,
@@ -55,13 +57,16 @@ cmake --build --preset tsan -j "$(nproc)" --target \
 # lanes; and the batch-size and grouping cases, whose multi-config fan-out
 # runs on the calling thread.
 ctest --preset tsan -j 2 \
-  -R 'SweepDeterminism|SweepAxis|RunUnits|ParallelSweep|ThreadPool|RunCells|Tape|MultiReplay|Resilient|FaultSweep|Checkpoint|parallel' \
+  -R 'SweepDeterminism|Traced|SweepAxis|RunUnits|ParallelSweep|ThreadPool|RunCells|Tape|MultiReplay|Resilient|FaultSweep|Checkpoint|parallel' \
   -E 'MultiReplay.FullMatrix|MultiReplay.SharedDecode|MultiReplay.BatchSize|MultiReplay.Grouping' "$@"
 
-# A real multi-threaded sweep end to end (4 workers over the full matrix),
-# plus the same under fault injection: the paths where sweep tasks share
-# the tape cache, trace sinks, and the failure report.
-build-tsan/tools/selcache sweep --workload Compress --threads 4 > /dev/null
+# A real multi-threaded traced sweep end to end (4 workers over one
+# workload's ride units, recording side by side), plus an untraced sweep
+# under fault injection, whose cell tasks share the failure report.
+tsan_traces="$(mktemp -d)"
+trap 'rm -rf "$probe_dir" "$tsan_traces"' EXIT
+build-tsan/tools/selcache sweep --workload Compress --threads 4 \
+  --trace-dir "$tsan_traces" > /dev/null
 build-tsan/tools/selcache sweep --workload Compress --threads 4 \
   --inject-faults --fault-kind toggle-drop --fault-rate 0.5 \
   --fault-seed 2026 --fault-budget 64 > /dev/null

@@ -22,6 +22,8 @@
 // sweep/suite accept --store DIR (persistent result store: cells hit on
 // disk skip simulation entirely), --store-readonly, --store-clear. Store
 // accounting prints to stderr so stdout stays byte-identical cold vs warm.
+// Traced (--trace-dir) and resilient (--inject-faults, --watchdog-accesses)
+// sweeps never touch a store, so they refuse the store flags.
 //
 // sweep/suite accept --run-dir DIR: the run becomes crash-safe and
 // checkpointed (write-ahead journal + per-cell result store in DIR). A run
@@ -493,9 +495,16 @@ bool parse_sweep_fault_flags(const std::map<std::string, std::string>& flags,
                  "selcache: '--inject-faults' requires '--fault-kind'\n");
     return false;
   }
+  if (!inject && flags.count("fault-rate")) {
+    std::fprintf(stderr,
+                 "selcache: flag '--fault-rate' requires '--inject-faults'\n");
+    return false;
+  }
   *active = inject || campaign.watchdog_accesses > 0;
-  for (const char* f : {"max-retries", "fault-budget", "integrity-checks",
-                        "failures-out", "failures-jsonl"}) {
+  // A watchdog alone still derives the report's per-attempt seeds from
+  // --fault-seed.
+  for (const char* f : {"fault-seed", "max-retries", "fault-budget",
+                        "integrity-checks", "failures-out", "failures-jsonl"}) {
     if (!*active && flags.count(f)) {
       std::fprintf(stderr,
                    "selcache: flag '--%s' requires '--inject-faults' or"
@@ -992,12 +1001,27 @@ int cmd_sweep(const std::map<std::string, std::string>& flags, bool suite) {
   std::uint32_t max_retries = 1;
   bool faulted = false;
   if (!parse_sweep_fault_flags(flags, &opt, &max_retries, &faulted)) return 2;
+  // Traced and resilient sweeps neither read nor write the store: refuse its
+  // flags before open_store_flags creates the directory.
+  const bool tracing = flags.count("trace-dir") > 0;
+  const char* storeless = tracing                         ? "trace-dir"
+                          : flags.count("inject-faults") ? "inject-faults"
+                          : faulted                       ? "watchdog-accesses"
+                                                          : nullptr;
+  for (const char* f : {"store", "store-readonly", "store-clear"}) {
+    if (storeless != nullptr && flags.count(f)) {
+      std::fprintf(stderr,
+                   "selcache: '--%s' is incompatible with '--%s' (traced and"
+                   " resilient sweeps neither read nor write the store)\n",
+                   f, storeless);
+      return 2;
+    }
+  }
   bool store_ok = true;
   const auto rstore = open_store_flags(flags, &opt, &store_ok);
   if (!store_ok) return 2;
 
   std::vector<core::TraceCapture> traces;
-  const bool tracing = flags.count("trace-dir") > 0;
   std::vector<core::TraceCapture>* const tr = tracing ? &traces : nullptr;
   std::vector<core::ImprovementRow> rows;
   std::optional<fault::FailureReport> report;
