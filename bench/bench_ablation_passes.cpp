@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "core/runner.h"
+#include "figure_common.h"
 #include "support/table.h"
 
 using namespace selcache;
@@ -23,7 +24,8 @@ double sw_improvement(const workloads::WorkloadInfo& w,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::refuse_arguments(argc, argv);
   TextTable t({"Benchmark", "all passes", "-interchange", "-layout",
                "-tiling", "-unroll&jam", "-scalar repl."});
 

@@ -13,6 +13,7 @@
 
 #include "codegen/trace_engine.h"
 #include "core/versions.h"
+#include "figure_common.h"
 #include "hw/bypass_scheme.h"
 #include "ir/builder.h"
 #include "support/table.h"
@@ -77,7 +78,8 @@ double overhead_pct(const ir::Program& p, bool slow_mat) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::refuse_arguments(argc, argv);
   TextTable t({"Rows/phase", "Phase [KB]", "Overhead, adaptive MAT [%]",
                "Overhead, sticky MAT [%]"});
   // Total work held constant: rows_per_phase * phases = 512.

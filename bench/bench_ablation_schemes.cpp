@@ -5,11 +5,13 @@
 #include <cstdio>
 
 #include "core/runner.h"
+#include "figure_common.h"
 #include "support/table.h"
 
 using namespace selcache;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::refuse_arguments(argc, argv);
   TextTable t({"Scheme", "Pure HW avg [%]", "Combined avg [%]",
                "Selective avg [%]"});
   for (hw::SchemeKind k :

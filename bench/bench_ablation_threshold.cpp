@@ -7,11 +7,13 @@
 #include <cstdio>
 
 #include "core/runner.h"
+#include "figure_common.h"
 #include "support/table.h"
 
 using namespace selcache;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::refuse_arguments(argc, argv);
   const double thresholds[] = {0.1, 0.3, 0.5, 0.7, 0.9};
   const core::MachineConfig machine = core::base_machine();
 

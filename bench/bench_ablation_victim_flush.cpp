@@ -13,6 +13,7 @@
 
 #include "codegen/trace_engine.h"
 #include "core/versions.h"
+#include "figure_common.h"
 #include "hw/victim_scheme.h"
 #include "ir/builder.h"
 #include "support/table.h"
@@ -89,7 +90,8 @@ Outcome run(bool toggles, bool force_on) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::refuse_arguments(argc, argv);
   const Outcome off = run(/*toggles=*/false, /*force_on=*/false);
   const Outcome combined = run(/*toggles=*/false, /*force_on=*/true);
   const Outcome selective = run(/*toggles=*/true, /*force_on=*/false);

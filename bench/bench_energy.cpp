@@ -6,11 +6,13 @@
 
 #include "core/energy.h"
 #include "core/runner.h"
+#include "figure_common.h"
 #include "support/table.h"
 
 using namespace selcache;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::refuse_arguments(argc, argv);
   const core::MachineConfig machine = core::base_machine();
   TextTable t({"Benchmark", "Version", "L1 [uJ]", "L2 [uJ]", "Mem [uJ]",
                "Total [uJ]", "vs Base [%]"});

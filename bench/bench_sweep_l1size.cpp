@@ -6,11 +6,13 @@
 #include <cstdio>
 
 #include "core/runner.h"
+#include "figure_common.h"
 #include "support/table.h"
 
 using namespace selcache;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::refuse_arguments(argc, argv);
   const std::uint64_t sizes[] = {8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024,
                                  128 * 1024};
   TextTable t({"Benchmark", "L1=8K", "L1=16K", "L1=32K", "L1=64K",

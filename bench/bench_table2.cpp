@@ -4,11 +4,13 @@
 #include <cstdio>
 
 #include "core/runner.h"
+#include "figure_common.h"
 #include "support/table.h"
 
 using namespace selcache;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::refuse_arguments(argc, argv);
   const core::MachineConfig machine = core::base_machine();
   core::RunOptions opt;
   opt.classify_misses = true;

@@ -19,7 +19,9 @@
 //   --store-clear     empty the store before the run (cold-start baseline)
 //
 // Numeric values are strict: anything but a plain non-negative decimal
-// number in range exits 2, never a silent 0 that changes the run.
+// number in range exits 2, never a silent 0 that changes the run. The
+// benches without flags (bench_table2, the ablations, bench_energy and
+// bench_sweep_l1size) refuse every argument the same way.
 #pragma once
 
 #include <cctype>
@@ -97,6 +99,15 @@ inline FigureOptions parse_figure_options(int argc, char** argv) {
     std::exit(2);
   }
   return f;
+}
+
+/// For the benches that take no flags: any argument prints a one-line
+/// usage and exits 2, so a flag such as --threads never runs the bench in
+/// a way the caller did not ask for.
+inline void refuse_arguments(int argc, char** argv) {
+  if (argc <= 1) return;
+  std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+  std::exit(2);
 }
 
 /// Run `sweep(opt)` under the shared --store flags and a signal guard; opt

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -92,7 +93,8 @@ bool share_structure(const MachineConfig& a, const MachineConfig& b);
 /// hierarchy, scheme and controller are built from group.front() and run
 /// once, and the timing model prices every member at its own memory
 /// latency. Traced, fault-armed and degrade-armed runs use one-machine
-/// groups.
+/// groups. A ride twin built to `host` Selective prices the group twice:
+/// its own points first, then Selective's (see Shadow).
 struct Simulation {
   memsys::Hierarchy hierarchy;
   std::unique_ptr<memsys::HwScheme> scheme;
@@ -101,15 +103,18 @@ struct Simulation {
   std::optional<trace::MemorySink> sink;
   std::optional<trace::Recorder> rec;
   cpu::TimingModel cpu;
+  std::size_t own;  ///< the model's points [0, own) are this version's
 
   Simulation(const std::vector<MachineConfig>& group, Version v,
-             const RunOptions& opt, trace::Recording* trace_out)
+             const RunOptions& opt, trace::Recording* trace_out,
+             bool host = false)
       : hierarchy(hierarchy_config(group.front(), opt)),
         scheme(v == Version::Base || v == Version::PureSoftware
                    ? nullptr
                    : make_scheme(opt.scheme, group.front())),
         controller(scheme.get()),
-        cpu(price_points(group), hierarchy, controller) {
+        cpu(price_points(group, host ? 2 : 1), hierarchy, controller),
+        own(group.size()) {
     SELCACHE_CHECK_MSG(trace_out == nullptr || group.size() == 1,
                        "a traced simulation prices one machine");
     for (const MachineConfig& m : group)
@@ -151,77 +156,187 @@ struct Simulation {
     }
   }
 
+  /// Selective forked from `twin`, whose machine it rode until now: a copy
+  /// of twin's hierarchy, a clone of twin's scheme (or, when twin has none,
+  /// `own_scheme`, which no data access has reached, moved in), Selective's
+  /// controller history carried onto it, and Selective's points of twin's
+  /// model with their markers folded in.
+  Simulation(Simulation& twin, std::unique_ptr<memsys::HwScheme>& own_scheme,
+             const hw::Controller& history)
+      : hierarchy(twin.hierarchy),
+        scheme(twin.scheme != nullptr ? twin.scheme->clone()
+                                      : std::move(own_scheme)),
+        controller(history, scheme.get()),
+        cpu(twin.cpu, twin.own, hierarchy, controller),
+        own(cpu.points()) {
+    hierarchy.attach_hw(scheme.get());
+  }
+
   /// Finish the phase recording (if any) and harvest the run's results,
   /// one per machine of the group, in group order.
   std::vector<RunResult> collect() {
     if (rec) rec->finish();
+    return results(0, own, controller, nullptr);
+  }
+
+  /// The results at points [first, first + n) of the model, for a version
+  /// whose machine is this hierarchy and whose markers `ctl` executed.
+  /// `idle` is that version's scheme when the hierarchy carries none: no
+  /// data access reached it, so only its counters show.
+  std::vector<RunResult> results(std::size_t first, std::size_t n,
+                                 const hw::Controller& ctl,
+                                 const memsys::HwScheme* idle) const {
     // Everything but the cpu.* counters is structural: the same at every
     // priced point.
     RunResult shared;
-    shared.instructions = cpu.instructions();
     shared.l1_miss_rate = hierarchy.l1_miss_rate();
     shared.l2_miss_rate = hierarchy.l2_miss_rate();
     if (const auto* c = hierarchy.classifier())
       shared.conflict_share = c->conflict_share();
-    shared.toggles = controller.toggles_executed();
-    shared.degradations = controller.degradations();
+    shared.toggles = ctl.toggles_executed();
+    shared.degradations = ctl.degradations();
     hierarchy.export_stats(shared.stats);
-    controller.export_stats(shared.stats);
+    if (idle != nullptr) idle->export_stats(shared.stats);
+    ctl.export_stats(shared.stats);
     if (injector) {
       shared.faults_injected = injector->injected();
       injector->export_stats(shared.stats);
     }
-    std::vector<RunResult> out(cpu.points(), shared);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i].cycles = cpu.cycles(i);
-      cpu.export_stats(out[i].stats, i);
+    std::vector<RunResult> out(n, shared);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i].cycles = cpu.cycles(first + i);
+      out[i].instructions = cpu.instructions(first + i);
+      cpu.export_stats(out[i].stats, first + i);
     }
     return out;
   }
 
  private:
   static std::vector<cpu::PricePoint> price_points(
-      const std::vector<MachineConfig>& group) {
+      const std::vector<MachineConfig>& group, std::size_t times) {
     std::vector<cpu::PricePoint> points;
-    points.reserve(group.size());
-    for (const MachineConfig& m : group)
-      points.push_back({m.cpu, m.hierarchy.mem.access_latency});
+    points.reserve(group.size() * times);
+    for (std::size_t t = 0; t < times; ++t)
+      for (const MachineConfig& m : group)
+        points.push_back({m.cpu, m.hierarchy.mem.access_latency});
     return points;
+  }
+};
+
+/// Selective while its machine is still one of its twins' in a ride
+/// (run_ride). Its markers are all that sets its code apart, and the
+/// hierarchy ignores a scheme that is off (§4.1), so until a data access
+/// finds its scheme in another state than its twin's, Selective's machine
+/// is the twin's: it prices as points on the twin's model, with its own
+/// controller over a scheme no data access has reached. twins[0] is the
+/// ride's scheme-less version (Pure Software, or Base in a copy ride) and
+/// twins[1] its always-on one (Combined or Pure Hardware); either may be
+/// absent. Before the ride's first data access no version's structure
+/// differs (the I-side never reaches the scheme), so Selective may move to
+/// whichever twin shares its state then; after it, it forks instead.
+struct Shadow {
+  std::array<Simulation*, 2> twins;
+  Simulation* host;  ///< the twin whose model carries Selective's points
+  std::unique_ptr<memsys::HwScheme> scheme;
+  hw::Controller controller;
+  bool accessed = false;  ///< the ride has made a data access
+
+  Shadow(std::array<Simulation*, 2> ride_twins, Simulation* start,
+         const MachineConfig& m, const RunOptions& opt)
+      : twins(ride_twins),
+        host(start),
+        scheme(make_scheme(opt.scheme, m)),
+        controller(scheme.get()) {}
+
+  void toggle(bool on, std::int32_t region) {
+    controller.toggle(on, region);
+    host->cpu.add_marker(host->own);
+  }
+
+  /// Before a data access: keep riding a twin whose scheme is in
+  /// Selective's state, or return Selective's fork.
+  std::unique_ptr<Simulation> settle() {
+    const bool on = controller.active();
+    if (!accessed && host->controller.active() != on)
+      for (Simulation* t : twins)
+        if (t != nullptr && t->controller.active() == on) {
+          t->cpu.take_points(host->cpu, host->own);
+          host = t;
+          break;
+        }
+    accessed = true;
+    if (host->controller.active() == on) return nullptr;
+    return std::make_unique<Simulation>(*host, scheme, controller);
+  }
+
+  /// Selective's results, one per machine of the group, if it never forked.
+  std::vector<RunResult> collect() const {
+    return host->results(host->own, host->cpu.points() - host->own,
+                         controller,
+                         host->scheme == nullptr ? scheme.get() : nullptr);
   }
 };
 
 /// The six cpu::TimingModel entry points, fanned out in a fixed order to
 /// every Simulation of a ride group, so one interpretation drives them all.
-/// ON/OFF markers reach only `marked` (Selective's model, or nullptr): for
-/// every other member the interpreted code is its own product with the
-/// markers removed (ride_groups checks this on the built products).
+/// ON/OFF markers reach only Selective: its model `marked`, or its
+/// `shadow` while it has none. For every other member the interpreted code
+/// is its own product with the markers removed (ride_groups checks this on
+/// the built products). A shadowed Selective settles before the first data
+/// access and before the first one after each marker; when it forks, its
+/// Simulation lands in `*fork` and joins the fan-out.
 class FanOutModel {
  public:
-  FanOutModel(std::vector<cpu::TimingModel*> models, cpu::TimingModel* marked)
-      : models_(std::move(models)), marked_(marked) {}
+  FanOutModel(std::vector<cpu::TimingModel*> models, cpu::TimingModel* marked,
+              Shadow* shadow, std::unique_ptr<Simulation>* fork)
+      : models_(std::move(models)),
+        marked_(marked),
+        shadow_(shadow),
+        fork_(fork),
+        settle_(shadow != nullptr) {}
 
   void compute(std::uint64_t n) {
     for (cpu::TimingModel* m : models_) m->compute(n);
   }
   void load(Addr addr, bool dependent = false) {
+    if (settle_) settle();
     for (cpu::TimingModel* m : models_) m->load(addr, dependent);
   }
   void store(Addr addr) {
+    if (settle_) settle();
     for (cpu::TimingModel* m : models_) m->store(addr);
   }
   void branch(Addr pc, bool taken) {
     for (cpu::TimingModel* m : models_) m->branch(pc, taken);
   }
   void toggle(bool on, std::int32_t region = -1) {
-    if (marked_ != nullptr) marked_->toggle(on, region);
+    if (marked_ != nullptr) {
+      marked_->toggle(on, region);
+    } else if (shadow_ != nullptr) {
+      shadow_->toggle(on, region);
+      settle_ = true;
+    }
   }
   void touch_code(Addr pc, std::uint32_t n_instr) {
     for (cpu::TimingModel* m : models_) m->touch_code(pc, n_instr);
   }
 
  private:
+  void settle() {
+    settle_ = false;
+    std::unique_ptr<Simulation> forked = shadow_->settle();
+    if (forked == nullptr) return;
+    *fork_ = std::move(forked);
+    marked_ = &(*fork_)->cpu;
+    models_.push_back(marked_);
+    shadow_ = nullptr;
+  }
+
   std::vector<cpu::TimingModel*> models_;
   cpu::TimingModel* marked_;
+  Shadow* shadow_;
+  std::unique_ptr<Simulation>* fork_;
+  bool settle_;
 };
 
 constexpr auto fnv1a = fnv1a_u64;  // shared fold (support/fingerprint.h)
@@ -667,8 +782,12 @@ RidePlan plan_rides(std::span<const workloads::WorkloadInfo> suite,
 /// Interpret r.code once, driving one Simulation per version of the ride,
 /// each pricing every machine of `group`; returns each version's results,
 /// in r.sims order. A ride of one runs the plain engine on the version's
-/// own product. With `traces` (one-machine groups only), the Simulation of
-/// version vi records into its cell's entry, (*traces)[r.wi * 5 + vi].
+/// own product. Selective rides a twin's Simulation as a Shadow while it
+/// has one and forks a Simulation of its own where its machine leaves the
+/// twin's. With `traces` (one-machine groups only), the Simulation of
+/// version vi records into its cell's entry, (*traces)[r.wi * 5 + vi]:
+/// there Selective keeps its own Simulation from the start, whose
+/// recording carries its toggle events.
 std::vector<std::vector<RunResult>> run_ride(
     const Ride& r, const std::vector<MachineConfig>& group,
     const RunOptions& opt, std::vector<trace::Recording>* traces) {
@@ -679,22 +798,48 @@ std::vector<std::vector<RunResult>> run_ride(
   if (r.sims.size() == 1)
     return {simulate_group(*r.code, group, kAllVersions[r.sims.front()], opt,
                            trace_of(r.sims.front()), /*builder=*/nullptr)};
-  std::vector<std::unique_ptr<Simulation>> sims;
-  std::vector<cpu::TimingModel*> models;
-  cpu::TimingModel* marked = nullptr;
-  for (std::size_t vi : r.sims) {
-    sims.push_back(std::make_unique<Simulation>(group, kAllVersions[vi], opt,
-                                                trace_of(vi)));
-    models.push_back(&sims.back()->cpu);
-    if (kAllVersions[vi] == Version::Selective) marked = models.back();
+  // Indices into r.sims: Selective's, and its scheme-less and always-on
+  // twins'.
+  constexpr std::size_t none = SIZE_MAX;
+  std::size_t sel = none;
+  std::array<std::size_t, 2> twin = {none, none};
+  for (std::size_t k = 0; k < r.sims.size(); ++k) {
+    const Version v = kAllVersions[r.sims[k]];
+    if (v == Version::Selective) {
+      sel = k;
+    } else {
+      twin[hw_always_on(v) ? 1 : 0] = k;
+    }
   }
+  const bool shadowed = sel != none && traces == nullptr;
+  // A ride of several versions with Selective has a twin; Selective starts
+  // OFF, so it starts on the scheme-less one when there is one.
+  const std::size_t host = twin[0] != none ? twin[0] : twin[1];
+  std::vector<std::unique_ptr<Simulation>> sims(r.sims.size());
+  std::vector<cpu::TimingModel*> models;
+  for (std::size_t k = 0; k < r.sims.size(); ++k) {
+    if (shadowed && k == sel) continue;
+    sims[k] = std::make_unique<Simulation>(group, kAllVersions[r.sims[k]], opt,
+                                           trace_of(r.sims[k]),
+                                           shadowed && k == host);
+    models.push_back(&sims[k]->cpu);
+  }
+  std::optional<Shadow> shadow;
+  if (shadowed)
+    shadow.emplace(std::array<Simulation*, 2>{
+                       twin[0] != none ? sims[twin[0]].get() : nullptr,
+                       twin[1] != none ? sims[twin[1]].get() : nullptr},
+                   sims[host].get(), group.front(), opt);
   codegen::DataEnv env(*r.code, {.seed = opt.data_seed});
-  FanOutModel fan(std::move(models), marked);
+  FanOutModel fan(std::move(models),
+                  sel != none && !shadowed ? &sims[sel]->cpu : nullptr,
+                  shadow ? &*shadow : nullptr,
+                  sel != none ? &sims[sel] : nullptr);
   codegen::BasicTraceEngine<FanOutModel>(*r.code, env, fan).run();
   std::vector<std::vector<RunResult>> out;
   out.reserve(sims.size());
   for (const std::unique_ptr<Simulation>& sim : sims)
-    out.push_back(sim->collect());
+    out.push_back(sim != nullptr ? sim->collect() : shadow->collect());
   return out;
 }
 

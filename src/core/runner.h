@@ -223,7 +223,9 @@ ImprovementRow improvements_for(const workloads::WorkloadInfo& w,
 /// one-point case of sweep_axis: the unit of work is a ride group
 /// (ride_groups), one interpretation of a code product driving one
 /// Simulation per version it serves, and versions whose code equals
-/// Base's take its results (and, when traced, its recording). An untraced
+/// Base's take its results (and, when traced, its recording). Untraced,
+/// Selective rides its twin's Simulation until a marker first changes its
+/// machine, then forks one of its own (see RideGroups). An untraced
 /// sweep consults the store per version first and saves copies under
 /// their own keys; a traced one neither reads nor writes it. The products
 /// are built before any cell runs, so a workload whose program fails to
@@ -289,12 +291,18 @@ void run_units(std::span<const workloads::WorkloadInfo> suite,
 /// ir::same_code on its three built code products (§4.4).
 ///   * Base and Pure Hardware ride the original code.
 ///   * Pure Software and Combined ride Selective's marked code when the
-///     optimized code equals it with the markers removed; only Selective's
-///     simulation receives the markers.
+///     optimized code equals it with the markers removed; only Selective
+///     receives the markers.
 ///   * When the optimized code also equals the original, one interpretation
 ///     drives Base, Pure Hardware and Selective, and Pure Software and
 ///     Combined take Base's and Pure Hardware's results (`copies`).
-/// A ride interprets the product of its last version.
+/// A ride interprets the product of its last version. In an untraced ride,
+/// Selective's machine stays one of its twins' (the scheme-less version's
+/// while its markers hold the scheme OFF, the always-on one's while they
+/// hold it ON) until a data access first finds it in a state its twin does
+/// not share: until then it prices as extra points on that twin's
+/// simulation, and there it forks a copy of the twin's machine. The plan
+/// (interpretations, simulations, copies) is the same either way.
 struct RideGroups {
   /// One entry per interpretation: the versions it simulates, one
   /// Simulation each, in kAllVersions order.

@@ -30,6 +30,40 @@ TimingModel::TimingModel(const std::vector<PricePoint>& points,
   l1i_shift_ = log2_exact(hierarchy.config().l1i.block_size);
 }
 
+TimingModel::TimingModel(TimingModel& twin, std::size_t first,
+                         memsys::Hierarchy& hierarchy,
+                         hw::Controller& controller)
+    : hierarchy_(hierarchy),
+      controller_(controller),
+      mem_latency_(twin.mem_latency_),
+      model_ifetch_(twin.model_ifetch_),
+      l1i_shift_(twin.l1i_shift_),
+      instructions_(twin.instructions_),
+      toggles_(twin.toggles_) {
+  SELCACHE_CHECK(first < twin.points_.size());
+  const std::uint64_t markers = twin.points_[first].markers;
+  take_points(twin, first);
+  for (Pricing& p : points_) {
+    SELCACHE_CHECK_MSG(p.markers == markers,
+                       "forked points disagree on their markers");
+    p.markers = 0;
+  }
+  instructions_ += markers;
+  toggles_ += markers;
+}
+
+void TimingModel::take_points(TimingModel& from, std::size_t first) {
+  SELCACHE_CHECK(first <= from.points_.size());
+  SELCACHE_CHECK_MSG(from.instructions_ == instructions_ &&
+                         from.toggles_ == toggles_ &&
+                         from.mem_latency_ == mem_latency_,
+                     "points move only between models of one stream");
+  const auto tail = from.points_.begin() + static_cast<std::ptrdiff_t>(first);
+  points_.insert(points_.end(), std::make_move_iterator(tail),
+                 std::make_move_iterator(from.points_.end()));
+  from.points_.erase(tail, from.points_.end());
+}
+
 void TimingModel::price_data(Outcome o, bool halve, bool dependent) {
   const Cycle l1 = hierarchy_.config().l1d.latency;
   for (Pricing& p : points_) {
@@ -99,11 +133,12 @@ void TimingModel::charge_memory(Pricing& p, Cycle extra, bool dependent) {
 
 void TimingModel::export_stats(StatSet& out, std::size_t point) const {
   const Pricing& p = points_[point];
-  out.add("cpu.instructions", instructions_);
+  out.add("cpu.instructions", instructions_ + p.markers);
   out.add("cpu.cycles", cycles(p));
   out.add("cpu.mem_stall_cycles", p.mem_stall);
   out.add("cpu.branch_penalty_cycles", p.branch_stall);
-  out.add("cpu.toggle_stall_cycles", toggles_ * p.cfg.toggle_latency);
+  out.add("cpu.toggle_stall_cycles",
+          (toggles_ + p.markers) * p.cfg.toggle_latency);
   out.add("cpu.overlapped_misses", p.overlapped_misses);
   out.add("cpu.serialized_misses", p.serialized_misses);
   p.bpred.export_stats(out);

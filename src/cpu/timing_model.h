@@ -28,6 +28,14 @@
 // that made f fetches and took `lat` cycles on the hierarchy (whose memory
 // latency is L_0) costs lat + f*(L_i - L_0) at point i — exactly what a
 // hierarchy built with L_i would have returned. A plain run is k = 1.
+//
+// Each point also carries its own count of ON/OFF marker instructions
+// beyond the model's shared stream. A model's own points carry none; a
+// version that differs from the model's only by its markers (Selective,
+// while its machine is still the model's) prices as extra points whose
+// markers cost issue slots and toggle cycles there (add_marker), until it
+// moves to another model that made the same pass (take_points) or forks
+// onto a copy of the machine of its own (the forking constructor).
 #pragma once
 
 #include <algorithm>
@@ -71,6 +79,13 @@ class TimingModel {
   /// k points over one structural pass. Every point must agree on
   /// model_ifetch: it decides which accesses reach the hierarchy.
   TimingModel(const std::vector<PricePoint>& points,
+              memsys::Hierarchy& hierarchy, hw::Controller& controller);
+
+  /// Points [first, points()) of `twin` leave it and go on as a model of
+  /// their own, over `hierarchy` and `controller`, which hold the machine
+  /// state twin's hierarchy held. The points' marker counts (all equal)
+  /// fold into the new model's instruction and toggle counts.
+  TimingModel(TimingModel& twin, std::size_t first,
               memsys::Hierarchy& hierarchy, hw::Controller& controller);
 
   // The six entry points are defined inline: every simulated instruction
@@ -139,6 +154,19 @@ class TimingModel {
     }
   }
 
+  /// One ON/OFF instruction of the version priced at points [first,
+  /// points()) only: it costs those points an issue slot and a toggle
+  /// cycle, and the model's own stream does not see it. The version's own
+  /// controller executes the marker.
+  void add_marker(std::size_t first) {
+    for (std::size_t i = first; i < points_.size(); ++i) ++points_[i].markers;
+  }
+
+  /// Move points [first, points()) of `from`, state and all, to the end of
+  /// this model. Both models must have priced the same stream on hierarchies
+  /// in the same state so far.
+  void take_points(TimingModel& from, std::size_t first);
+
   /// Host-side prefetch of the hierarchy sets a future load/store at `addr`
   /// will probe. A pure performance hint for batched-replay lookahead — no
   /// simulator state, statistics, or trace events.
@@ -148,7 +176,9 @@ class TimingModel {
   std::size_t points() const { return points_.size(); }
 
   Cycle cycles(std::size_t point = 0) const { return cycles(points_[point]); }
-  InstrCount instructions() const { return instructions_; }
+  InstrCount instructions(std::size_t point = 0) const {
+    return instructions_ + points_[point].markers;
+  }
   /// Cycles lost to exposed memory latency (diagnostic).
   Cycle memory_stall_cycles(std::size_t point = 0) const {
     return points_[point].mem_stall;
@@ -190,6 +220,9 @@ class TimingModel {
     std::uint32_t inflight = 0;  ///< misses overlapped in current shadow
     std::uint64_t overlapped_misses = 0;
     std::uint64_t serialized_misses = 0;
+    /// ON/OFF instructions of this point beyond the model's own (each one
+    /// instruction and one toggle).
+    std::uint64_t markers = 0;
   };
 
   Outcome access(Addr addr, memsys::AccessKind kind) {
@@ -207,9 +240,10 @@ class TimingModel {
 
   Cycle cycles(const Pricing& p) const {
     const Cycle issue =
-        (instructions_ + p.cfg.issue_width - 1) / p.cfg.issue_width;
+        (instructions_ + p.markers + p.cfg.issue_width - 1) /
+        p.cfg.issue_width;
     return issue + p.mem_stall + p.branch_stall +
-           toggles_ * p.cfg.toggle_latency;
+           (toggles_ + p.markers) * p.cfg.toggle_latency;
   }
 
   /// Price a load/store beyond the pipelined L1D hit time at every point
@@ -229,7 +263,8 @@ class TimingModel {
   unsigned l1i_shift_ = 0;  ///< log2(l1i block size); validated pow2
 
   // Shared by every point: instruction and toggle counts are structural
-  // (one instruction is one issue slot at any point).
+  // (one instruction is one issue slot at any point). A point's markers
+  // add to both.
   InstrCount instructions_ = 0;
   std::uint64_t toggles_ = 0;
 };

@@ -35,6 +35,9 @@ class BypassScheme final : public memsys::HwScheme {
   explicit BypassScheme(BypassSchemeConfig cfg);
 
   std::string_view name() const override { return "bypass"; }
+  std::unique_ptr<memsys::HwScheme> clone() const override {
+    return std::make_unique<BypassScheme>(*this);
+  }
 
   void set_trace(trace::Recorder* rec) override;
   void set_fault(fault::Injector* inj) override {

@@ -22,6 +22,9 @@ class CompositeScheme final : public memsys::HwScheme {
   explicit CompositeScheme(CompositeSchemeConfig cfg);
 
   std::string_view name() const override { return "bypass+victim"; }
+  std::unique_ptr<memsys::HwScheme> clone() const override {
+    return std::make_unique<CompositeScheme>(*this);
+  }
 
   void set_trace(trace::Recorder* rec) override {
     bypass_.set_trace(rec);

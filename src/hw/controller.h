@@ -72,6 +72,15 @@ class Controller {
   /// `scheme` may be null (machine without the hardware mechanism).
   explicit Controller(memsys::HwScheme* scheme) : scheme_(scheme) {}
 
+  /// `history`'s counters and policy driving `scheme`, which takes
+  /// `history`'s ON/OFF state: a version's controller carried onto a copy
+  /// of the machine it rode until then.
+  Controller(const Controller& history, memsys::HwScheme* scheme)
+      : Controller(history) {
+    scheme_ = scheme;
+    if (scheme_ != nullptr) scheme_->set_active(history.active());
+  }
+
   /// Execute an activate (ON) or deactivate (OFF) instruction. `region` is
   /// the static source-region id the marker belongs to (-1 when unknown,
   /// e.g. hand-written toggles in tests). With a fault injector attached

@@ -28,6 +28,9 @@ class StridePrefetcher final : public memsys::HwScheme {
   explicit StridePrefetcher(StridePrefetcherConfig cfg);
 
   std::string_view name() const override { return "prefetch"; }
+  std::unique_ptr<memsys::HwScheme> clone() const override {
+    return std::make_unique<StridePrefetcher>(*this);
+  }
 
   void on_access(memsys::Level level, Addr addr, bool is_write,
                  bool hit) override;

@@ -24,6 +24,9 @@ class VictimScheme final : public memsys::HwScheme {
   explicit VictimScheme(VictimSchemeConfig cfg);
 
   std::string_view name() const override { return "victim"; }
+  std::unique_ptr<memsys::HwScheme> clone() const override {
+    return std::make_unique<VictimScheme>(*this);
+  }
 
   void set_trace(trace::Recorder* rec) override { trace_ = rec; }
   void set_fault(fault::Injector* inj) override {

@@ -19,6 +19,18 @@ Hierarchy::Hierarchy(HierarchyConfig cfg)
                                                    cfg_.l1d.block_size);
 }
 
+Hierarchy::Hierarchy(const Hierarchy& other)
+    : cfg_(other.cfg_),
+      l1d_(other.l1d_),
+      l1i_(other.l1i_),
+      l2_(other.l2_),
+      dtlb_(other.dtlb_),
+      itlb_(other.itlb_),
+      mem_(other.mem_),
+      classifier_(other.classifier_ != nullptr
+                      ? std::make_unique<MissClassifier>(*other.classifier_)
+                      : nullptr) {}
+
 Cycle Hierarchy::refill_l2(Addr addr, bool is_write) {
   // One scan resolves both the lookup and the would-be victim; the preview
   // stays valid below because nothing between here and the fill touches

@@ -66,6 +66,10 @@ struct HierarchyConfig {
 class Hierarchy {
  public:
   explicit Hierarchy(HierarchyConfig cfg);
+  /// `other`'s machine state (caches, TLBs, memory and 3C classifier) with
+  /// nothing attached: no scheme, recorder, injector or probe.
+  Hierarchy(const Hierarchy& other);
+  Hierarchy& operator=(const Hierarchy&) = delete;
 
   /// Attach (non-owning) a hardware scheme; pass nullptr to detach.
   void attach_hw(HwScheme* hw) { hw_ = hw; }

@@ -10,6 +10,7 @@
 // software-optimized regions.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -31,9 +32,17 @@ enum class FillDecision { Fill, Bypass };
 
 class HwScheme {
  public:
+  HwScheme() = default;
+  HwScheme& operator=(const HwScheme&) = delete;
   virtual ~HwScheme() = default;
 
   virtual std::string_view name() const = 0;
+
+  /// A scheme in exactly this one's state (tables, buffers, counters and
+  /// the ACTIVE flag) that evolves on its own from here: the runner forks a
+  /// version's machine from another's with it. Attachments (recorder,
+  /// injector) are copied as they are.
+  virtual std::unique_ptr<HwScheme> clone() const = 0;
 
   /// Run-time toggle driven by ON/OFF instructions.
   void set_active(bool a) { active_ = a; }
@@ -88,6 +97,9 @@ class HwScheme {
   virtual std::uint32_t fetch_width(Level level, Addr addr) = 0;
 
   virtual void export_stats(StatSet& out) const = 0;
+
+ protected:
+  HwScheme(const HwScheme&) = default;
 
  private:
   bool active_ = false;

@@ -11,6 +11,18 @@ MissClassifier::MissClassifier(std::uint64_t capacity_blocks,
   SELCACHE_CHECK(block_size_ > 0);
 }
 
+MissClassifier::MissClassifier(const MissClassifier& other)
+    : capacity_blocks_(other.capacity_blocks_),
+      block_size_(other.block_size_),
+      lru_(other.lru_),
+      ever_seen_(other.ever_seen_),
+      compulsory_(other.compulsory_),
+      capacity_(other.capacity_),
+      conflict_(other.conflict_) {
+  index_.reserve(lru_.size());
+  for (auto it = lru_.begin(); it != lru_.end(); ++it) index_.emplace(*it, it);
+}
+
 void MissClassifier::note_access(Addr addr) {
   const Addr f = frame(addr);
   if (auto it = index_.find(f); it != index_.end()) {

@@ -23,6 +23,10 @@ class MissClassifier {
  public:
   /// `capacity_blocks`: number of blocks the shadowed cache holds.
   MissClassifier(std::uint64_t capacity_blocks, std::uint32_t block_size);
+  /// The same shadow stack and counters, with an index into this
+  /// classifier's own list.
+  MissClassifier(const MissClassifier& other);
+  MissClassifier& operator=(const MissClassifier&) = delete;
 
   /// Observe every demand access (hits included — the shadow LRU stack needs
   /// full recency information).

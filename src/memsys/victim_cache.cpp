@@ -11,6 +11,20 @@ VictimCache::VictimCache(std::string name, std::uint32_t entries,
   SELCACHE_CHECK(block_size_ > 0);
 }
 
+VictimCache::VictimCache(const VictimCache& other)
+    : name_(other.name_),
+      entries_(other.entries_),
+      block_size_(other.block_size_),
+      lru_(other.lru_),
+      fault_(other.fault_),
+      fault_site_(other.fault_site_),
+      probes_(other.probes_),
+      invalidated_(other.invalidated_) {
+  index_.reserve(lru_.size());
+  for (auto it = lru_.begin(); it != lru_.end(); ++it)
+    index_.emplace(it->first, it);
+}
+
 std::optional<VictimCache::Displaced> VictimCache::insert(Addr block_addr,
                                                           bool dirty) {
   if (fault_ != nullptr && !lru_.empty() &&

@@ -21,6 +21,10 @@ class VictimCache {
  public:
   VictimCache(std::string name, std::uint32_t entries,
               std::uint32_t block_size);
+  /// The same entries in the same LRU order, with an index into this
+  /// cache's own list.
+  VictimCache(const VictimCache& other);
+  VictimCache& operator=(const VictimCache&) = delete;
 
   /// Insert an evicted block; LRU entry falls out if full. Returns the
   /// displaced block (address, dirty) if a dirty block was pushed out and

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -40,61 +41,98 @@ bool hook_fires(const std::string& path, const char* stage) {
 
 }  // namespace
 
-WriteStatus write_file_atomic(const std::string& path, const std::string& data,
-                              const WriteOptions& opt) {
+AtomicFile::AtomicFile(std::string path) : path_(std::move(path)) {
   // Unique .tmp sibling: concurrent writers of the same target never stomp
   // each other's temporary, and a lost rename race is harmless.
   static std::atomic<std::uint64_t> seq{0};
-  const std::string tmp =
-      path + ".tmp" + std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
-
+  tmp_ = path_ + ".tmp" +
+         std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
   errno = 0;
-  if (hook_fires(path, "open")) return fail("open", "injected fault");
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return fail("open");
+  if (hook_fires(path_, "open")) {
+    status_ = fail("open", "injected fault");
+    return;
+  }
+  f_ = std::fopen(tmp_.c_str(), "wb");
+  if (f_ == nullptr) status_ = fail("open");
+}
 
-  const auto cleanup_fail = [&](const char* stage,
-                                const char* detail = nullptr) {
-    WriteStatus s = fail(stage, detail);
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    return s;
-  };
+AtomicFile::~AtomicFile() {
+  if (f_ == nullptr) return;
+  std::fclose(f_);
+  std::remove(tmp_.c_str());
+}
 
-  if (hook_fires(path, "write")) return cleanup_fail("write", "injected fault");
+void AtomicFile::abandon(const char* stage, const char* detail) {
+  status_ = fail(stage, detail);
+  std::fclose(f_);
+  f_ = nullptr;
+  std::remove(tmp_.c_str());
+}
+
+bool AtomicFile::append(std::string_view data) {
+  if (f_ == nullptr) return false;
+  if (hook_fires(path_, "write")) {
+    abandon("write", "injected fault");
+    return false;
+  }
   if (!data.empty() &&
-      std::fwrite(data.data(), 1, data.size(), f) != data.size())
-    return cleanup_fail("write");
+      std::fwrite(data.data(), 1, data.size(), f_) != data.size()) {
+    abandon("write");
+    return false;
+  }
+  return true;
+}
 
+WriteStatus AtomicFile::commit(const WriteOptions& opt) {
+  if (f_ == nullptr) return status_;
   // fflush pushes libc buffers to the kernel and is where ENOSPC on a full
   // filesystem typically surfaces for buffered writes.
-  if (hook_fires(path, "flush")) return cleanup_fail("flush", "injected fault");
-  if (std::fflush(f) != 0) return cleanup_fail("flush");
+  if (hook_fires(path_, "flush")) {
+    abandon("flush", "injected fault");
+    return status_;
+  }
+  if (std::fflush(f_) != 0) {
+    abandon("flush");
+    return status_;
+  }
 
 #ifndef _WIN32
   if (opt.sync) {
-    if (hook_fires(path, "fsync"))
-      return cleanup_fail("fsync", "injected fault");
-    if (::fsync(::fileno(f)) != 0) return cleanup_fail("fsync");
+    if (hook_fires(path_, "fsync")) {
+      abandon("fsync", "injected fault");
+      return status_;
+    }
+    if (::fsync(::fileno(f_)) != 0) {
+      abandon("fsync");
+      return status_;
+    }
   }
 #endif
 
+  std::FILE* f = f_;
+  f_ = nullptr;
   if (std::fclose(f) != 0) {
-    std::remove(tmp.c_str());
-    return fail("flush");  // close flushes the last buffer; treat alike
+    std::remove(tmp_.c_str());
+    return status_ = fail("flush");  // close flushes the last buffer; alike
   }
 
   errno = 0;
-  if (hook_fires(path, "rename")) {
-    std::remove(tmp.c_str());
-    return fail("rename", "injected fault");
+  if (hook_fires(path_, "rename")) {
+    std::remove(tmp_.c_str());
+    return status_ = fail("rename", "injected fault");
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    WriteStatus s = fail("rename");
-    std::remove(tmp.c_str());
-    return s;
+  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    status_ = fail("rename");
+    std::remove(tmp_.c_str());
   }
-  return {};
+  return status_;
+}
+
+WriteStatus write_file_atomic(const std::string& path, const std::string& data,
+                              const WriteOptions& opt) {
+  AtomicFile f(path);
+  f.append(data);
+  return f.commit(opt);
 }
 
 }  // namespace selcache::support

@@ -14,8 +14,10 @@
 // regression tests (io_test.cpp) and the failing-FS store tests use it.
 #pragma once
 
+#include <cstdio>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace selcache::support {
 
@@ -47,6 +49,39 @@ struct WriteOptions {
 /// target keeps its previous contents (or stays absent).
 WriteStatus write_file_atomic(const std::string& path, const std::string& data,
                               const WriteOptions& opt = {});
+
+/// write_file_atomic for content that arrives in pieces: each append()
+/// goes straight to the .tmp sibling, so the whole content never has to be
+/// in memory at once, and commit() makes it the target's with the same
+/// all-or-nothing rename. The stages, status and fault hook are
+/// write_file_atomic's, with the "write" stage consulted once per
+/// append(). After a failed stage the .tmp is gone and later calls do
+/// nothing; a file destroyed before commit() removes its .tmp too, and the
+/// target keeps its previous contents either way.
+class AtomicFile {
+ public:
+  /// Open a unique .tmp sibling of `path` (stage "open").
+  explicit AtomicFile(std::string path);
+  ~AtomicFile();
+  AtomicFile(const AtomicFile&) = delete;
+  AtomicFile& operator=(const AtomicFile&) = delete;
+
+  /// Append `data` (stage "write"); false once any stage has failed.
+  bool append(std::string_view data);
+
+  /// Flush, fsync (when opt.sync), close and rename over the target.
+  /// Returns the first failure of any stage, "open" and "write" included.
+  WriteStatus commit(const WriteOptions& opt = {});
+
+ private:
+  /// Record a failure at `stage`, then close and remove the .tmp.
+  void abandon(const char* stage, const char* detail = nullptr);
+
+  std::string path_;
+  std::string tmp_;
+  std::FILE* f_ = nullptr;
+  WriteStatus status_;
+};
 
 /// Test/fault-injection hook: consulted before each stage of every atomic
 /// write with (path, stage); returning true makes that stage fail as if the

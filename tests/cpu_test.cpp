@@ -197,11 +197,11 @@ struct BypassMachine {
 
 /// A seeded mix of every entry point: hot-set hits, far misses (dependent
 /// and independent), a sequential stream, stores, I-fetch spans, branches,
-/// compute runs and ON/OFF toggles.
-void drive_random_stream(TimingModel& cpu) {
-  Rng rng(2024);
-  Addr stream = 0x100000;
-  for (int i = 0; i < 60000; ++i) {
+/// compute runs and ON/OFF toggles. `ops` ops from `rng`, continuing the
+/// sequential stream at `*stream`.
+template <typename Model>
+void drive_random_stream(Model& cpu, Rng& rng, int ops, Addr* stream) {
+  for (int i = 0; i < ops; ++i) {
     const std::uint64_t r = rng.below(100);
     const Addr hot = 0x10000 + rng.below(8 * 1024);
     const Addr far = 0x4000000 + rng.below(4 << 20);
@@ -210,8 +210,8 @@ void drive_random_stream(TimingModel& cpu) {
     } else if (r < 40) {
       cpu.load(far, rng.chance(0.5));
     } else if (r < 50) {
-      cpu.load(stream, false);
-      stream += 8;
+      cpu.load(*stream, false);
+      *stream += 8;
     } else if (r < 60) {
       cpu.store(rng.chance(0.5) ? hot : far);
     } else if (r < 72) {
@@ -225,6 +225,12 @@ void drive_random_stream(TimingModel& cpu) {
       cpu.toggle(rng.chance(0.6), static_cast<std::int32_t>(rng.range(-1, 7)));
     }
   }
+}
+
+void drive_random_stream(TimingModel& cpu) {
+  Rng rng(2024);
+  Addr stream = 0x100000;
+  drive_random_stream(cpu, rng, 60000, &stream);
 }
 
 TEST(Timing, OneModelPricesEveryLatencyLikeSeparateModels) {
@@ -254,6 +260,79 @@ TEST(Timing, OneModelPricesEveryLatencyLikeSeparateModels) {
   EXPECT_GT(s.get("controller.effective_toggles"), 0u);
   for (std::size_t i = 1; i < lats.size(); ++i)
     EXPECT_LT(priced.cpu.cycles(i - 1), priced.cpu.cycles(i));
+}
+
+/// A machine without a scheme, pricing `points`.
+struct PlainMachine {
+  memsys::Hierarchy hierarchy{memsys::HierarchyConfig{}};
+  hw::Controller controller{nullptr};
+  TimingModel cpu;
+
+  explicit PlainMachine(const std::vector<PricePoint>& points)
+      : cpu(points, hierarchy, controller) {}
+};
+
+/// The stream of `cpu`, with its markers counted at points [first, ...)
+/// only, as a version that differs from cpu's by its markers runs them.
+struct MarkedPoints {
+  TimingModel& cpu;
+  std::size_t first;
+
+  void load(Addr a, bool dependent) { cpu.load(a, dependent); }
+  void store(Addr a) { cpu.store(a); }
+  void touch_code(Addr pc, std::uint32_t n) { cpu.touch_code(pc, n); }
+  void branch(Addr pc, bool taken) { cpu.branch(pc, taken); }
+  void compute(std::uint64_t n) { cpu.compute(n); }
+  void toggle(bool, std::int32_t) { cpu.add_marker(first); }
+};
+
+StatSet cpu_stats(const TimingModel& cpu, std::size_t point) {
+  StatSet s;
+  cpu.export_stats(s, point);
+  return s;
+}
+
+/// A version whose markers are all that set it apart (and whose scheme
+/// stays out of the hierarchy) prices as extra points on another version's
+/// model, then forks onto a copy of that machine: its points read exactly
+/// as a model that ran the markers itself, before and after the fork.
+TEST(Timing, MarkedPointsAndTheirForkPriceLikeAModelRunningTheMarkers) {
+  const std::vector<PricePoint> points = {{CpuConfig{}, 100},
+                                          {CpuConfig{}, 300}};
+  std::vector<PricePoint> twice = points;
+  twice.insert(twice.end(), points.begin(), points.end());
+  PlainMachine twin(twice);
+  PlainMachine solo(points);
+  Rng twin_rng(7), solo_rng(7);
+  Addr twin_stream = 0x100000, solo_stream = 0x100000;
+  MarkedPoints marked{twin.cpu, points.size()};
+  drive_random_stream(marked, twin_rng, 20000, &twin_stream);
+  drive_random_stream(solo.cpu, solo_rng, 20000, &solo_stream);
+  ASSERT_GT(solo.cpu.instructions(), twin.cpu.instructions(0));
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(twin.cpu.cycles(points.size() + i), solo.cpu.cycles(i));
+    EXPECT_EQ(twin.cpu.instructions(points.size() + i),
+              solo.cpu.instructions(i));
+    EXPECT_EQ(cpu_stats(twin.cpu, points.size() + i).all(),
+              cpu_stats(solo.cpu, i).all());
+  }
+
+  memsys::Hierarchy copy(twin.hierarchy);
+  hw::Controller controller(nullptr);
+  TimingModel forked(twin.cpu, points.size(), copy, controller);
+  ASSERT_EQ(twin.cpu.points(), points.size());
+  ASSERT_EQ(forked.points(), points.size());
+  drive_random_stream(forked, twin_rng, 20000, &twin_stream);
+  drive_random_stream(solo.cpu, solo_rng, 20000, &solo_stream);
+  StatSet copy_stats, solo_stats;
+  copy.export_stats(copy_stats);
+  solo.hierarchy.export_stats(solo_stats);
+  EXPECT_EQ(copy_stats.all(), solo_stats.all());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(forked.cycles(i), solo.cpu.cycles(i));
+    EXPECT_EQ(forked.instructions(i), solo.cpu.instructions(i));
+    EXPECT_EQ(cpu_stats(forked, i).all(), cpu_stats(solo.cpu, i).all());
+  }
 }
 
 TEST(Timing, PricedPointsMustAgreeOnIfetchModeling) {

@@ -192,6 +192,9 @@ TEST(Degradation, FaultBudgetDemotesToSafeMode) {
 
 struct BrokenScheme final : memsys::HwScheme {
   std::string_view name() const override { return "broken"; }
+  std::unique_ptr<memsys::HwScheme> clone() const override {
+    return std::make_unique<BrokenScheme>(*this);
+  }
   bool check_integrity() const override { return false; }
   void on_access(memsys::Level, Addr, bool, bool) override {}
   std::optional<AuxHit> service_miss(memsys::Level, Addr, bool) override {

@@ -138,5 +138,41 @@ TEST_F(IoTest, FailedFirstWriteLeavesTargetAbsent) {
   EXPECT_FALSE(tmp_left_behind());
 }
 
+// AtomicFile takes a target's content in pieces: nothing lands before
+// commit(), the pieces land whole, and a file dropped before commit() or
+// failing mid-stream leaves the old contents and no .tmp.
+TEST_F(IoTest, StreamedWriteLandsWholeOnCommitOnly) {
+  ASSERT_TRUE(write_file_atomic(path_, "old"));
+  {
+    AtomicFile dropped(path_);
+    EXPECT_TRUE(dropped.append("new "));
+    EXPECT_TRUE(dropped.append("contents"));
+    EXPECT_EQ(read_back(), "old");
+  }
+  EXPECT_EQ(read_back(), "old");
+  EXPECT_FALSE(tmp_left_behind());
+
+  AtomicFile f(path_);
+  EXPECT_TRUE(f.append("new "));
+  EXPECT_TRUE(f.append("contents"));
+  EXPECT_TRUE(f.commit().ok());
+  EXPECT_EQ(read_back(), "new contents");
+  EXPECT_FALSE(tmp_left_behind());
+
+  int writes = 0;
+  write_fault_hook() = [&writes](const std::string&, const char* s) {
+    return std::strcmp(s, "write") == 0 && ++writes == 2;
+  };
+  AtomicFile g(path_);
+  EXPECT_TRUE(g.append("a"));
+  EXPECT_FALSE(g.append("b"));
+  EXPECT_FALSE(g.append("c"));
+  EXPECT_EQ(writes, 2) << "no write is attempted after a failed one";
+  const WriteStatus st = g.commit();
+  EXPECT_EQ(st.stage, "write");
+  EXPECT_EQ(read_back(), "new contents");
+  EXPECT_FALSE(tmp_left_behind());
+}
+
 }  // namespace
 }  // namespace selcache::support

@@ -2,14 +2,18 @@
 # The figure benches' shared flags: malformed numbers, unknown flags and
 # the removed engine flags exit 2 before any simulation runs, a SIGTERM
 # during a sweep exits 143 without printing the tables the sweep would
-# have produced, and SELCACHE_CSV_DIR keeps one CSV per machine point.
+# have produced, and SELCACHE_CSV_DIR keeps one CSV per machine point. The
+# benches without flags exit 2 on any argument.
 #
-#   tools/run_figure_flags_test.sh BENCH_FIG5 BENCH_FIG6 BENCH_TABLE3
+#   tools/run_figure_flags_test.sh BENCH_FIG5 BENCH_FIG6 BENCH_TABLE3 \
+#       BENCH_TABLE2 BENCH_ABLATION_SCHEMES
 set -eu
 
-FIG5="${1:?usage: run_figure_flags_test.sh bench_fig5_memlat bench_fig6_l2size bench_table3}"
+FIG5="${1:?usage: run_figure_flags_test.sh bench_fig5_memlat bench_fig6_l2size bench_table3 bench_table2 bench_ablation_schemes}"
 FIG6="${2:?missing bench_fig6_l2size}"
 TABLE3="${3:?missing bench_table3}"
+TABLE2="${4:?missing bench_table2}"
+ABLATION_SCHEMES="${5:?missing bench_ablation_schemes}"
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
@@ -32,6 +36,9 @@ expect_usage_error "$FIG5" --no-reuse-tape
 expect_usage_error "$FIG5" --batch 0
 expect_usage_error "$TABLE3" --bogus
 expect_usage_error "$TABLE3" --threads x
+# A bench without flags refuses them instead of running serially.
+expect_usage_error "$TABLE2" --threads 4
+expect_usage_error "$ABLATION_SCHEMES" --bogus
 
 # SIGTERM 1 s into a run lands during its only sweep. The sweep starts no
 # further unit, so the run reports the interruption, prints no table and
@@ -70,4 +77,4 @@ if [ "$#" -ne 2 ] || [ ! -f "$1" ] || cmp -s "$1" "$2"; then
 fi
 
 echo "figure_flags OK: usage errors exit 2, SIGTERM exits 143 with no" \
-     "table, one CSV per point"
+     "table, one CSV per point, flagless benches refuse arguments"

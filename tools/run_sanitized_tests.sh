@@ -42,6 +42,14 @@ echo "traced sweep: serial and parallel outputs identical"
   | sed '/^fault report:/,$d' > "$tracedir/per_version.txt"
 diff "$tracedir/shared.txt" "$tracedir/run_dir.txt"
 diff "$tracedir/shared.txt" "$tracedir/per_version.txt"
+# Selective's forks from a twin copy its machine, and under the victim
+# scheme that includes the victim caches' LRU lists and the indexes into
+# them: the victim suite's rides against its per-version cells.
+"$cli" suite --scheme victim --threads 4 > "$tracedir/shared_victim.txt"
+"$cli" suite --scheme victim --threads 4 \
+  --watchdog-accesses 18446744073709551615 \
+  | sed '/^fault report:/,$d' > "$tracedir/per_version_victim.txt"
+diff "$tracedir/shared_victim.txt" "$tracedir/per_version_victim.txt"
 echo "shared suite: ride groups, checkpointed and per-version cells identical"
 
 # Same contract under fault injection: a faulted sweep's figure output,

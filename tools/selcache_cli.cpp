@@ -67,6 +67,7 @@
 #include "ir/printer.h"
 #include "run/checkpoint.h"
 #include "store/store.h"
+#include "support/io.h"
 #include "support/signal_guard.h"
 #include "support/table.h"
 #include "trace/jsonl.h"
@@ -378,8 +379,10 @@ int cmd_trace(const std::string& wname, const std::string& vname,
 /// Serialize a batch of trace captures into DIR/{events.jsonl,
 /// metrics.jsonl, timeline.csv}. Captures must already be in fixed
 /// (workload, version) order — concatenation preserves it, which keeps the
-/// files bit-identical across thread counts.
-int write_trace_dir(const std::vector<core::TraceCapture>& traces,
+/// files bit-identical across thread counts. Each capture's text goes to
+/// the three files as it is serialized, and its Recording is freed then;
+/// each file still replaces its target all or nothing, in that order.
+int write_trace_dir(std::vector<core::TraceCapture>& traces,
                     const std::string& dir_flag) {
   const std::filesystem::path dir = dir_flag;
   std::error_code ec;
@@ -389,23 +392,27 @@ int write_trace_dir(const std::vector<core::TraceCapture>& traces,
                  dir.string().c_str(), ec.message().c_str());
     return 2;
   }
-  std::string events, metrics, csv = trace::timeline_csv_header();
-  for (const auto& c : traces) {
+  const char* const names[] = {"events.jsonl", "metrics.jsonl",
+                               "timeline.csv"};
+  support::AtomicFile events((dir / names[0]).string());
+  support::AtomicFile metrics((dir / names[1]).string());
+  support::AtomicFile csv((dir / names[2]).string());
+  csv.append(trace::timeline_csv_header());
+  for (core::TraceCapture& c : traces) {
     const trace::SimTag tag{c.workload, core::version_key(c.version)};
-    events += trace::events_jsonl(c.recording, tag);
-    metrics += trace::metrics_jsonl(c.recording, tag);
-    csv += trace::timeline_csv(trace::build_timeline(c.recording),
-                               tag.workload, tag.version);
+    events.append(trace::events_jsonl(c.recording, tag));
+    metrics.append(trace::metrics_jsonl(c.recording, tag));
+    csv.append(trace::timeline_csv(trace::build_timeline(c.recording),
+                                   tag.workload, tag.version));
+    c.recording = {};
   }
-  const auto emit = [&dir](const char* file, const std::string& content) {
-    const std::string path = (dir / file).string();
-    if (core::write_text_file(path, content)) return true;
-    std::fprintf(stderr, "selcache: cannot write %s\n", path.c_str());
-    return false;
-  };
-  if (!emit("events.jsonl", events) || !emit("metrics.jsonl", metrics) ||
-      !emit("timeline.csv", csv))
+  support::AtomicFile* const files[] = {&events, &metrics, &csv};
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (files[i]->commit().ok()) continue;
+    std::fprintf(stderr, "selcache: cannot write %s\n",
+                 (dir / names[i]).string().c_str());
     return 2;
+  }
   std::printf("phase traces: %zu recordings -> %s\n", traces.size(),
               dir.string().c_str());
   return 0;
