@@ -117,19 +117,17 @@ Addr DataEnv::allocate(std::uint64_t bytes) {
 Addr DataEnv::record_addr(ir::PoolId pool, std::int64_t index,
                           std::uint32_t field_offset) const {
   const auto& decl = prog_.pool(pool);
-  std::int64_t idx = index % decl.count;
-  if (idx < 0) idx += decl.count;
   return pool_bases_.at(pool) +
-         static_cast<Addr>(idx) * decl.elem_size + field_offset;
+         static_cast<Addr>(wrap_index(index, decl.count)) * decl.elem_size +
+         field_offset;
 }
 
 std::int64_t DataEnv::index_value(ir::ArrayId a, std::int64_t pos) const {
   const auto& vals = index_contents_.at(a);
   SELCACHE_CHECK_MSG(!vals.empty(),
                      prog_.array(a).name + " has no synthesized contents");
-  std::int64_t p = pos % static_cast<std::int64_t>(vals.size());
-  if (p < 0) p += static_cast<std::int64_t>(vals.size());
-  return vals[static_cast<std::size_t>(p)];
+  return vals[static_cast<std::size_t>(
+      wrap_index(pos, static_cast<std::int64_t>(vals.size())))];
 }
 
 Addr DataEnv::chase_next(ir::PoolId pool, std::uint32_t field_offset) {

@@ -1,5 +1,6 @@
 #include "codegen/layout.h"
 
+#include "support/bitutil.h"
 #include "support/check.h"
 
 namespace selcache::codegen {
@@ -37,11 +38,8 @@ Addr ArrayLayout::element_addr(std::span<const std::int64_t> indices) const {
   SELCACHE_CHECK_MSG(indices.size() == dims_.size(),
                      "subscript arity mismatch");
   std::int64_t offset = 0;
-  for (std::size_t d = 0; d < dims_.size(); ++d) {
-    std::int64_t idx = indices[d] % dims_[d];
-    if (idx < 0) idx += dims_[d];
-    offset += idx * strides_[d];
-  }
+  for (std::size_t d = 0; d < dims_.size(); ++d)
+    offset += wrap_index(indices[d], dims_[d]) * strides_[d];
   return base_ + static_cast<Addr>(offset) * elem_size_;
 }
 

@@ -80,6 +80,25 @@ memsys::HierarchyConfig hierarchy_config(const MachineConfig& m,
 
 bool share_structure(const MachineConfig& a, const MachineConfig& b);
 
+/// The stream side of a ride: the TLBs and L1I of its hierarchies and its
+/// branch predictor. Every version of a ride issues the same loads, stores,
+/// I-fetches and branches (markers reach only Selective's controller), and
+/// none of these structures sees the scheme, so their state depends on the
+/// stream alone: FanOutModel runs them once per op for all of the ride's
+/// Simulations, which build none of their own (DESIGN §8).
+struct RideStream {
+  RideStream(const memsys::HierarchyConfig& h, const cpu::CpuConfig& c)
+      : memory(h),
+        bpred(c.bimodal_entries),
+        ifetch(c.model_ifetch),
+        l1i_shift(log2_exact(h.l1i.block_size)) {}
+
+  memsys::StreamSide memory;
+  cpu::BimodalPredictor bpred;
+  bool ifetch;          ///< the ride's CpuConfig models I-fetch
+  unsigned l1i_shift;   ///< log2 of the L1I block size
+};
+
 /// All mutable machine state one simulation owns: hierarchy + scheme +
 /// controller + timing model, with the optional fault injector and phase
 /// recorder attached. Shared by the interpret, ride, record and replay paths so
@@ -94,7 +113,9 @@ bool share_structure(const MachineConfig& a, const MachineConfig& b);
 /// once, and the timing model prices every member at its own memory
 /// latency. Traced, fault-armed and degrade-armed runs use one-machine
 /// groups. A ride twin built to `host` Selective prices the group twice:
-/// its own points first, then Selective's (see Shadow).
+/// its own points first, then Selective's (see Shadow). In a ride of
+/// several versions every Simulation runs on the ride's one `stream` side
+/// (see RideStream); otherwise it owns its own.
 struct Simulation {
   memsys::Hierarchy hierarchy;
   std::unique_ptr<memsys::HwScheme> scheme;
@@ -107,13 +128,15 @@ struct Simulation {
 
   Simulation(const std::vector<MachineConfig>& group, Version v,
              const RunOptions& opt, trace::Recording* trace_out,
-             bool host = false)
-      : hierarchy(hierarchy_config(group.front(), opt)),
+             RideStream* stream = nullptr, bool host = false)
+      : hierarchy(hierarchy_config(group.front(), opt),
+                  stream != nullptr ? &stream->memory : nullptr),
         scheme(v == Version::Base || v == Version::PureSoftware
                    ? nullptr
                    : make_scheme(opt.scheme, group.front())),
         controller(scheme.get()),
-        cpu(price_points(group, host ? 2 : 1), hierarchy, controller),
+        cpu(price_points(group, host ? 2 : 1), hierarchy, controller,
+            stream != nullptr ? &stream->bpred : nullptr),
         own(group.size()) {
     SELCACHE_CHECK_MSG(trace_out == nullptr || group.size() == 1,
                        "a traced simulation prices one machine");
@@ -277,19 +300,27 @@ struct Shadow {
   }
 };
 
-/// The six cpu::TimingModel entry points, fanned out in a fixed order to
-/// every Simulation of a ride group, so one interpretation drives them all.
-/// ON/OFF markers reach only Selective: its model `marked`, or its
-/// `shadow` while it has none. For every other member the interpreted code
-/// is its own product with the markers removed (ride_groups checks this on
-/// the built products). A shadowed Selective settles before the first data
-/// access and before the first one after each marker; when it forks, its
+/// The six cpu::TimingModel entry points of one interpretation, fanned out
+/// to every Simulation of a ride group. The ride's stream side (`stream`)
+/// runs once per op, and each Simulation gets its outcome, in a fixed
+/// order, through the model's per-Simulation entry points: every load and
+/// store the DTLB's charge, every branch the predictor's verdict, and an
+/// I-fetch block only when the ITLB or L1I missed, or when the ride is
+/// `traced` (its recorders tick once per access, hits included). ON/OFF
+/// markers reach only Selective: its model `marked`, or its `shadow` while
+/// it has none. For every other member the interpreted code is its own
+/// product with the markers removed (ride_groups checks this on the built
+/// products). A shadowed Selective settles before the first data access
+/// and before the first one after each marker; when it forks, its
 /// Simulation lands in `*fork` and joins the fan-out.
 class FanOutModel {
  public:
-  FanOutModel(std::vector<cpu::TimingModel*> models, cpu::TimingModel* marked,
+  FanOutModel(RideStream& stream, bool traced,
+              std::vector<cpu::TimingModel*> models, cpu::TimingModel* marked,
               Shadow* shadow, std::unique_ptr<Simulation>* fork)
-      : models_(std::move(models)),
+      : stream_(stream),
+        traced_(traced),
+        models_(std::move(models)),
         marked_(marked),
         shadow_(shadow),
         fork_(fork),
@@ -300,14 +331,18 @@ class FanOutModel {
   }
   void load(Addr addr, bool dependent = false) {
     if (settle_) settle();
-    for (cpu::TimingModel* m : models_) m->load(addr, dependent);
+    const Cycle tlb = stream_.memory.translate(addr);
+    for (cpu::TimingModel* m : models_)
+      m->translated_load(addr, tlb, dependent);
   }
   void store(Addr addr) {
     if (settle_) settle();
-    for (cpu::TimingModel* m : models_) m->store(addr);
+    const Cycle tlb = stream_.memory.translate(addr);
+    for (cpu::TimingModel* m : models_) m->translated_store(addr, tlb);
   }
   void branch(Addr pc, bool taken) {
-    for (cpu::TimingModel* m : models_) m->branch(pc, taken);
+    const bool correct = stream_.bpred.predict_and_train(pc, taken);
+    for (cpu::TimingModel* m : models_) m->predicted_branch(correct);
   }
   void toggle(bool on, std::int32_t region = -1) {
     if (marked_ != nullptr) {
@@ -318,7 +353,14 @@ class FanOutModel {
     }
   }
   void touch_code(Addr pc, std::uint32_t n_instr) {
-    for (cpu::TimingModel* m : models_) m->touch_code(pc, n_instr);
+    if (!stream_.ifetch) return;
+    // Block by block, so a traced Simulation's epoch snapshot reads the
+    // stream side as of its own access.
+    cpu::for_each_code_block(pc, n_instr, stream_.l1i_shift, [&](Addr a) {
+      const memsys::StreamSide::Fetch f = stream_.memory.fetch(a);
+      if (f.hit() && !traced_) return;
+      for (cpu::TimingModel* m : models_) m->fetched_block(a, f);
+    });
   }
 
  private:
@@ -332,6 +374,8 @@ class FanOutModel {
     shadow_ = nullptr;
   }
 
+  RideStream& stream_;
+  bool traced_;
   std::vector<cpu::TimingModel*> models_;
   cpu::TimingModel* marked_;
   Shadow* shadow_;
@@ -698,6 +742,35 @@ struct Ride {
   std::uint64_t refs = 0;  ///< code->dynamic_ref_count()
 };
 
+/// The index into `sims` (a ride's kAllVersions indices, ascending) of the
+/// twin Selective starts on: its scheme-less one when the ride has one
+/// (Selective starts OFF), else its always-on one. SIZE_MAX when the ride
+/// has no Selective or no twin.
+std::size_t start_host(const std::vector<std::size_t>& sims) {
+  constexpr std::size_t sel = index_of(Version::Selective);
+  if (sims.size() < 2 || sims.back() != sel) return SIZE_MAX;
+  for (std::size_t k = 0; k + 1 < sims.size(); ++k)
+    if (!hw_always_on(kAllVersions[sims[k]])) return k;
+  return 0;
+}
+
+/// Does ride `r` carry a Selective that holds its start host's machine at
+/// every data access, and so never forks in run_ride? Before interpreting,
+/// the plan can tell only this case: the ride is untraced (a traced ride
+/// gives Selective a Simulation of its own from the start), its code runs
+/// no marker, so Selective's scheme stays OFF, and its start host is
+/// scheme-less. A Selective that runs markers may fork.
+bool never_forks(const Ride& r, bool traced) {
+  const std::size_t host = start_host(r.sims);
+  if (traced || host == SIZE_MAX || hw_always_on(kAllVersions[r.sims[host]]))
+    return false;
+  bool marker = false;
+  r.code->visit([&](const ir::Node& n) {
+    marker = marker || n.kind == ir::NodeKind::Toggle;
+  });
+  return !marker;
+}
+
 /// In structural group `group`, cell `copy` takes cell `source`'s results.
 struct Copy {
   std::size_t group = 0;
@@ -718,11 +791,13 @@ struct RidePlan {
 /// cells by ride_groups. Then the critical-path rule: a ride whose
 /// simulated references exceed 1/threads of the whole sweep's total would
 /// outlast the rest of the sweep, so its versions become rides of one,
-/// each on its own product.
+/// each on its own product, except that a Selective that never forks
+/// (never_forks) counts as no simulation and stays on its start host's
+/// ride. `traced` plans a traced sweep, where Selective always simulates.
 RidePlan plan_rides(std::span<const workloads::WorkloadInfo> suite,
                     const std::vector<std::vector<bool>>& wanted,
                     const transform::OptimizeOptions& optimize,
-                    unsigned threads) {
+                    unsigned threads, bool traced) {
   constexpr std::size_t nv = kAllVersions.size();
   using Products = std::array<std::shared_ptr<const ir::Program>, 3>;
   std::vector<Products> products(suite.size());
@@ -761,20 +836,32 @@ RidePlan plan_rides(std::span<const workloads::WorkloadInfo> suite,
     }
   }
 
+  // Each ride's simulations; a Selective that never forks has none.
+  std::vector<std::size_t> simulated;
   std::uint64_t total = 0;
-  for (const Ride& r : grouped.rides) total += r.refs * r.sims.size();
+  for (const Ride& r : grouped.rides) {
+    simulated.push_back(r.sims.size() - (never_forks(r, traced) ? 1 : 0));
+    total += r.refs * simulated.back();
+  }
   RidePlan out{.copies = std::move(grouped.copies)};
-  for (Ride& r : grouped.rides) {
-    if (threads <= 1 || r.sims.size() == 1 ||
-        r.refs * r.sims.size() * threads <= total) {
+  for (std::size_t k = 0; k < grouped.rides.size(); ++k) {
+    Ride& r = grouped.rides[k];
+    if (threads <= 1 || simulated[k] == 1 ||
+        r.refs * simulated[k] * threads <= total) {
       out.rides.push_back(std::move(r));
       continue;
     }
-    for (std::size_t vi : r.sims)
-      out.rides.push_back({.wi = r.wi,
-                           .group = r.group,
-                           .code = products[r.wi][product_of(vi)],
-                           .sims = {vi}});
+    // Selective is last in r.sims; one that never forks stays on its
+    // start host's ride.
+    const std::size_t host =
+        simulated[k] < r.sims.size() ? r.sims[start_host(r.sims)] : SIZE_MAX;
+    for (std::size_t vi : r.sims) {
+      if (host != SIZE_MAX && vi == r.sims.back()) continue;
+      Ride one{.wi = r.wi, .group = r.group, .sims = {vi}};
+      if (vi == host) one.sims.push_back(r.sims.back());
+      one.code = products[r.wi][product_of(one.sims.back())];
+      out.rides.push_back(std::move(one));
+    }
   }
   return out;
 }
@@ -782,7 +869,8 @@ RidePlan plan_rides(std::span<const workloads::WorkloadInfo> suite,
 /// Interpret r.code once, driving one Simulation per version of the ride,
 /// each pricing every machine of `group`; returns each version's results,
 /// in r.sims order. A ride of one runs the plain engine on the version's
-/// own product. Selective rides a twin's Simulation as a Shadow while it
+/// own product. The Simulations of a larger ride share its one stream side
+/// (RideStream). Selective rides a twin's Simulation as a Shadow while it
 /// has one and forks a Simulation of its own where its machine leaves the
 /// twin's. With `traces` (one-machine groups only), the Simulation of
 /// version vi records into its cell's entry, (*traces)[r.wi * 5 + vi]:
@@ -812,15 +900,14 @@ std::vector<std::vector<RunResult>> run_ride(
     }
   }
   const bool shadowed = sel != none && traces == nullptr;
-  // A ride of several versions with Selective has a twin; Selective starts
-  // OFF, so it starts on the scheme-less one when there is one.
-  const std::size_t host = twin[0] != none ? twin[0] : twin[1];
+  const std::size_t host = start_host(r.sims);
+  RideStream stream(hierarchy_config(group.front(), opt), group.front().cpu);
   std::vector<std::unique_ptr<Simulation>> sims(r.sims.size());
   std::vector<cpu::TimingModel*> models;
   for (std::size_t k = 0; k < r.sims.size(); ++k) {
     if (shadowed && k == sel) continue;
     sims[k] = std::make_unique<Simulation>(group, kAllVersions[r.sims[k]], opt,
-                                           trace_of(r.sims[k]),
+                                           trace_of(r.sims[k]), &stream,
                                            shadowed && k == host);
     models.push_back(&sims[k]->cpu);
   }
@@ -831,7 +918,7 @@ std::vector<std::vector<RunResult>> run_ride(
                        twin[1] != none ? sims[twin[1]].get() : nullptr},
                    sims[host].get(), group.front(), opt);
   codegen::DataEnv env(*r.code, {.seed = opt.data_seed});
-  FanOutModel fan(std::move(models),
+  FanOutModel fan(stream, traces != nullptr, std::move(models),
                   sel != none && !shadowed ? &sims[sel]->cpu : nullptr,
                   shadow ? &*shadow : nullptr,
                   sel != none ? &sims[sel] : nullptr);
@@ -881,7 +968,8 @@ void run_rides(std::span<const workloads::WorkloadInfo> suite,
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t p : groups[g])
         if (missed[i * np + p]) wanted[g][i] = true;
-  const RidePlan plan = plan_rides(suite, wanted, opt.optimize, threads);
+  const RidePlan plan =
+      plan_rides(suite, wanted, opt.optimize, threads, traces != nullptr);
 
   // Cell i's results at the points of group g, settled where it missed.
   const auto settle = [&](std::size_t i, std::size_t g,
@@ -998,7 +1086,8 @@ SweepPlan plan_sweep(std::span<const workloads::WorkloadInfo> suite,
   const std::size_t n = suite.size() * kAllVersions.size();
   if (!rides_allowed(opt)) return {.interpretations = n, .simulations = n};
   const RidePlan plan = plan_rides(suite, {std::vector<bool>(n, true)},
-                                   opt.optimize, par.num_threads);
+                                   opt.optimize, par.num_threads,
+                                   /*traced=*/false);
   SweepPlan out{.interpretations = plan.rides.size(),
                 .copies = plan.copies.size()};
   for (const Ride& r : plan.rides) out.simulations += r.sims.size();

@@ -2,11 +2,12 @@
 // report cycles, miss rates, and improvement over the Base version.
 //
 // The engine has two execution modes with one determinism contract:
-// every (workload, version) simulation owns all of its mutable state
-// (Hierarchy, HwScheme, Controller, TimingModel, DataEnv), so the parallel
-// fan-out runs the exact same per-simulation code as the serial loop and
-// merges results in fixed workload order — the output is bit-identical to
-// a serial sweep, regardless of thread count or scheduling.
+// every unit of work owns all of its mutable state (Hierarchy, HwScheme,
+// Controller, TimingModel, DataEnv, and a ride's shared stream side), so
+// the parallel fan-out runs the exact same per-simulation code as the
+// serial loop and merges results in fixed workload order — the output is
+// bit-identical to a serial sweep, regardless of thread count or
+// scheduling.
 #pragma once
 
 #include <array>
@@ -301,8 +302,7 @@ void run_units(std::span<const workloads::WorkloadInfo> suite,
 /// while its markers hold the scheme OFF, the always-on one's while they
 /// hold it ON) until a data access first finds it in a state its twin does
 /// not share: until then it prices as extra points on that twin's
-/// simulation, and there it forks a copy of the twin's machine. The plan
-/// (interpretations, simulations, copies) is the same either way.
+/// simulation, and there it forks a copy of the twin's machine.
 struct RideGroups {
   /// One entry per interpretation: the versions it simulates, one
   /// Simulation each, in kAllVersions order.
@@ -323,13 +323,17 @@ struct SweepPlan {
 };
 
 /// The plan sweep_suite / improvements_for run for `suite` at
-/// par.num_threads, traced or not, with every version a store miss.
+/// par.num_threads, untraced, with every version a store miss.
 /// Each workload's ride groups are kept merged while a group's simulated
 /// references (its code's ir::Program::dynamic_ref_count times its
 /// simulations) are at most 1/num_threads of the sweep's total; a larger
 /// group would set the sweep's critical path, so its versions run as
-/// separate interpretations (copies are kept). Options that rule sharing
-/// out give one interpretation and one simulation per version.
+/// separate interpretations (copies are kept). A Selective whose code runs
+/// no marker, beside its scheme-less twin, holds that twin's machine
+/// throughout: it counts as no simulation and stays on the twin's
+/// interpretation. A traced sweep gives every Selective a simulation of its
+/// own. Options that rule sharing out give one interpretation and one
+/// simulation per version.
 SweepPlan plan_sweep(std::span<const workloads::WorkloadInfo> suite,
                      const RunOptions& opt = {},
                      const ParallelSweepOptions& par = {});

@@ -13,20 +13,25 @@ TimingModel::TimingModel(CpuConfig cfg, memsys::Hierarchy& hierarchy,
 
 TimingModel::TimingModel(const std::vector<PricePoint>& points,
                          memsys::Hierarchy& hierarchy,
-                         hw::Controller& controller)
+                         hw::Controller& controller, BimodalPredictor* bpred)
     : hierarchy_(hierarchy),
       controller_(controller),
+      bpred_(bpred),
       mem_latency_(hierarchy.config().mem.access_latency) {
   SELCACHE_CHECK(!points.empty());
   model_ifetch_ = points.front().cpu.model_ifetch;
+  const std::uint32_t entries = points.front().cpu.bimodal_entries;
   points_.reserve(points.size());
   for (const PricePoint& p : points) {
     SELCACHE_CHECK(p.cpu.issue_width > 0);
     SELCACHE_CHECK(p.cpu.memory_ports > 0);
     SELCACHE_CHECK_MSG(p.cpu.model_ifetch == model_ifetch_,
                        "priced points disagree on model_ifetch");
+    SELCACHE_CHECK_MSG(p.cpu.bimodal_entries == entries,
+                       "priced points disagree on bimodal_entries");
     points_.emplace_back(p);
   }
+  if (bpred_ == nullptr) bpred_ = &own_bpred_.emplace(entries);
   l1i_shift_ = log2_exact(hierarchy.config().l1i.block_size);
 }
 
@@ -35,6 +40,8 @@ TimingModel::TimingModel(TimingModel& twin, std::size_t first,
                          hw::Controller& controller)
     : hierarchy_(hierarchy),
       controller_(controller),
+      own_bpred_(twin.own_bpred_),
+      bpred_(own_bpred_ ? &*own_bpred_ : twin.bpred_),
       mem_latency_(twin.mem_latency_),
       model_ifetch_(twin.model_ifetch_),
       l1i_shift_(twin.l1i_shift_),
@@ -141,7 +148,7 @@ void TimingModel::export_stats(StatSet& out, std::size_t point) const {
           (toggles_ + p.markers) * p.cfg.toggle_latency);
   out.add("cpu.overlapped_misses", p.overlapped_misses);
   out.add("cpu.serialized_misses", p.serialized_misses);
-  p.bpred.export_stats(out);
+  bpred_->export_stats(out);
 }
 
 }  // namespace selcache::cpu

@@ -20,14 +20,22 @@
 // depend on: miss counts translate to cycles, streams get MLP, chains don't.
 //
 // Structure vs. pricing: the model has two halves. The structural half
-// drives the controller and the hierarchy once per op; nothing it touches
-// depends on main-memory latency. The pricing half — issue cycles, stalls,
-// the MLP shadow, the branch predictor, the CpuConfig — turns each access
-// outcome into cycles. One model can hold k pricing states (PricePoint):
-// point i pays each main-memory fetch at its own latency L_i, so an access
-// that made f fetches and took `lat` cycles on the hierarchy (whose memory
-// latency is L_0) costs lat + f*(L_i - L_0) at point i — exactly what a
-// hierarchy built with L_i would have returned. A plain run is k = 1.
+// drives the controller, the hierarchy and the branch predictor once per
+// op; nothing it touches depends on main-memory latency. The pricing half —
+// issue cycles, stalls, the MLP shadow, the CpuConfig — turns each access
+// outcome and each branch outcome into cycles. One model can hold k pricing
+// states (PricePoint): point i pays each main-memory fetch at its own
+// latency L_i, so an access that made f fetches and took `lat` cycles on
+// the hierarchy (whose memory latency is L_0) costs lat + f*(L_i - L_0) at
+// point i — exactly what a hierarchy built with L_i would have returned. A
+// plain run is k = 1.
+//
+// The stream side (the hierarchy's TLBs and L1I, and the predictor) sees
+// only the op stream, so every model of one ride shares one (DESIGN §8):
+// the ride runs it once per op and hands each model the outcome through
+// the per-Simulation entry points (translated_load, translated_store,
+// predicted_branch, fetched_block). A standalone model's entry points run
+// its own stream side and then exactly those.
 //
 // Each point also carries its own count of ON/OFF marker instructions
 // beyond the model's shared stream. A model's own points carry none; a
@@ -39,6 +47,7 @@
 #pragma once
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "cpu/branch_predictor.h"
@@ -70,6 +79,18 @@ struct PricePoint {
   Cycle mem_latency = 100;
 };
 
+/// Calls fetch(a) for the base address a of every L1I block (1 << shift
+/// bytes) that `n_instr` 4-byte instructions at `pc` span, in address order.
+template <typename Fetch>
+void for_each_code_block(Addr pc, std::uint32_t n_instr, unsigned shift,
+                         Fetch&& fetch) {
+  const std::uint32_t bytes = n_instr * 4;
+  const Addr first = (pc >> shift) << shift;
+  const Addr end = pc + (bytes > 0 ? bytes - 1 : 0);
+  const Addr last = (end >> shift) << shift;
+  for (Addr a = first; a <= last; a += Addr{1} << shift) fetch(a);
+}
+
 class TimingModel {
  public:
   /// One point, priced at the hierarchy's own memory latency.
@@ -77,23 +98,33 @@ class TimingModel {
               hw::Controller& controller);
 
   /// k points over one structural pass. Every point must agree on
-  /// model_ifetch: it decides which accesses reach the hierarchy.
+  /// model_ifetch, which decides which accesses reach the hierarchy, and on
+  /// bimodal_entries, since one predictor serves them all. The model runs
+  /// `bpred` when given (a ride's shared predictor, built with those
+  /// entries), else a predictor of its own.
   TimingModel(const std::vector<PricePoint>& points,
-              memsys::Hierarchy& hierarchy, hw::Controller& controller);
+              memsys::Hierarchy& hierarchy, hw::Controller& controller,
+              BimodalPredictor* bpred = nullptr);
 
   /// Points [first, points()) of `twin` leave it and go on as a model of
   /// their own, over `hierarchy` and `controller`, which hold the machine
   /// state twin's hierarchy held. The points' marker counts (all equal)
-  /// fold into the new model's instruction and toggle counts.
+  /// fold into the new model's instruction and toggle counts. The new model
+  /// shares twin's predictor when twin shares one, and copies it when twin
+  /// owns it.
   TimingModel(TimingModel& twin, std::size_t first,
               memsys::Hierarchy& hierarchy, hw::Controller& controller);
 
-  // The six entry points are defined inline: every simulated instruction
-  // passes through exactly one of them, and together with the inline
-  // hierarchy hit path this keeps the whole hit-case event in one call
-  // frame — the throughput floor of both the IR interpreter and the
-  // trace-tape replay loop. A hit fetched nothing from memory, so it costs
-  // the same at every point and returns before the pricing loop.
+  TimingModel(const TimingModel&) = delete;
+  TimingModel& operator=(const TimingModel&) = delete;
+
+  // The six entry points and the per-Simulation parts they end in are
+  // defined inline: every simulated instruction passes through exactly one
+  // of them, and together with the inline hierarchy hit path this keeps the
+  // whole hit-case event in one call frame — the throughput floor of both
+  // the IR interpreter and the trace-tape replay loop. A hit fetched
+  // nothing from memory, so it costs the same at every point and returns
+  // before the pricing loop.
 
   /// `n` plain ALU instructions.
   void compute(std::uint64_t n) { instructions_ += n; }
@@ -101,30 +132,17 @@ class TimingModel {
   /// One load instruction. `dependent` marks address-dependent loads
   /// (pointer chasing) that cannot overlap with outstanding misses.
   void load(Addr addr, bool dependent = false) {
-    ++instructions_;
-    controller_.tick();
-    const Outcome o = access(addr, memsys::AccessKind::Load);
-    if (o.fetches == 0 && o.lat <= hierarchy_.config().l1d.latency) return;
-    price_data(o, /*halve=*/false, dependent);
+    translated_load(addr, hierarchy_.stream().translate(addr), dependent);
   }
 
   /// One store instruction (write-allocate; retires through the LSQ).
   void store(Addr addr) {
-    ++instructions_;
-    controller_.tick();
-    const Outcome o = access(addr, memsys::AccessKind::Store);
-    if (o.fetches == 0 && o.lat <= hierarchy_.config().l1d.latency) return;
-    // Stores retire through the store queue; they only expose latency when
-    // the LSQ would back up. Approximate by halving the exposed latency.
-    price_data(o, /*halve=*/true, /*dependent=*/false);
+    translated_store(addr, hierarchy_.stream().translate(addr));
   }
 
   /// One conditional branch at `pc` with actual outcome `taken`.
   void branch(Addr pc, bool taken) {
-    ++instructions_;
-    for (Pricing& p : points_)
-      if (!p.bpred.predict_and_train(pc, taken))
-        p.branch_stall += p.cfg.mispredict_penalty;
+    predicted_branch(bpred_->predict_and_train(pc, taken));
   }
 
   /// One activate/deactivate instruction: flips the controller and pays the
@@ -140,18 +158,52 @@ class TimingModel {
   /// Fetch the code block(s) for `n_instr` instructions located at `pc`.
   void touch_code(Addr pc, std::uint32_t n_instr) {
     if (!model_ifetch_) return;
-    // 4 bytes per instruction; touch each I-cache block the group spans.
-    // Block size is validated power-of-two, so the span bounds are shifts.
-    const std::uint32_t bytes = n_instr * 4;
-    const std::uint32_t bs = hierarchy_.config().l1i.block_size;
-    const Addr first = (pc >> l1i_shift_) << l1i_shift_;
-    const Addr end = pc + (bytes > 0 ? bytes - 1 : 0);
-    const Addr last = (end >> l1i_shift_) << l1i_shift_;
-    for (Addr a = first; a <= last; a += bs) {
-      const Outcome o = access(a, memsys::AccessKind::IFetch);
-      if (o.fetches == 0 && o.lat <= hierarchy_.config().l1i.latency) continue;
-      price_ifetch(o);
-    }
+    for_each_code_block(pc, n_instr, l1i_shift_, [&](Addr a) {
+      fetched_block(a, hierarchy_.stream().fetch(a));
+    });
+  }
+
+  // The per-Simulation parts: what is left of load, store, branch and one
+  // block of touch_code once the stream side has run. A ride calls them on
+  // each of its models with the outcome of its one shared stream side.
+
+  /// A load whose translation the stream side charged `tlb` cycles.
+  void translated_load(Addr addr, Cycle tlb, bool dependent) {
+    ++instructions_;
+    controller_.tick();
+    const Outcome o = measured(
+        [&] { return hierarchy_.data(addr, /*is_write=*/false, tlb); });
+    if (o.fetches == 0 && o.lat <= hierarchy_.config().l1d.latency) return;
+    price_data(o, /*halve=*/false, dependent);
+  }
+
+  /// A store whose translation the stream side charged `tlb` cycles.
+  void translated_store(Addr addr, Cycle tlb) {
+    ++instructions_;
+    controller_.tick();
+    const Outcome o = measured(
+        [&] { return hierarchy_.data(addr, /*is_write=*/true, tlb); });
+    if (o.fetches == 0 && o.lat <= hierarchy_.config().l1d.latency) return;
+    // Stores retire through the store queue; they only expose latency when
+    // the LSQ would back up. Approximate by halving the exposed latency.
+    price_data(o, /*halve=*/true, /*dependent=*/false);
+  }
+
+  /// A branch the predictor got right (`correct`) or wrong: each point
+  /// pays its own redirect penalty.
+  void predicted_branch(bool correct) {
+    ++instructions_;
+    if (correct) return;
+    for (Pricing& p : points_) p.branch_stall += p.cfg.mispredict_penalty;
+  }
+
+  /// One I-fetch block at `addr` after the stream side's step `f`. A ride
+  /// skips the blocks the stream side hit unless it records a trace: such
+  /// a block only ticks the hierarchy's clocks.
+  void fetched_block(Addr addr, memsys::StreamSide::Fetch f) {
+    const Outcome o = measured([&] { return hierarchy_.fetch(addr, f); });
+    if (o.fetches == 0 && o.lat <= hierarchy_.config().l1i.latency) return;
+    price_ifetch(o);
   }
 
   /// One ON/OFF instruction of the version priced at points [first,
@@ -187,9 +239,7 @@ class TimingModel {
     return points_[point].branch_stall;
   }
 
-  const BimodalPredictor& predictor(std::size_t point = 0) const {
-    return points_[point].bpred;
-  }
+  const BimodalPredictor& predictor() const { return *bpred_; }
   const CpuConfig& config(std::size_t point = 0) const {
     return points_[point].cfg;
   }
@@ -207,13 +257,10 @@ class TimingModel {
   /// One point's pricing state.
   struct Pricing {
     explicit Pricing(const PricePoint& p)
-        : cfg(p.cpu),
-          mem_latency(p.mem_latency),
-          bpred(p.cpu.bimodal_entries) {}
+        : cfg(p.cpu), mem_latency(p.mem_latency) {}
 
     CpuConfig cfg;
     Cycle mem_latency;
-    BimodalPredictor bpred;
     Cycle mem_stall = 0;
     Cycle branch_stall = 0;
     Cycle shadow_end = 0;        ///< cycle when outstanding misses resolve
@@ -225,9 +272,11 @@ class TimingModel {
     std::uint64_t markers = 0;
   };
 
-  Outcome access(Addr addr, memsys::AccessKind kind) {
+  /// The Outcome of `access`, one hierarchy access returning its latency.
+  template <typename Access>
+  Outcome measured(Access&& access) {
     const std::uint64_t reads = hierarchy_.memory().reads();
-    const Cycle lat = hierarchy_.access(addr, kind);
+    const Cycle lat = access();
     return {lat, hierarchy_.memory().reads() - reads};
   }
 
@@ -257,6 +306,8 @@ class TimingModel {
 
   memsys::Hierarchy& hierarchy_;
   hw::Controller& controller_;
+  std::optional<BimodalPredictor> own_bpred_;  ///< set when not shared
+  BimodalPredictor* bpred_;
   std::vector<Pricing> points_;
   Cycle mem_latency_ = 0;  ///< the hierarchy's memory latency (L_0)
   bool model_ifetch_ = true;

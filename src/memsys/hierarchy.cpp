@@ -6,13 +6,13 @@
 
 namespace selcache::memsys {
 
-Hierarchy::Hierarchy(HierarchyConfig cfg)
+Hierarchy::Hierarchy(HierarchyConfig cfg, StreamSide* stream)
     : cfg_(cfg),
+      own_stream_(stream == nullptr ? std::optional<StreamSide>(cfg_)
+                                    : std::nullopt),
+      stream_(stream == nullptr ? &*own_stream_ : stream),
       l1d_(cfg.l1d),
-      l1i_(cfg.l1i),
       l2_(cfg.l2),
-      dtlb_(cfg.dtlb),
-      itlb_(cfg.itlb),
       mem_(cfg.mem) {
   if (cfg_.classify_misses)
     classifier_ = std::make_unique<MissClassifier>(cfg_.l1d.num_blocks(),
@@ -21,11 +21,10 @@ Hierarchy::Hierarchy(HierarchyConfig cfg)
 
 Hierarchy::Hierarchy(const Hierarchy& other)
     : cfg_(other.cfg_),
+      own_stream_(other.own_stream_),
+      stream_(own_stream_ ? &*own_stream_ : other.stream_),
       l1d_(other.l1d_),
-      l1i_(other.l1i_),
       l2_(other.l2_),
-      dtlb_(other.dtlb_),
-      itlb_(other.itlb_),
       mem_(other.mem_),
       classifier_(other.classifier_ != nullptr
                       ? std::make_unique<MissClassifier>(*other.classifier_)
@@ -105,12 +104,12 @@ Cycle Hierarchy::place_l1d(Addr addr, bool is_write,
 
 Cycle Hierarchy::refill_l1i(Addr addr) {
   Cycle lat = cfg_.l2.latency;
-  // Instruction path bypasses the data-side hardware scheme.
+  // Instruction path bypasses the data-side hardware scheme. The stream
+  // side has filled the L1I already.
   if (!l2_.access(addr, false)) {
     lat += mem_.fetch_latency(cfg_.l2.block_size);
     l2_.fill(addr, false);
   }
-  l1i_.fill(addr, false);
   return lat;
 }
 
@@ -139,7 +138,7 @@ Cycle Hierarchy::miss_l1d(Addr addr, bool is_write,
 
 double Hierarchy::l1_miss_rate() const {
   HitMiss combined = l1d_.demand_stats();
-  combined += l1i_.demand_stats();
+  combined += stream_->l1i.demand_stats();
   return combined.miss_rate();
 }
 
@@ -147,10 +146,10 @@ double Hierarchy::l2_miss_rate() const { return l2_.demand_stats().miss_rate(); 
 
 void Hierarchy::export_stats(StatSet& out) const {
   l1d_.export_stats(out);
-  l1i_.export_stats(out);
+  stream_->l1i.export_stats(out);
   l2_.export_stats(out);
-  dtlb_.export_stats(out);
-  itlb_.export_stats(out);
+  stream_->dtlb.export_stats(out);
+  stream_->itlb.export_stats(out);
   mem_.export_stats(out);
   if (classifier_ != nullptr) classifier_->export_stats(out, "l1d");
   if (hw_ != nullptr) hw_->export_stats(out);

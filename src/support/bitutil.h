@@ -27,6 +27,14 @@ constexpr Addr block_of(Addr a, std::uint64_t block_size) {
   return a / block_size;
 }
 
+/// `i` wrapped into [0, n), for n > 0: `i` itself when already in range (the
+/// common case, with no division), else its floored remainder.
+constexpr std::int64_t wrap_index(std::int64_t i, std::int64_t n) {
+  if (static_cast<std::uint64_t>(i) < static_cast<std::uint64_t>(n)) return i;
+  const std::int64_t r = i % n;
+  return r < 0 ? r + n : r;
+}
+
 /// First byte address of the block containing `a`.
 constexpr Addr block_base(Addr a, std::uint64_t block_size) {
   return a - (a % block_size);

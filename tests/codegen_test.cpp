@@ -1,6 +1,7 @@
 // Tests for address layout, the data environment, and the trace engine.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "codegen/trace_engine.h"
@@ -58,6 +59,30 @@ TEST(ArrayLayout, OutOfRangeWraps) {
   const std::int64_t neg[] = {-1, 0};   // wraps to row 3
   const std::int64_t row3[] = {3, 0};
   EXPECT_EQ(l.element_addr(neg), l.element_addr(row3));
+}
+
+/// Every subscript wraps into [0, extent) as the floored remainder, however
+/// far below zero or past the extent it lies, under either layout and with
+/// extents that are not powers of two.
+TEST(ArrayLayout, EveryOutOfRangeIndexWrapsLikeTheFlooredRemainder) {
+  const auto wrapped = [](std::int64_t i, std::int64_t n) {
+    return ((i % n) + n) % n;
+  };
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const ir::Layout layout : {ir::Layout::RowMajor, ir::Layout::ColMajor}) {
+    ArrayLayout l(decl_2d(5, 7, layout, /*pad=*/3), 0x2000);
+    std::vector<std::int64_t> probes = {kMin, kMin + 1, kMax, kMax - 1};
+    for (std::int64_t i = -23; i <= 23; ++i) probes.push_back(i);
+    for (const std::int64_t i : probes) {
+      for (const std::int64_t j : probes) {
+        const std::int64_t raw[] = {i, j};
+        const std::int64_t in[] = {wrapped(i, 5), wrapped(j, 7)};
+        ASSERT_EQ(l.element_addr(raw), l.element_addr(in))
+            << "(" << i << ", " << j << ")";
+      }
+    }
+  }
 }
 
 TEST(DataEnv, AllocationsDisjointAndAligned) {

@@ -40,6 +40,22 @@ TEST(Bimodal, DistinctPcsDistinctCounters) {
   EXPECT_TRUE(p.predict_and_train(0x200, false));
 }
 
+/// The table is indexed by the word address modulo its size, a power of
+/// two or not: in a 3-entry table words 0 and 3 share a counter and word 1
+/// does not; in a 4-entry one words 0 and 4 share one.
+TEST(Bimodal, TableSizeWrapsTheIndex) {
+  for (const std::uint32_t entries : {3u, 4u}) {
+    SCOPED_TRACE("entries=" + std::to_string(entries));
+    BimodalPredictor p(entries);
+    for (int i = 0; i < 4; ++i) p.predict_and_train(0x0, false);
+    // Trained not-taken through the shared counter; untouched counters
+    // still start weakly taken.
+    EXPECT_TRUE(p.predict_and_train(4 * entries, false));
+    EXPECT_TRUE(p.predict_and_train(4 * (entries + 1), true));
+    EXPECT_FALSE(p.predict_and_train(4 * (2 * entries - 1), false));
+  }
+}
+
 struct Machine {
   memsys::Hierarchy hierarchy;
   hw::Controller controller;
@@ -335,12 +351,105 @@ TEST(Timing, MarkedPointsAndTheirForkPriceLikeAModelRunningTheMarkers) {
   }
 }
 
+/// A ride in miniature: one stream side (the hierarchy's TLBs and L1I, and
+/// the branch predictor) runs once per op, and every model gets its
+/// outcome through the per-Simulation entry points, as core's FanOutModel
+/// hands it out.
+struct SharedStream {
+  memsys::StreamSide memory{memsys::HierarchyConfig{}};
+  BimodalPredictor bpred{CpuConfig{}.bimodal_entries};
+  std::vector<TimingModel*> models;
+
+  void compute(std::uint64_t n) {
+    for (TimingModel* m : models) m->compute(n);
+  }
+  void load(Addr a, bool dependent) {
+    const Cycle tlb = memory.translate(a);
+    for (TimingModel* m : models) m->translated_load(a, tlb, dependent);
+  }
+  void store(Addr a) {
+    const Cycle tlb = memory.translate(a);
+    for (TimingModel* m : models) m->translated_store(a, tlb);
+  }
+  void branch(Addr pc, bool taken) {
+    const bool correct = bpred.predict_and_train(pc, taken);
+    for (TimingModel* m : models) m->predicted_branch(correct);
+  }
+  void toggle(bool on, std::int32_t region) {
+    for (TimingModel* m : models) m->toggle(on, region);
+  }
+  void touch_code(Addr pc, std::uint32_t n) {
+    const unsigned shift = log2_exact(memsys::HierarchyConfig{}.l1i.block_size);
+    for_each_code_block(pc, n, shift, [&](Addr a) {
+      const memsys::StreamSide::Fetch f = memory.fetch(a);
+      for (TimingModel* m : models) m->fetched_block(a, f);
+    });
+  }
+};
+
+/// One predictor (and one stream side) shared by two models of k points
+/// each prices every point as separate models with predictors of their own
+/// do: every point pays its own mispredict penalty on the one verdict.
+TEST(Timing, SharedPredictorPricesLikeSeparatePredictors) {
+  CpuConfig slow_redirect;
+  slow_redirect.mispredict_penalty = 7;
+  const std::vector<PricePoint> points = {
+      {CpuConfig{}, 100}, {slow_redirect, 200}, {CpuConfig{}, 300}};
+
+  SharedStream shared;
+  memsys::HierarchyConfig hc;
+  memsys::Hierarchy plain_h(hc, &shared.memory), bypass_h(hc, &shared.memory);
+  hw::BypassScheme bypass((hw::BypassSchemeConfig()));
+  bypass_h.attach_hw(&bypass);
+  hw::Controller plain_ctl(nullptr), bypass_ctl(&bypass);
+  TimingModel plain(points, plain_h, plain_ctl, &shared.bpred);
+  TimingModel bypassed(points, bypass_h, bypass_ctl, &shared.bpred);
+  shared.models = {&plain, &bypassed};
+
+  PlainMachine solo_plain(points);
+  BypassMachine solo_bypassed(hc.mem.access_latency, points);
+  Rng shared_rng(11), plain_rng(11), bypass_rng(11);
+  Addr shared_at = 0x100000, plain_at = 0x100000, bypass_at = 0x100000;
+  drive_random_stream(shared, shared_rng, 40000, &shared_at);
+  drive_random_stream(solo_plain.cpu, plain_rng, 40000, &plain_at);
+  drive_random_stream(solo_bypassed.cpu, bypass_rng, 40000, &bypass_at);
+
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    SCOPED_TRACE("point " + std::to_string(i));
+    EXPECT_EQ(plain.cycles(i), solo_plain.cpu.cycles(i));
+    EXPECT_EQ(cpu_stats(plain, i).all(), cpu_stats(solo_plain.cpu, i).all());
+    EXPECT_EQ(bypassed.cycles(i), solo_bypassed.cpu.cycles(i));
+    EXPECT_EQ(cpu_stats(bypassed, i).all(),
+              cpu_stats(solo_bypassed.cpu, i).all());
+  }
+  StatSet a, b;
+  bypass_h.export_stats(a);
+  solo_bypassed.hierarchy.export_stats(b);
+  EXPECT_EQ(a.all(), b.all());
+  // Both verdicts occurred, and the points' penalties differ.
+  const StatSet s = cpu_stats(plain, 1);
+  EXPECT_GT(s.get("bpred.mispredicted"), 0u);
+  EXPECT_GT(s.get("bpred.correct"), 0u);
+  EXPECT_EQ(s.get("cpu.branch_penalty_cycles"),
+            7 * s.get("bpred.mispredicted"));
+  EXPECT_EQ(&plain.predictor(), &bypassed.predictor());
+}
+
 TEST(Timing, PricedPointsMustAgreeOnIfetchModeling) {
   CpuConfig no_ifetch;
   no_ifetch.model_ifetch = false;
   memsys::Hierarchy h((memsys::HierarchyConfig()));
   hw::Controller ctl(nullptr);
   EXPECT_THROW(TimingModel({{CpuConfig{}, 100}, {no_ifetch, 200}}, h, ctl),
+               std::logic_error);
+}
+
+TEST(Timing, PricedPointsMustAgreeOnPredictorSize) {
+  CpuConfig small_table;
+  small_table.bimodal_entries = 512;
+  memsys::Hierarchy h((memsys::HierarchyConfig()));
+  hw::Controller ctl(nullptr);
+  EXPECT_THROW(TimingModel({{CpuConfig{}, 100}, {small_table, 200}}, h, ctl),
                std::logic_error);
 }
 

@@ -2,6 +2,8 @@
 // write-allocate semantics, instruction path, miss classification.
 #include <gtest/gtest.h>
 
+#include "hw/bypass_scheme.h"
+#include "hw/victim_scheme.h"
 #include "memsys/hierarchy.h"
 #include "support/rng.h"
 
@@ -60,7 +62,8 @@ TEST(Hierarchy, StoreAllocatesAndWritesBack) {
 
 TEST(Hierarchy, IFetchUsesInstructionPath) {
   Hierarchy h(small_config());
-  h.access(0x400000, AccessKind::IFetch);
+  // ITLB miss 30 + L1I 2 + L2 10 + memory(128B) 100+15.
+  EXPECT_EQ(h.access(0x400000, AccessKind::IFetch), 30u + 2 + 10 + 115);
   EXPECT_TRUE(h.l1i().probe(0x400000));
   EXPECT_FALSE(h.l1d().probe(0x400000));
   EXPECT_EQ(h.itlb().stats().misses, 1u);
@@ -116,6 +119,100 @@ TEST(Hierarchy, MoreWaysNeverMoreMisses) {
   const auto large = run(4096, 8);   // 16 sets x 8 ways
   EXPECT_GE(small, medium);
   EXPECT_GE(medium, large);
+}
+
+/// The stream side is all a ride's Hierarchies share. Two Hierarchies on
+/// one StreamSide, driven the way a ride drives them (the stream side's
+/// step once, then each hierarchy's own part), match two standalone
+/// Hierarchies access for access while a bypass scheme toggles on one of
+/// them and a victim scheme stays on in the other. Half-way a third one
+/// forks from the first (a copy shares the stream side) and matches a copy
+/// of the standalone first.
+TEST(Hierarchy, SharedStreamSideMatchesStandaloneHierarchies) {
+  const HierarchyConfig cfg = small_config();
+  StreamSide stream(cfg);
+  Hierarchy bypassed(cfg, &stream), victim(cfg, &stream);
+  Hierarchy solo_bypassed(cfg), solo_victim(cfg);
+  hw::BypassScheme bypass((hw::BypassSchemeConfig()));
+  hw::BypassScheme solo_bypass((hw::BypassSchemeConfig()));
+  hw::VictimScheme vc((hw::VictimSchemeConfig())),
+      solo_vc((hw::VictimSchemeConfig()));
+  vc.set_active(true);
+  solo_vc.set_active(true);
+  bypassed.attach_hw(&bypass);
+  solo_bypassed.attach_hw(&solo_bypass);
+  victim.attach_hw(&vc);
+  solo_victim.attach_hw(&solo_vc);
+
+  struct Pair {
+    Hierarchy* shared;
+    Hierarchy* solo;
+  };
+  std::vector<Pair> pairs = {{&bypassed, &solo_bypassed},
+                             {&victim, &solo_victim}};
+  std::optional<Hierarchy> fork, solo_fork;
+  std::unique_ptr<HwScheme> fork_scheme, solo_fork_scheme;
+
+  Rng rng(31);
+  constexpr int kAccesses = 60000;
+  for (int i = 0; i < kAccesses; ++i) {
+    if (i == kAccesses / 2) {
+      fork.emplace(bypassed);
+      solo_fork.emplace(solo_bypassed);
+      fork_scheme = bypass.clone();
+      solo_fork_scheme = solo_bypass.clone();
+      fork->attach_hw(fork_scheme.get());
+      solo_fork->attach_hw(solo_fork_scheme.get());
+      pairs.push_back({&*fork, &*solo_fork});
+    }
+    if (rng.chance(0.002)) {
+      const bool on = !bypass.active();
+      bypass.set_active(on);
+      solo_bypass.set_active(on);
+    }
+    const std::uint64_t r = rng.below(100);
+    const AccessKind kind = r < 20   ? AccessKind::IFetch
+                            : r < 40 ? AccessKind::Store
+                                     : AccessKind::Load;
+    const Addr addr = kind == AccessKind::IFetch
+                          ? 0x400000 + rng.below(64 * 1024)
+                          : (rng.chance(0.7) ? rng.below(16 * 1024)
+                                             : 0x1000000 + rng.below(1 << 20));
+    std::vector<Cycle> shared;
+    if (kind == AccessKind::IFetch) {
+      const StreamSide::Fetch f = stream.fetch(addr);
+      for (const Pair& p : pairs) shared.push_back(p.shared->fetch(addr, f));
+    } else {
+      const Cycle tlb = stream.translate(addr);
+      for (const Pair& p : pairs)
+        shared.push_back(
+            p.shared->data(addr, kind == AccessKind::Store, tlb));
+    }
+    for (std::size_t k = 0; k < pairs.size(); ++k)
+      ASSERT_EQ(shared[k], pairs[k].solo->access(addr, kind))
+          << "hierarchy " << k << ", access " << i;
+  }
+
+  for (const Pair& p : pairs) {
+    StatSet a, b;
+    p.shared->export_stats(a);
+    p.solo->export_stats(b);
+    EXPECT_EQ(a.all(), b.all());
+    EXPECT_EQ(p.shared->l1_miss_rate(), p.solo->l1_miss_rate());
+    EXPECT_EQ(p.shared->l2_miss_rate(), p.solo->l2_miss_rate());
+  }
+  // The stream exercised what sharing has to get right: both schemes acted
+  // and the hierarchies' own parts went apart, on one stream side.
+  StatSet b, v;
+  bypassed.export_stats(b);
+  victim.export_stats(v);
+  EXPECT_GT(b.get("bypass.bypasses"), 0u);
+  EXPECT_GT(v.get("victim_l1.hits"), 0u);
+  EXPECT_NE(b.get("l1d.misses"), v.get("l1d.misses"));
+  EXPECT_GT(b.get("l1i.misses"), 0u);
+  EXPECT_GT(b.get("itlb.misses"), 0u);
+  EXPECT_EQ(b.get("dtlb.misses"), v.get("dtlb.misses"));
+  EXPECT_EQ(&bypassed.l1i(), &fork->l1i());
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ class SweepDeterminism : public ::testing::TestWithParam<hw::SchemeKind> {};
 /// A cell's result does not depend on which other cells share its sweep:
 /// the sweep at 1 and 4 threads (22 interpretations drive 57 simulations,
 /// 8 versions are copies) and at 8 threads (Swim's and Applu's groups
-/// split) matches solo run_version rows bit for bit.
+/// split, 26 interpretations) matches solo run_version rows bit for bit.
 TEST_P(SweepDeterminism, ParallelSweepMatchesSerialBitForBit) {
   const MachineConfig m = base_machine();
   RunOptions opt;
@@ -96,7 +96,11 @@ TEST(SweepDeterminism, SingleWorkloadParallelMatchesSerial) {
 /// Applu's optimizer changes nothing: at 1 thread one interpretation drives
 /// Base, Pure Hardware and Selective and the other two copy; at 4 threads
 /// that group is the whole sweep, so it splits into three interpretations
-/// and keeps the copies. Both plans give the solo rows.
+/// (its Selective runs markers and may fork, so it interprets alone) and
+/// keeps the copies. Swim runs no marker: at 4 threads both of its groups
+/// split, Base, Pure Hardware and Combined interpret alone, and Selective,
+/// which never forks, stays on Pure Software's interpretation (four
+/// interpretations). Every plan gives the solo rows.
 TEST(SweepDeterminism, MergedAndSplitPlansGiveTheSoloRows) {
   const MachineConfig m = base_machine();
   const workloads::WorkloadInfo& w = workloads::workload("Applu");
@@ -110,12 +114,22 @@ TEST(SweepDeterminism, MergedAndSplitPlansGiveTheSoloRows) {
   EXPECT_EQ(split.simulations, 3u);
   EXPECT_EQ(split.copies, 2u);
 
-  const auto reference = solo_rows(one, m, {});
-  for (const unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_rows_identical(
-        reference,
-        {improvements_for(w, m, {}, {.num_threads = threads})});
+  const workloads::WorkloadInfo& swim = workloads::workload("Swim");
+  const std::span<const workloads::WorkloadInfo> swim_only(&swim, 1);
+  EXPECT_EQ(plan_sweep(swim_only, {}, {.num_threads = 1}).interpretations,
+            2u);
+  EXPECT_EQ(plan_sweep(swim_only, {}, {.num_threads = 4}).interpretations,
+            4u);
+
+  for (const workloads::WorkloadInfo* x : {&w, &swim}) {
+    SCOPED_TRACE(x->name);
+    const auto reference = solo_rows({x, 1}, m, {});
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      expect_rows_identical(
+          reference,
+          {improvements_for(*x, m, {}, {.num_threads = threads})});
+    }
   }
 }
 
@@ -137,17 +151,21 @@ TEST(RidePlan, SuitePlanCountsAndTheCriticalPathRule) {
     EXPECT_EQ(p.copies, 8u);
   }
   // At 8 threads Swim's two groups and Applu's one each simulate more than
-  // 1/8 of the sweep's references, so their 8 simulations interpret alone.
+  // 1/8 of the sweep's references, so they split: Applu's into three,
+  // Swim's into Base, Pure Hardware, Combined, and Pure Software with
+  // Selective, which runs no marker, so it never forks and counts as no
+  // simulation. 22 - 3 + 3 + 4 = 26 interpretations.
   const SweepPlan p8 = plan_sweep(suite, {}, {.num_threads = 8});
-  EXPECT_EQ(p8.interpretations, 27u);
+  EXPECT_EQ(p8.interpretations, 26u);
   EXPECT_EQ(p8.simulations, 57u);
   EXPECT_EQ(p8.copies, 8u);
 
   // A one-workload sweep at 4 threads: both of Swim's groups are over a
-  // quarter of it, so it keeps one cell per version.
+  // quarter of it, so each version interprets alone, except Selective,
+  // which stays on Pure Software's interpretation.
   const workloads::WorkloadInfo& swim = workloads::workload("Swim");
   const SweepPlan s = plan_sweep({&swim, 1}, {}, {.num_threads = 4});
-  EXPECT_EQ(s.interpretations, 5u);
+  EXPECT_EQ(s.interpretations, 4u);
   EXPECT_EQ(s.simulations, 5u);
   EXPECT_EQ(s.copies, 0u);
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/runner.h"
@@ -141,40 +142,62 @@ TEST(SelectiveShadow, RunUnitsMatchSoloRunsUnderEverySchemeAndTodo) {
   }
 }
 
+/// The base machine with a stream side that misses where the rest of the
+/// machine hits: one-set TLBs over 64-byte pages (an I-fetch block can miss
+/// the ITLB and hit the L1I) and a 3-entry branch predictor.
+MachineConfig tight_stream_side() {
+  MachineConfig m = base_machine();
+  for (memsys::TlbConfig* t : {&m.hierarchy.dtlb, &m.hierarchy.itlb})
+    *t = {.name = t->name, .entries = 4, .assoc = 4, .page_size = 64};
+  m.cpu.bimodal_entries = 3;
+  return m;
+}
+
 /// A four-point memory-latency group rides one pass priced at every
-/// latency, Selective's points included: sweep_axis gives the rows of the
-/// solo runs at each point.
+/// latency, Selective's points included, with one stream side for the
+/// ride: sweep_axis gives the rows of the solo runs at each point, on the
+/// base machine, on one whose stream side misses where the rest hits, and
+/// on one that does not model I-fetch.
 TEST(SelectiveShadow, MemoryLatencyGroupMatchesSoloRows) {
   const std::vector<workloads::WorkloadInfo> suite = ride_suite();
-  std::vector<MachineConfig> machines;
-  for (const Cycle lat : {100, 160, 240, 400}) {
-    MachineConfig m = base_machine();
-    m.hierarchy.mem.access_latency = lat;
-    machines.push_back(m);
-  }
-  const std::size_t np = machines.size();
-  for (const hw::SchemeKind scheme :
-       {hw::SchemeKind::Bypass, hw::SchemeKind::Victim}) {
-    SCOPED_TRACE(hw::to_string(scheme));
-    RunOptions opt;
-    opt.scheme = scheme;
-    const std::vector<RunResult> solo = solo_runs(suite, machines, opt);
-    const std::vector<std::vector<ImprovementRow>> rows =
-        sweep_axis(machines, opt, {.num_threads = 1}, suite);
-    ASSERT_EQ(rows.size(), np);
-    for (std::size_t p = 0; p < np; ++p) {
-      ASSERT_EQ(rows[p].size(), suite.size());
-      for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-        SCOPED_TRACE(suite[wi].name + " at point " + std::to_string(p));
-        std::array<RunResult, nv> results;
-        for (std::size_t vi = 0; vi < nv; ++vi)
-          results[vi] = solo[(wi * nv + vi) * np + p];
-        const ImprovementRow want = make_improvement_row(suite[wi], results);
-        const ImprovementRow& got = rows[p][wi];
-        EXPECT_EQ(got.base_cycles, want.base_cycles);
-        EXPECT_EQ(got.pct, want.pct);
-        EXPECT_EQ(got.accesses, want.accesses);
-        EXPECT_EQ(got.stats.all(), want.stats.all());
+  MachineConfig no_ifetch = base_machine();
+  no_ifetch.cpu.model_ifetch = false;
+  for (const auto& [label, base] :
+       std::vector<std::pair<std::string, MachineConfig>>{
+           {"base", base_machine()},
+           {"tight", tight_stream_side()},
+           {"no ifetch", no_ifetch}}) {
+    std::vector<MachineConfig> machines;
+    for (const Cycle lat : {100, 160, 240, 400}) {
+      MachineConfig m = base;
+      m.hierarchy.mem.access_latency = lat;
+      machines.push_back(m);
+    }
+    const std::size_t np = machines.size();
+    for (const hw::SchemeKind scheme :
+         {hw::SchemeKind::Bypass, hw::SchemeKind::Victim}) {
+      SCOPED_TRACE(std::string(hw::to_string(scheme)) + " on " + label);
+      RunOptions opt;
+      opt.scheme = scheme;
+      const std::vector<RunResult> solo = solo_runs(suite, machines, opt);
+      const std::vector<std::vector<ImprovementRow>> rows =
+          sweep_axis(machines, opt, {.num_threads = 1}, suite);
+      ASSERT_EQ(rows.size(), np);
+      for (std::size_t p = 0; p < np; ++p) {
+        ASSERT_EQ(rows[p].size(), suite.size());
+        for (std::size_t wi = 0; wi < suite.size(); ++wi) {
+          SCOPED_TRACE(suite[wi].name + " at point " + std::to_string(p));
+          std::array<RunResult, nv> results;
+          for (std::size_t vi = 0; vi < nv; ++vi)
+            results[vi] = solo[(wi * nv + vi) * np + p];
+          const ImprovementRow want =
+              make_improvement_row(suite[wi], results);
+          const ImprovementRow& got = rows[p][wi];
+          EXPECT_EQ(got.base_cycles, want.base_cycles);
+          EXPECT_EQ(got.pct, want.pct);
+          EXPECT_EQ(got.accesses, want.accesses);
+          EXPECT_EQ(got.stats.all(), want.stats.all());
+        }
       }
     }
   }

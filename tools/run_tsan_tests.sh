@@ -38,7 +38,7 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
   parallel_runner_test axis_test shadow_fork_test trace_test \
   thread_pool_test tape_test tape_equivalence_test multi_replay_test \
-  fault_test run_ledger_test selcache
+  fault_test run_ledger_test memsys_hierarchy_test cpu_test selcache
 
 # The concurrency-heavy tests: parallel sweep determinism (the shared
 # ride-group legs at 1, 4 and 8 threads against solo runs on a pool; a
@@ -48,7 +48,9 @@ cmake --build --preset tsan -j "$(nproc)" --target \
 # several structural groups on one pool, saving store cells as they
 # finish, and a noted signal stopping them; run_units calling a caller's
 # hooks from every worker), Selective's shadow and fork against solo runs
-# on a pool, the pool itself,
+# on a pool, the stream side one ride's simulations share (several
+# hierarchies and models on one StreamSide and one predictor, against
+# standalone ones), the pool itself,
 # tape record/replay equivalence (workers racing on the shared tape cache's
 # once-per-key claims), the shared-decode axis's cell tasks at --threads 4
 # (they share the result store and the tape cache), the resilient sweep's
@@ -59,7 +61,7 @@ cmake --build --preset tsan -j "$(nproc)" --target \
 # lanes; and the batch-size and grouping cases, whose multi-config fan-out
 # runs on the calling thread.
 ctest --preset tsan -j 2 \
-  -R 'SweepDeterminism|Traced|SweepAxis|RunUnits|SelectiveShadow|ParallelSweep|ThreadPool|RunCells|Tape|MultiReplay|Resilient|FaultSweep|Checkpoint|parallel' \
+  -R 'SweepDeterminism|Traced|SweepAxis|RunUnits|SelectiveShadow|SharedStreamSide|SharedPredictor|ParallelSweep|ThreadPool|RunCells|Tape|MultiReplay|Resilient|FaultSweep|Checkpoint|parallel' \
   -E 'MultiReplay.FullMatrix|MultiReplay.SharedDecode|MultiReplay.BatchSize|MultiReplay.Grouping' "$@"
 
 # A real multi-threaded traced sweep end to end (4 workers over one
