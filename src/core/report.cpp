@@ -50,7 +50,7 @@ std::string figure_csv(const std::vector<ImprovementRow>& rows) {
   std::ostringstream os;
   os << "benchmark,category,pure_hw,pure_sw,combined,selective\n";
   for (const auto& row : rows) {
-    os << row.benchmark << ',' << to_string(row.category) << ','
+    os << csv_field(row.benchmark) << ',' << to_string(row.category) << ','
        << TextTable::num(row.pct.at(Version::PureHardware)) << ','
        << TextTable::num(row.pct.at(Version::PureSoftware)) << ','
        << TextTable::num(row.pct.at(Version::Combined)) << ','

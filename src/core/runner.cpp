@@ -121,7 +121,6 @@ struct Simulation {
   std::unique_ptr<memsys::HwScheme> scheme;
   hw::Controller controller;
   std::optional<fault::Injector> injector;
-  std::optional<trace::MemorySink> sink;
   std::optional<trace::Recorder> rec;
   cpu::TimingModel cpu;
   std::size_t own;  ///< the model's points [0, own) are this version's
@@ -135,8 +134,8 @@ struct Simulation {
                    ? nullptr
                    : make_scheme(opt.scheme, group.front())),
         controller(scheme.get()),
-        cpu(price_points(group, host ? 2 : 1), hierarchy, controller,
-            stream != nullptr ? &stream->bpred : nullptr),
+        cpu(group.front().cpu, mem_latencies(group, host ? 2 : 1), hierarchy,
+            controller, stream != nullptr ? &stream->bpred : nullptr),
         own(group.size()) {
     SELCACHE_CHECK_MSG(trace_out == nullptr || group.size() == 1,
                        "a traced simulation prices one machine");
@@ -157,11 +156,10 @@ struct Simulation {
     }
     if (opt.degrade.armed()) controller.set_degrade_policy(opt.degrade);
 
-    // Optional phase tracing. The recorder and its sink live on this task's
-    // stack: a parallel sweep never shares trace state between tasks.
+    // Optional phase tracing. The recorder lives on this task's stack: a
+    // parallel sweep never shares trace state between tasks.
     if (trace_out != nullptr) {
-      sink.emplace(*trace_out);
-      rec.emplace(*sink, opt.trace_epoch);
+      rec.emplace(*trace_out, opt.trace_epoch);
       rec->register_source(
           [this](StatSet& s) { hierarchy.export_stats(s); });
       hierarchy.set_trace(&*rec);
@@ -235,14 +233,15 @@ struct Simulation {
   }
 
  private:
-  static std::vector<cpu::PricePoint> price_points(
+  /// The group's memory latencies, `times` over: the model's points.
+  static std::vector<Cycle> mem_latencies(
       const std::vector<MachineConfig>& group, std::size_t times) {
-    std::vector<cpu::PricePoint> points;
-    points.reserve(group.size() * times);
+    std::vector<Cycle> lats;
+    lats.reserve(group.size() * times);
     for (std::size_t t = 0; t < times; ++t)
       for (const MachineConfig& m : group)
-        points.push_back({m.cpu, m.hierarchy.mem.access_latency});
-    return points;
+        lats.push_back(m.hierarchy.mem.access_latency);
+    return lats;
   }
 };
 

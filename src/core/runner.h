@@ -20,7 +20,7 @@
 #include "fault/fault.h"
 #include "fault/report.h"
 #include "tape/tape.h"
-#include "trace/sink.h"
+#include "trace/recording.h"
 #include "workloads/registry.h"
 
 namespace selcache::tape {

@@ -8,45 +8,42 @@ namespace selcache::cpu {
 
 TimingModel::TimingModel(CpuConfig cfg, memsys::Hierarchy& hierarchy,
                          hw::Controller& controller)
-    : TimingModel({{cfg, hierarchy.config().mem.access_latency}}, hierarchy,
+    : TimingModel(cfg, {hierarchy.config().mem.access_latency}, hierarchy,
                   controller) {}
 
-TimingModel::TimingModel(const std::vector<PricePoint>& points,
+TimingModel::TimingModel(const CpuConfig& cfg,
+                         const std::vector<Cycle>& mem_latencies,
                          memsys::Hierarchy& hierarchy,
                          hw::Controller& controller, BimodalPredictor* bpred)
-    : hierarchy_(hierarchy),
+    : cfg_(cfg),
+      hierarchy_(hierarchy),
       controller_(controller),
       bpred_(bpred),
       mem_latency_(hierarchy.config().mem.access_latency) {
-  SELCACHE_CHECK(!points.empty());
-  model_ifetch_ = points.front().cpu.model_ifetch;
-  const std::uint32_t entries = points.front().cpu.bimodal_entries;
-  points_.reserve(points.size());
-  for (const PricePoint& p : points) {
-    SELCACHE_CHECK(p.cpu.issue_width > 0);
-    SELCACHE_CHECK(p.cpu.memory_ports > 0);
-    SELCACHE_CHECK_MSG(p.cpu.model_ifetch == model_ifetch_,
-                       "priced points disagree on model_ifetch");
-    SELCACHE_CHECK_MSG(p.cpu.bimodal_entries == entries,
-                       "priced points disagree on bimodal_entries");
-    points_.emplace_back(p);
-  }
-  if (bpred_ == nullptr) bpred_ = &own_bpred_.emplace(entries);
+  SELCACHE_CHECK(!mem_latencies.empty());
+  SELCACHE_CHECK(cfg_.issue_width > 0);
+  SELCACHE_CHECK(cfg_.memory_ports > 0);
+  hide_ = cfg_.ruu_entries / cfg_.issue_width;
+  points_.reserve(mem_latencies.size());
+  for (Cycle lat : mem_latencies) points_.push_back({.mem_latency = lat});
+  if (bpred_ == nullptr) bpred_ = &own_bpred_.emplace(cfg_.bimodal_entries);
   l1i_shift_ = log2_exact(hierarchy.config().l1i.block_size);
 }
 
 TimingModel::TimingModel(TimingModel& twin, std::size_t first,
                          memsys::Hierarchy& hierarchy,
                          hw::Controller& controller)
-    : hierarchy_(hierarchy),
+    : cfg_(twin.cfg_),
+      hide_(twin.hide_),
+      hierarchy_(hierarchy),
       controller_(controller),
       own_bpred_(twin.own_bpred_),
       bpred_(own_bpred_ ? &*own_bpred_ : twin.bpred_),
       mem_latency_(twin.mem_latency_),
-      model_ifetch_(twin.model_ifetch_),
       l1i_shift_(twin.l1i_shift_),
       instructions_(twin.instructions_),
-      toggles_(twin.toggles_) {
+      toggles_(twin.toggles_),
+      branch_stall_(twin.branch_stall_) {
   SELCACHE_CHECK(first < twin.points_.size());
   const std::uint64_t markers = twin.points_[first].markers;
   take_points(twin, first);
@@ -61,8 +58,10 @@ TimingModel::TimingModel(TimingModel& twin, std::size_t first,
 
 void TimingModel::take_points(TimingModel& from, std::size_t first) {
   SELCACHE_CHECK(first <= from.points_.size());
-  SELCACHE_CHECK_MSG(from.instructions_ == instructions_ &&
+  SELCACHE_CHECK_MSG(from.cfg_ == cfg_ &&
+                         from.instructions_ == instructions_ &&
                          from.toggles_ == toggles_ &&
+                         from.branch_stall_ == branch_stall_ &&
                          from.mem_latency_ == mem_latency_,
                      "points move only between models of one stream");
   const auto tail = from.points_.begin() + static_cast<std::ptrdiff_t>(first);
@@ -104,12 +103,10 @@ void TimingModel::charge_memory(Pricing& p, Cycle extra, bool dependent) {
     return;
   }
 
-  // Cycles the RUU window can hide under a fresh miss shadow.
-  const Cycle hide = p.cfg.ruu_entries / p.cfg.issue_width;
   if (p.inflight == 0) {
     // First miss of a shadow: the RUU keeps issuing under it, hiding up to
-    // `hide` cycles; the remainder is exposed.
-    const Cycle charged = extra > hide ? extra - hide : 0;
+    // hide_ cycles; the remainder is exposed.
+    const Cycle charged = extra > hide_ ? extra - hide_ : 0;
     p.mem_stall += charged;
     p.shadow_end = cycles(p) + (extra - charged);
     p.inflight = 1;
@@ -117,12 +114,12 @@ void TimingModel::charge_memory(Pricing& p, Cycle extra, bool dependent) {
     return;
   }
 
-  if (p.inflight < p.cfg.memory_ports) {
+  if (p.inflight < cfg_.memory_ports) {
     // Overlaps with the outstanding miss(es): only the bandwidth floor is
     // exposed, and the shadow extends.
     ++p.inflight;
     ++p.overlapped_misses;
-    p.mem_stall += std::min(extra, p.cfg.overlap_bandwidth_cycles);
+    p.mem_stall += std::min(extra, cfg_.overlap_bandwidth_cycles);
     const Cycle completion = now + extra;
     if (completion > p.shadow_end) p.shadow_end = completion;
     return;
@@ -131,7 +128,7 @@ void TimingModel::charge_memory(Pricing& p, Cycle extra, bool dependent) {
   // All memory ports busy: stall until the shadow drains, then behave like
   // a fresh first-miss.
   p.mem_stall += p.shadow_end - now;
-  const Cycle charged = extra > hide ? extra - hide : 0;
+  const Cycle charged = extra > hide_ ? extra - hide_ : 0;
   p.mem_stall += charged;
   p.shadow_end = cycles(p) + (extra - charged);
   p.inflight = 1;
@@ -143,9 +140,9 @@ void TimingModel::export_stats(StatSet& out, std::size_t point) const {
   out.add("cpu.instructions", instructions_ + p.markers);
   out.add("cpu.cycles", cycles(p));
   out.add("cpu.mem_stall_cycles", p.mem_stall);
-  out.add("cpu.branch_penalty_cycles", p.branch_stall);
+  out.add("cpu.branch_penalty_cycles", branch_stall_);
   out.add("cpu.toggle_stall_cycles",
-          (toggles_ + p.markers) * p.cfg.toggle_latency);
+          (toggles_ + p.markers) * cfg_.toggle_latency);
   out.add("cpu.overlapped_misses", p.overlapped_misses);
   out.add("cpu.serialized_misses", p.serialized_misses);
   bpred_->export_stats(out);

@@ -22,13 +22,14 @@
 // Structure vs. pricing: the model has two halves. The structural half
 // drives the controller, the hierarchy and the branch predictor once per
 // op; nothing it touches depends on main-memory latency. The pricing half —
-// issue cycles, stalls, the MLP shadow, the CpuConfig — turns each access
-// outcome and each branch outcome into cycles. One model can hold k pricing
-// states (PricePoint): point i pays each main-memory fetch at its own
-// latency L_i, so an access that made f fetches and took `lat` cycles on
-// the hierarchy (whose memory latency is L_0) costs lat + f*(L_i - L_0) at
-// point i — exactly what a hierarchy built with L_i would have returned. A
-// plain run is k = 1.
+// issue cycles, stalls, the MLP shadow — turns each access outcome and each
+// branch outcome into cycles under the model's one CpuConfig. One model can
+// hold k pricing states, its points: point i pays each main-memory fetch at
+// its own latency L_i, so an access that made f fetches and took `lat`
+// cycles on the hierarchy (whose memory latency is L_0) costs
+// lat + f*(L_i - L_0) at point i — exactly what a hierarchy built with L_i
+// would have returned. A plain run is k = 1. Branches cost every point the
+// same, so the model keeps one branch stall for all of them.
 //
 // The stream side (the hierarchy's TLBs and L1I, and the predictor) sees
 // only the op stream, so every model of one ride shares one (DESIGN §8):
@@ -70,13 +71,8 @@ struct CpuConfig {
   Cycle overlap_bandwidth_cycles = 2;
   Cycle toggle_latency = 1;  ///< extra decode cycle for an ON/OFF instruction
   bool model_ifetch = true;  ///< simulate the instruction-fetch stream
-};
 
-/// One point a TimingModel prices: the core, and the main-memory access
-/// latency of that point's machine.
-struct PricePoint {
-  CpuConfig cpu;
-  Cycle mem_latency = 100;
+  bool operator==(const CpuConfig&) const = default;
 };
 
 /// Calls fetch(a) for the base address a of every L1I block (1 << shift
@@ -97,12 +93,11 @@ class TimingModel {
   TimingModel(CpuConfig cfg, memsys::Hierarchy& hierarchy,
               hw::Controller& controller);
 
-  /// k points over one structural pass. Every point must agree on
-  /// model_ifetch, which decides which accesses reach the hierarchy, and on
-  /// bimodal_entries, since one predictor serves them all. The model runs
-  /// `bpred` when given (a ride's shared predictor, built with those
-  /// entries), else a predictor of its own.
-  TimingModel(const std::vector<PricePoint>& points,
+  /// One point per main-memory latency in `mem_latencies`, over one
+  /// structural pass. The model runs `bpred` when given (a ride's shared
+  /// predictor, built with cfg's bimodal_entries), else a predictor of its
+  /// own.
+  TimingModel(const CpuConfig& cfg, const std::vector<Cycle>& mem_latencies,
               memsys::Hierarchy& hierarchy, hw::Controller& controller,
               BimodalPredictor* bpred = nullptr);
 
@@ -110,8 +105,8 @@ class TimingModel {
   /// their own, over `hierarchy` and `controller`, which hold the machine
   /// state twin's hierarchy held. The points' marker counts (all equal)
   /// fold into the new model's instruction and toggle counts. The new model
-  /// shares twin's predictor when twin shares one, and copies it when twin
-  /// owns it.
+  /// has twin's CpuConfig, and shares twin's predictor when twin shares one,
+  /// and copies it when twin owns it.
   TimingModel(TimingModel& twin, std::size_t first,
               memsys::Hierarchy& hierarchy, hw::Controller& controller);
 
@@ -157,7 +152,7 @@ class TimingModel {
 
   /// Fetch the code block(s) for `n_instr` instructions located at `pc`.
   void touch_code(Addr pc, std::uint32_t n_instr) {
-    if (!model_ifetch_) return;
+    if (!cfg_.model_ifetch) return;
     for_each_code_block(pc, n_instr, l1i_shift_, [&](Addr a) {
       fetched_block(a, hierarchy_.stream().fetch(a));
     });
@@ -189,12 +184,11 @@ class TimingModel {
     price_data(o, /*halve=*/true, /*dependent=*/false);
   }
 
-  /// A branch the predictor got right (`correct`) or wrong: each point
-  /// pays its own redirect penalty.
+  /// A branch the predictor got right (`correct`) or wrong: a wrong one
+  /// costs every point the redirect penalty.
   void predicted_branch(bool correct) {
     ++instructions_;
-    if (correct) return;
-    for (Pricing& p : points_) p.branch_stall += p.cfg.mispredict_penalty;
+    if (!correct) branch_stall_ += cfg_.mispredict_penalty;
   }
 
   /// One I-fetch block at `addr` after the stream side's step `f`. A ride
@@ -215,8 +209,8 @@ class TimingModel {
   }
 
   /// Move points [first, points()) of `from`, state and all, to the end of
-  /// this model. Both models must have priced the same stream on hierarchies
-  /// in the same state so far.
+  /// this model. Both models must have one CpuConfig and have priced the
+  /// same stream on hierarchies in the same state so far.
   void take_points(TimingModel& from, std::size_t first);
 
   /// Host-side prefetch of the hierarchy sets a future load/store at `addr`
@@ -235,14 +229,10 @@ class TimingModel {
   Cycle memory_stall_cycles(std::size_t point = 0) const {
     return points_[point].mem_stall;
   }
-  Cycle branch_penalty_cycles(std::size_t point = 0) const {
-    return points_[point].branch_stall;
-  }
+  Cycle branch_penalty_cycles() const { return branch_stall_; }
 
   const BimodalPredictor& predictor() const { return *bpred_; }
-  const CpuConfig& config(std::size_t point = 0) const {
-    return points_[point].cfg;
-  }
+  const CpuConfig& config() const { return cfg_; }
 
   void export_stats(StatSet& out, std::size_t point = 0) const;
 
@@ -256,13 +246,8 @@ class TimingModel {
 
   /// One point's pricing state.
   struct Pricing {
-    explicit Pricing(const PricePoint& p)
-        : cfg(p.cpu), mem_latency(p.mem_latency) {}
-
-    CpuConfig cfg;
     Cycle mem_latency;
     Cycle mem_stall = 0;
-    Cycle branch_stall = 0;
     Cycle shadow_end = 0;        ///< cycle when outstanding misses resolve
     std::uint32_t inflight = 0;  ///< misses overlapped in current shadow
     std::uint64_t overlapped_misses = 0;
@@ -289,10 +274,9 @@ class TimingModel {
 
   Cycle cycles(const Pricing& p) const {
     const Cycle issue =
-        (instructions_ + p.markers + p.cfg.issue_width - 1) /
-        p.cfg.issue_width;
-    return issue + p.mem_stall + p.branch_stall +
-           (toggles_ + p.markers) * p.cfg.toggle_latency;
+        (instructions_ + p.markers + cfg_.issue_width - 1) / cfg_.issue_width;
+    return issue + p.mem_stall + branch_stall_ +
+           (toggles_ + p.markers) * cfg_.toggle_latency;
   }
 
   /// Price a load/store beyond the pipelined L1D hit time at every point
@@ -304,20 +288,22 @@ class TimingModel {
   /// Miss accounting (interval/MLP model) of `extra` exposed cycles.
   void charge_memory(Pricing& p, Cycle extra, bool dependent);
 
+  CpuConfig cfg_;
+  Cycle hide_ = 0;  ///< cycles the RUU hides under a fresh miss shadow
   memsys::Hierarchy& hierarchy_;
   hw::Controller& controller_;
   std::optional<BimodalPredictor> own_bpred_;  ///< set when not shared
   BimodalPredictor* bpred_;
   std::vector<Pricing> points_;
   Cycle mem_latency_ = 0;  ///< the hierarchy's memory latency (L_0)
-  bool model_ifetch_ = true;
   unsigned l1i_shift_ = 0;  ///< log2(l1i block size); validated pow2
 
   // Shared by every point: instruction and toggle counts are structural
-  // (one instruction is one issue slot at any point). A point's markers
-  // add to both.
+  // (one instruction is one issue slot at any point), and so is the branch
+  // stall. A point's markers add to the first two.
   InstrCount instructions_ = 0;
   std::uint64_t toggles_ = 0;
+  Cycle branch_stall_ = 0;
 };
 
 }  // namespace selcache::cpu

@@ -6,11 +6,8 @@
 namespace selcache::hw {
 
 BypassBuffer::BypassBuffer(std::uint32_t entries, std::uint32_t word_size)
-    : entries_(entries), word_size_(word_size) {
+    : entries_(entries), word_(word_size, "bypass buffer word size") {
   SELCACHE_CHECK(entries_ > 0);
-  SELCACHE_CHECK(word_size_ > 0);
-  word_pow2_ = is_pow2(word_size_);
-  if (word_pow2_) word_shift_ = log2_exact(word_size_);
   slots_.resize(entries_);
 }
 

@@ -75,17 +75,13 @@ class BypassBuffer {
     bool valid = false;
   };
 
-  Addr word_of(Addr addr) const {
-    return word_pow2_ ? (addr >> word_shift_) : (addr / word_size_);
-  }
+  Addr word_of(Addr addr) const { return addr >> word_.shift(); }
 
   /// The valid entry with the minimum stamp; requires live_ > 0.
   Entry& lru_entry();
 
   std::uint32_t entries_;
-  std::uint32_t word_size_;
-  unsigned word_shift_ = 0;  ///< log2(word_size) when word_pow2_
-  bool word_pow2_ = false;
+  Pow2 word_;  ///< word size
   std::vector<Entry> slots_;
   std::uint32_t live_ = 0;
   std::uint64_t stamp_ = 0;

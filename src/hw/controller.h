@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "memsys/hw_hooks.h"
 #include "trace/recorder.h"
@@ -38,6 +40,16 @@ inline const char* to_string(SchemeKind k) {
     case SchemeKind::Composite: return "bypass+victim";
   }
   return "?";
+}
+
+/// The scheme a command line or run spec names: "bypass" (also the empty
+/// name), "victim" or "none". Prefetch and Composite have no name there.
+inline std::optional<SchemeKind> scheme_by_name(std::string_view n) {
+  if (n.empty()) return SchemeKind::Bypass;
+  for (SchemeKind k :
+       {SchemeKind::Bypass, SchemeKind::Victim, SchemeKind::None})
+    if (n == to_string(k)) return k;
+  return std::nullopt;
 }
 
 /// Why the controller demoted to safe mode.

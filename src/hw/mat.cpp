@@ -1,20 +1,16 @@
 #include "hw/mat.h"
 
 #include "fault/injector.h"
-#include "support/check.h"
 #include "trace/recorder.h"
 
 namespace selcache::hw {
 
-Mat::Mat(MatConfig cfg) : cfg_(cfg) {
-  SELCACHE_CHECK(cfg_.entries > 0);
-  SELCACHE_CHECK(cfg_.macro_block_size > 0);
-  mb_pow2_ = is_pow2(cfg_.macro_block_size);
-  if (mb_pow2_) mb_shift_ = log2_exact(cfg_.macro_block_size);
-  entries_pow2_ = is_pow2(cfg_.entries);
-  if (entries_pow2_) entry_mask_ = cfg_.entries - 1;
-  if (cfg_.decay_interval != 0 && is_pow2(cfg_.decay_interval))
-    decay_mask_ = cfg_.decay_interval - 1;
+Mat::Mat(MatConfig cfg)
+    : cfg_(cfg),
+      macro_(cfg_.macro_block_size, "MAT macro-block size"),
+      entries_(cfg_.entries, "MAT entries") {
+  if (cfg_.decay_interval != 0)
+    decay_mask_ = Pow2(cfg_.decay_interval, "MAT decay interval").mask();
   table_.resize(cfg_.entries);
   for (Entry& e : table_)
     e.count = SaturatingCounter<std::uint32_t>(cfg_.counter_max, 0);

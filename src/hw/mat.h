@@ -35,7 +35,8 @@ struct MatConfig {
   std::uint32_t entries = 4096;          ///< table entries (paper: 4096)
   std::uint32_t macro_block_size = 1024; ///< bytes per macro-block (paper: 1 KB)
   std::uint32_t counter_max = 255;       ///< saturating counter ceiling
-  std::uint64_t decay_interval = 262144; ///< halve all counters every N touches
+  /// Halve all counters every N touches; 0 = never.
+  std::uint64_t decay_interval = 262144;
 };
 
 class Mat {
@@ -43,8 +44,7 @@ class Mat {
   explicit Mat(MatConfig cfg);
 
   /// Record one access to the macro-block containing `addr`. Inline: runs
-  /// once per data access while the scheme is on; the decay check is a mask
-  /// for the shipped power-of-two interval.
+  /// once per data access while the scheme is on; the decay check is a mask.
   void touch(Addr addr) {
     const Addr mb = macro_block(addr);
     Entry& e = table_[index_of(mb)];
@@ -61,12 +61,7 @@ class Mat {
     // Count every touch (the energy model charges per table update) even
     // when periodic decay is disabled.
     ++touches_;
-    const bool decay_due =
-        decay_mask_ != 0
-            ? (touches_ & decay_mask_) == 0
-            : (cfg_.decay_interval != 0 &&
-               touches_ % cfg_.decay_interval == 0);
-    if (decay_due) decay_sweep();
+    if ((touches_ & decay_mask_) == 0) decay_sweep();
   }
 
   /// Penalize the macro-block whose cache block was just evicted ([8]
@@ -112,12 +107,9 @@ class Mat {
     SaturatingCounter<std::uint32_t> count;
   };
 
-  Addr macro_block(Addr addr) const {
-    return mb_pow2_ ? (addr >> mb_shift_) : (addr / cfg_.macro_block_size);
-  }
+  Addr macro_block(Addr addr) const { return addr >> macro_.shift(); }
   std::uint32_t index_of(Addr mb) const {
-    return static_cast<std::uint32_t>(entries_pow2_ ? (mb & entry_mask_)
-                                                    : (mb % cfg_.entries));
+    return static_cast<std::uint32_t>(mb & entries_.mask());
   }
 
   /// Out-of-line slow paths of touch().
@@ -125,11 +117,11 @@ class Mat {
   void decay_sweep();
 
   MatConfig cfg_;
-  std::uint64_t decay_mask_ = 0;  ///< decay_interval-1 when pow2, else 0
-  unsigned mb_shift_ = 0;   ///< log2(macro_block_size) when mb_pow2_
-  bool mb_pow2_ = false;
-  Addr entry_mask_ = 0;     ///< entries-1 when entries_pow2_
-  bool entries_pow2_ = false;
+  Pow2 macro_;    ///< macro-block size
+  Pow2 entries_;  ///< table entries
+  /// decay_interval-1; all ones when decay is off (decay_interval 0), which
+  /// no touch count reaches.
+  std::uint64_t decay_mask_ = ~std::uint64_t{0};
   std::vector<Entry> table_;
   trace::Recorder* trace_ = nullptr;
   fault::Injector* fault_ = nullptr;

@@ -1,22 +1,15 @@
 #include "hw/sldt.h"
 
 #include "fault/injector.h"
-#include "support/check.h"
 
 namespace selcache::hw {
 
-Sldt::Sldt(SldtConfig cfg) : cfg_(cfg) {
-  SELCACHE_CHECK(cfg_.entries > 0);
-  SELCACHE_CHECK(cfg_.block_size > 0);
-  SELCACHE_CHECK(cfg_.counter_entries > 0);
-  block_pow2_ = is_pow2(cfg_.block_size);
-  if (block_pow2_) block_shift_ = log2_exact(cfg_.block_size);
-  macro_pow2_ = is_pow2(cfg_.macro_block_size);
-  if (macro_pow2_) macro_shift_ = log2_exact(cfg_.macro_block_size);
-  window_pow2_ = is_pow2(cfg_.entries);
-  if (window_pow2_) window_mask_ = cfg_.entries - 1;
-  counters_pow2_ = is_pow2(cfg_.counter_entries);
-  if (counters_pow2_) counter_mask_ = cfg_.counter_entries - 1;
+Sldt::Sldt(SldtConfig cfg)
+    : cfg_(cfg),
+      block_(cfg_.block_size, "SLDT block size"),
+      macro_(cfg_.macro_block_size, "SLDT macro-block size"),
+      window_size_(cfg_.entries, "SLDT entries"),
+      counter_size_(cfg_.counter_entries, "SLDT counter entries") {
   window_.resize(cfg_.entries);
   counters_.assign(cfg_.counter_entries,
                    SaturatingCounter<std::uint32_t>(cfg_.counter_max,

@@ -36,8 +36,8 @@ class Sldt {
 
   /// Observe an access; updates the recent-block window and the spatial
   /// counter of the enclosing macro-block. Inline: this runs once per data
-  /// access while the scheme is on, and with the shipped power-of-two
-  /// geometry every table index is a shift/mask (no division).
+  /// access while the scheme is on, and every table index is a shift or a
+  /// mask (no division).
   void note(Addr addr) {
     const Addr f = frame_of(addr);
     auto& ctr = counters_[counter_index(macro_of(addr))];
@@ -79,19 +79,13 @@ class Sldt {
     bool valid = false;
   };
 
-  Addr frame_of(Addr addr) const {
-    return block_pow2_ ? (addr >> block_shift_) : (addr / cfg_.block_size);
-  }
-  Addr macro_of(Addr addr) const {
-    return macro_pow2_ ? (addr >> macro_shift_)
-                       : (addr / cfg_.macro_block_size);
-  }
+  Addr frame_of(Addr addr) const { return addr >> block_.shift(); }
+  Addr macro_of(Addr addr) const { return addr >> macro_.shift(); }
   std::size_t window_index(Addr frame) const {
-    return window_pow2_ ? (frame & window_mask_) : (frame % cfg_.entries);
+    return frame & window_size_.mask();
   }
   std::size_t counter_index(Addr mb) const {
-    return counters_pow2_ ? (mb & counter_mask_)
-                          : (mb % cfg_.counter_entries);
+    return mb & counter_size_.mask();
   }
   bool in_window(Addr frame) const {
     const WindowEntry& e = window_[window_index(frame)];
@@ -106,10 +100,9 @@ class Sldt {
   void note_fault(SaturatingCounter<std::uint32_t>& ctr);
 
   SldtConfig cfg_;
-  unsigned block_shift_ = 0, macro_shift_ = 0;
-  bool block_pow2_ = false, macro_pow2_ = false;
-  bool window_pow2_ = false, counters_pow2_ = false;
-  Addr window_mask_ = 0, counter_mask_ = 0;
+  Pow2 block_, macro_;  ///< block and macro-block sizes
+  Pow2 window_size_;    ///< window entries
+  Pow2 counter_size_;   ///< spatial-counter entries
   std::vector<WindowEntry> window_;               ///< direct-mapped by frame
   std::vector<SaturatingCounter<std::uint32_t>> counters_;  ///< by macro-block
   fault::Injector* fault_ = nullptr;

@@ -7,9 +7,9 @@ namespace selcache::hw {
 using memsys::FillDecision;
 using memsys::Level;
 
-StridePrefetcher::StridePrefetcher(StridePrefetcherConfig cfg) : cfg_(cfg) {
+StridePrefetcher::StridePrefetcher(StridePrefetcherConfig cfg)
+    : cfg_(cfg), block_(cfg_.block_size, "prefetcher block size") {
   SELCACHE_CHECK(cfg_.streams > 0);
-  SELCACHE_CHECK(cfg_.block_size > 0);
   table_.resize(cfg_.streams);
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "memsys/hw_hooks.h"
+#include "support/bitutil.h"
 
 namespace selcache::hw {
 
@@ -53,11 +54,12 @@ class StridePrefetcher final : public memsys::HwScheme {
     std::uint64_t lru = 0;
   };
 
-  Addr frame_of(Addr a) const { return a / cfg_.block_size; }
+  Addr frame_of(Addr a) const { return a >> block_.shift(); }
   Stream* find(Addr frame);
   Stream* allocate();
 
   StridePrefetcherConfig cfg_;
+  Pow2 block_;  ///< block size
   std::vector<Stream> table_;
   std::uint64_t stamp_ = 0;
   std::uint64_t confirmed_ = 0;

@@ -6,12 +6,10 @@ namespace selcache::memsys {
 
 Cache::Cache(CacheConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.validate();
-  block_shift_ = log2_exact(cfg_.block_size);
-  num_sets_ = cfg_.num_sets();
-  sets_pow2_ = is_pow2(num_sets_);
-  set_mask_ = sets_pow2_ ? num_sets_ - 1 : 0;
+  block_ = Pow2(cfg_.block_size, cfg_.name + " block size");
+  sets_ = Pow2(cfg_.num_sets(), cfg_.name + " set count");
   blocks_.resize(cfg_.num_blocks());
-  way_.resize(num_sets_, 0);
+  way_.resize(sets_.value(), 0);
 }
 
 bool Cache::access_scan(std::uint64_t si, Addr tag, bool is_write) {
@@ -40,7 +38,7 @@ Cache::LookupResult Cache::access_with_victim_scan(std::uint64_t si, Addr tag,
   r.fill_way = pr.way;
   if (!pr.free) {
     // Same victim fill() would pick: the LRU way of a full set.
-    r.victim = static_cast<Addr>(set[pr.way].tag) << block_shift_;
+    r.victim = static_cast<Addr>(set[pr.way].tag) << block_.shift();
   }
   return r;
 }
@@ -49,7 +47,7 @@ std::optional<Addr> Cache::victim_for(Addr addr) const {
   const Block* set = set_of(addr);
   const kernels::VictimWay v = kernels::victim_way(set, cfg_.assoc);
   if (v.free) return std::nullopt;  // free way, no eviction
-  return static_cast<Addr>(set[v.way].tag) << block_shift_;
+  return static_cast<Addr>(set[v.way].tag) << block_.shift();
 }
 
 std::optional<Eviction> Cache::fill(Addr addr, bool dirty) {
@@ -73,7 +71,7 @@ std::optional<Eviction> Cache::fill(Addr addr, bool dirty) {
   }
   std::optional<Eviction> evicted;
   if (victim->valid) {
-    evicted = Eviction{static_cast<Addr>(victim->tag) << block_shift_,
+    evicted = Eviction{static_cast<Addr>(victim->tag) << block_.shift(),
                        victim->dirty};
     if (victim->dirty) ++writebacks_;
   }
@@ -94,7 +92,7 @@ std::optional<Eviction> Cache::fill_at(Addr addr, std::uint32_t way,
   Block& victim = blocks_[si * cfg_.assoc + way];
   std::optional<Eviction> evicted;
   if (victim.valid) {
-    evicted = Eviction{static_cast<Addr>(victim.tag) << block_shift_,
+    evicted = Eviction{static_cast<Addr>(victim.tag) << block_.shift(),
                        victim.dirty};
     if (victim.dirty) ++writebacks_;
   }

@@ -6,9 +6,9 @@
 // a miss and the fill: it previews the would-be victim (victim_for), decides
 // fill-vs-bypass, and only then calls fill().
 //
-// Hot-path engineering: block size is validated power-of-two, so tag and set
-// extraction are a shift (plus a mask when the set count is also a power of
-// two — true for every shipped configuration). access_with_victim() performs
+// Hot-path engineering: block size and set count are powers of two, checked
+// once at construction (Pow2), so tag and set extraction are a shift and a
+// mask, with no fallback for other geometries. access_with_victim() performs
 // lookup, LRU update, and victim preview in ONE pass over the set, so the
 // demand path never scans a set twice. The demand-path methods are defined
 // here (not in the .cpp) so the hierarchy/timing chain inlines them, and a
@@ -102,7 +102,7 @@ class Cache {
 
   /// First byte address of the block containing `addr`.
   Addr block_base_of(Addr addr) const {
-    return (addr >> block_shift_) << block_shift_;
+    return (addr >> block_.shift()) << block_.shift();
   }
 
   /// Remove the block containing `addr` if resident; returns its dirtiness.
@@ -129,8 +129,7 @@ class Cache {
   /// Set index of the block containing `addr` (public so tests can check the
   /// shift/mask form against the reference div/mod formula).
   std::uint64_t set_index(Addr addr) const {
-    const Addr blk = addr >> block_shift_;
-    return sets_pow2_ ? (blk & set_mask_) : (blk % num_sets_);
+    return (addr >> block_.shift()) & sets_.mask();
   }
 
   void export_stats(StatSet& out) const;
@@ -166,7 +165,7 @@ class Cache {
   static_assert(offsetof(Block, lru) == kernels::kSlotLruOff);
   static_assert(offsetof(Block, valid) == kernels::kSlotValidOff);
 
-  Addr tag_of(Addr addr) const { return addr >> block_shift_; }
+  Addr tag_of(Addr addr) const { return addr >> block_.shift(); }
   Block* set_of(Addr addr) { return &blocks_[set_index(addr) * cfg_.assoc]; }
   const Block* set_of(Addr addr) const {
     return &blocks_[set_index(addr) * cfg_.assoc];
@@ -205,10 +204,8 @@ class Cache {
   void renormalize();
 
   CacheConfig cfg_;
-  unsigned block_shift_ = 0;    ///< log2(block_size); block size is pow2
-  std::uint64_t num_sets_ = 0;  ///< cached cfg_.num_sets()
-  std::uint64_t set_mask_ = 0;  ///< num_sets-1 when sets_pow2_
-  bool sets_pow2_ = false;      ///< fall back to modulo for odd set counts
+  Pow2 block_;                 ///< block size
+  Pow2 sets_;                  ///< set count
   std::vector<Block> blocks_;   ///< num_sets * assoc, set-major
   /// Per-set way predictor: way of the last hit/fill in the set. Staleness
   /// is detected through the predicted block's own valid/tag state.

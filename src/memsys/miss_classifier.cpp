@@ -6,14 +6,14 @@ namespace selcache::memsys {
 
 MissClassifier::MissClassifier(std::uint64_t capacity_blocks,
                                std::uint32_t block_size)
-    : capacity_blocks_(capacity_blocks), block_size_(block_size) {
+    : capacity_blocks_(capacity_blocks),
+      block_(block_size, "classifier block size") {
   SELCACHE_CHECK(capacity_blocks_ > 0);
-  SELCACHE_CHECK(block_size_ > 0);
 }
 
 MissClassifier::MissClassifier(const MissClassifier& other)
     : capacity_blocks_(other.capacity_blocks_),
-      block_size_(other.block_size_),
+      block_(other.block_),
       lru_(other.lru_),
       ever_seen_(other.ever_seen_),
       compulsory_(other.compulsory_),

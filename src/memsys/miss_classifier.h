@@ -13,6 +13,7 @@
 #include <unordered_set>
 
 #include "memsys/cache_config.h"
+#include "support/bitutil.h"
 #include "support/stats.h"
 
 namespace selcache::memsys {
@@ -51,10 +52,10 @@ class MissClassifier {
   void export_stats(StatSet& out, const std::string& prefix) const;
 
  private:
-  Addr frame(Addr addr) const { return addr / block_size_; }
+  Addr frame(Addr addr) const { return addr >> block_.shift(); }
 
   std::uint64_t capacity_blocks_;
-  std::uint32_t block_size_;
+  Pow2 block_;  ///< block size
   /// Fully-associative LRU shadow: front = MRU.
   std::list<Addr> lru_;
   std::unordered_map<Addr, std::list<Addr>::iterator> index_;

@@ -9,14 +9,10 @@ namespace selcache::memsys {
 Tlb::Tlb(TlbConfig cfg) : cfg_(std::move(cfg)) {
   SELCACHE_CHECK(cfg_.assoc > 0);
   SELCACHE_CHECK(cfg_.entries % cfg_.assoc == 0);
-  SELCACHE_CHECK(cfg_.page_size > 0);
-  num_sets_ = cfg_.entries / cfg_.assoc;
-  page_pow2_ = is_pow2(cfg_.page_size);
-  if (page_pow2_) page_shift_ = log2_exact(cfg_.page_size);
-  sets_pow2_ = is_pow2(num_sets_);
-  if (sets_pow2_) set_mask_ = num_sets_ - 1;
+  page_ = Pow2(cfg_.page_size, cfg_.name + " page size");
+  sets_ = Pow2(cfg_.entries / cfg_.assoc, cfg_.name + " set count");
   entries_.resize(cfg_.entries);
-  way_.resize(num_sets_, 0);
+  way_.resize(sets_.value(), 0);
 }
 
 Cycle Tlb::access_scan(std::uint64_t si, Addr vpn) {

@@ -100,22 +100,15 @@ class Tlb {
   }
   void renormalize();
 
-  Addr vpn_of(Addr addr) const {
-    return page_pow2_ ? (addr >> page_shift_) : (addr / cfg_.page_size);
-  }
-  std::uint64_t set_index(Addr vpn) const {
-    return sets_pow2_ ? (vpn & set_mask_) : (vpn % num_sets_);
-  }
+  Addr vpn_of(Addr addr) const { return addr >> page_.shift(); }
+  std::uint64_t set_index(Addr vpn) const { return vpn & sets_.mask(); }
 
   /// Slow path of access() (prediction missed): set scan + refill on miss.
   Cycle access_scan(std::uint64_t si, Addr vpn);
 
   TlbConfig cfg_;
-  std::uint64_t num_sets_;
-  unsigned page_shift_ = 0;     ///< log2(page_size) when page_pow2_
-  bool page_pow2_ = false;
-  std::uint64_t set_mask_ = 0;  ///< num_sets-1 when sets_pow2_
-  bool sets_pow2_ = false;
+  Pow2 page_;  ///< page size
+  Pow2 sets_;  ///< set count
   std::vector<Entry> entries_;
   /// Per-set way predictor: way of the last hit/refill in the set.
   std::vector<std::uint32_t> way_;

@@ -6,15 +6,16 @@ namespace selcache::memsys {
 
 VictimCache::VictimCache(std::string name, std::uint32_t entries,
                          std::uint32_t block_size)
-    : name_(std::move(name)), entries_(entries), block_size_(block_size) {
+    : name_(std::move(name)),
+      entries_(entries),
+      block_(block_size, name_ + " block size") {
   SELCACHE_CHECK(entries_ > 0);
-  SELCACHE_CHECK(block_size_ > 0);
 }
 
 VictimCache::VictimCache(const VictimCache& other)
     : name_(other.name_),
       entries_(other.entries_),
-      block_size_(other.block_size_),
+      block_(other.block_),
       lru_(other.lru_),
       fault_(other.fault_),
       fault_site_(other.fault_site_),
@@ -45,7 +46,7 @@ std::optional<VictimCache::Displaced> VictimCache::insert(Addr block_addr,
   std::optional<Displaced> displaced;
   if (lru_.size() == entries_) {
     auto& [old_frame, old_dirty] = lru_.back();
-    if (old_dirty) displaced = Displaced{old_frame * block_size_, true};
+    if (old_dirty) displaced = Displaced{old_frame << block_.shift(), true};
     index_.erase(old_frame);
     lru_.pop_back();
   }

@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "fault/injector.h"
+#include "support/bitutil.h"
 #include "support/stats.h"
 #include "support/types.h"
 
@@ -66,11 +67,11 @@ class VictimCache {
   }
 
  private:
-  Addr frame(Addr addr) const { return addr / block_size_; }
+  Addr frame(Addr addr) const { return addr >> block_.shift(); }
 
   std::string name_;
   std::uint32_t entries_;
-  std::uint32_t block_size_;
+  Pow2 block_;  ///< block size
   /// LRU order: front = most recent. Entries are block frame numbers.
   std::list<std::pair<Addr, bool>> lru_;
   std::unordered_map<Addr, std::list<std::pair<Addr, bool>>::iterator> index_;

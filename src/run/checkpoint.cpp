@@ -12,6 +12,7 @@
 #include "store/store.h"
 #include "support/fingerprint.h"
 #include "support/io.h"
+#include "support/table.h"
 
 namespace selcache::run {
 
@@ -29,15 +30,6 @@ std::string store_dir(const std::string& run_dir) {
 
 std::string ledger_path(const std::string& run_dir) {
   return (fs::path(run_dir) / "cells.csv").string();
-}
-
-std::optional<hw::SchemeKind> scheme_by_short_name(const std::string& n) {
-  for (hw::SchemeKind k :
-       {hw::SchemeKind::None, hw::SchemeKind::Bypass, hw::SchemeKind::Victim,
-        hw::SchemeKind::Prefetch, hw::SchemeKind::Composite})
-    if (n == hw::to_string(k)) return k;
-  if (n.empty()) return hw::SchemeKind::Bypass;
-  return std::nullopt;
 }
 
 /// Content fingerprint of one cell result — journaled with the `done`
@@ -84,13 +76,10 @@ struct CrashHook {
 void flush_ledger(const std::string& run_dir,
                   const std::vector<CellOutcome>& cells) {
   std::string csv = "workload,version,status,attempts,reason\n";
-  for (const CellOutcome& c : cells) {
-    std::string reason = c.reason;
-    for (char& ch : reason)
-      if (ch == ',' || ch == '\n' || ch == '\r') ch = ' ';
-    csv += c.workload + "," + c.version + "," + c.status + "," +
-           std::to_string(c.attempts) + "," + reason + "\n";
-  }
+  for (const CellOutcome& c : cells)
+    csv += csv_field(c.workload) + "," + csv_field(c.version) + "," +
+           csv_field(c.status) + "," + std::to_string(c.attempts) + "," +
+           csv_field(c.reason) + "\n";
   support::write_file_atomic(ledger_path(run_dir), csv);
 }
 
@@ -106,8 +95,7 @@ CheckpointOutcome execute(const std::string& run_dir, const RunSpec& spec,
     out.error = "unknown machine '" + spec.machine + "'";
     return out;
   }
-  const std::optional<hw::SchemeKind> scheme =
-      scheme_by_short_name(spec.scheme);
+  const std::optional<hw::SchemeKind> scheme = hw::scheme_by_name(spec.scheme);
   if (!scheme) {
     out.error = "unknown scheme '" + spec.scheme + "'";
     return out;

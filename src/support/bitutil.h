@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 
 #include "support/check.h"
 #include "support/types.h"
@@ -22,10 +23,26 @@ constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t align) {
   return (v + align - 1) & ~(align - 1);
 }
 
-/// Extract the block-frame number of an address for a given block size.
-constexpr Addr block_of(Addr a, std::uint64_t block_size) {
-  return a / block_size;
-}
+/// A table geometry that is a power of two, checked once when built: every
+/// simulated table indexes by its shift and mask, x >> shift() being
+/// x / value() and x & mask() being x % value(). Default-built it is 1.
+class Pow2 {
+ public:
+  constexpr Pow2() = default;
+  /// Throws std::logic_error, naming `what`, unless `v` is a power of two.
+  Pow2(std::uint64_t v, const std::string& what)
+      : shift_(log2_exact(v)), mask_(v - 1) {
+    SELCACHE_CHECK_MSG(is_pow2(v), what + " is not a power of two");
+  }
+
+  std::uint64_t value() const { return mask_ + 1; }
+  unsigned shift() const { return shift_; }
+  std::uint64_t mask() const { return mask_; }
+
+ private:
+  unsigned shift_ = 0;
+  std::uint64_t mask_ = 0;
+};
 
 /// `i` wrapped into [0, n), for n > 0: `i` itself when already in range (the
 /// common case, with no division), else its floored remainder.
@@ -33,11 +50,6 @@ constexpr std::int64_t wrap_index(std::int64_t i, std::int64_t n) {
   if (static_cast<std::uint64_t>(i) < static_cast<std::uint64_t>(n)) return i;
   const std::int64_t r = i % n;
   return r < 0 ? r + n : r;
-}
-
-/// First byte address of the block containing `a`.
-constexpr Addr block_base(Addr a, std::uint64_t block_size) {
-  return a - (a % block_size);
 }
 
 }  // namespace selcache

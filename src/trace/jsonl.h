@@ -10,7 +10,7 @@
 
 #include <string>
 
-#include "trace/sink.h"
+#include "trace/recording.h"
 
 namespace selcache::trace {
 

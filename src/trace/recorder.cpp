@@ -4,8 +4,8 @@
 
 namespace selcache::trace {
 
-Recorder::Recorder(TraceSink& sink, std::uint64_t epoch_length)
-    : sink_(sink), epoch_length_(epoch_length) {
+Recorder::Recorder(Recording& out, std::uint64_t epoch_length)
+    : out_(out), epoch_length_(epoch_length) {
   SELCACHE_CHECK(epoch_length_ > 0);
 }
 
@@ -26,7 +26,7 @@ void Recorder::snapshot() {
   prev_ = std::move(cum);
   epoch_start_ = accesses_;
   ++epochs_emitted_;
-  sink_.on_epoch(rec);
+  out_.epochs.push_back(std::move(rec));
 }
 
 void Recorder::finish() {

@@ -18,14 +18,14 @@
 #include <string>
 #include <vector>
 
-#include "trace/sink.h"
+#include "trace/recording.h"
 
 namespace selcache::trace {
 
 class Recorder {
  public:
-  /// `epoch_length` = demand accesses per epoch (> 0).
-  Recorder(TraceSink& sink, std::uint64_t epoch_length);
+  /// Appends to `out`; `epoch_length` = demand accesses per epoch (> 0).
+  Recorder(Recording& out, std::uint64_t epoch_length);
 
   /// Register a cumulative-counter source; `exporter` adds the component's
   /// counters into the passed StatSet (the export_stats idiom).
@@ -41,7 +41,7 @@ class Recorder {
   void event(Event e) {
     e.access = accesses_;
     e.epoch = epochs_emitted_;
-    sink_.on_event(e);
+    out_.events.push_back(e);
   }
 
   /// Flush the final (possibly partial) epoch. Call once, after the run.
@@ -53,7 +53,7 @@ class Recorder {
  private:
   void snapshot();
 
-  TraceSink& sink_;
+  Recording& out_;
   std::uint64_t epoch_length_;
   std::uint64_t accesses_ = 0;
   std::uint64_t epoch_start_ = 0;    ///< first access of the open epoch

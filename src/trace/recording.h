@@ -1,8 +1,8 @@
-// TraceSink — where the Recorder delivers epoch snapshots and events.
+// Recording — where the Recorder delivers epoch snapshots and events.
 //
 // The simulator never formats output on the hot path: it records into an
-// in-memory Recording (MemorySink), and serialization to JSONL/CSV happens
-// after the run. This is also what makes the parallel sweep deterministic:
+// in-memory Recording, and serialization to JSONL/CSV happens after the
+// run. This is also what makes the parallel sweep deterministic:
 // each (workload, version) task owns a private Recording, and the engine
 // concatenates them in fixed task order after all futures resolve.
 #pragma once
@@ -29,30 +29,12 @@ struct EpochRecord {
   }
 };
 
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void on_event(const Event& e) = 0;
-  virtual void on_epoch(const EpochRecord& r) = 0;
-};
-
 /// The full phase-resolved record of one simulation.
 struct Recording {
   std::vector<Event> events;
   std::vector<EpochRecord> epochs;
 
   bool operator==(const Recording&) const = default;
-};
-
-/// Collects into a caller-owned Recording.
-class MemorySink final : public TraceSink {
- public:
-  explicit MemorySink(Recording& out) : out_(out) {}
-  void on_event(const Event& e) override { out_.events.push_back(e); }
-  void on_epoch(const EpochRecord& r) override { out_.epochs.push_back(r); }
-
- private:
-  Recording& out_;
 };
 
 }  // namespace selcache::trace

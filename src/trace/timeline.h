@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/sink.h"
+#include "trace/recording.h"
 
 namespace selcache::trace {
 

@@ -165,6 +165,29 @@ TEST(Report, CsvHasHeaderAndAllRows) {
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
 }
 
+TEST(Report, CsvQuotesWorkloadNamesContainingCommas) {
+  std::vector<core::ImprovementRow> rows(1);
+  rows[0].benchmark = "TPC-D,Q6";
+  for (core::Version v : core::kEvaluatedVersions) rows[0].pct[v] = 1.5;
+  const std::string csv = core::figure_csv(rows);
+  const std::size_t eol = csv.find('\n');
+  const std::string header = csv.substr(0, eol);
+  const std::string row =
+      csv.substr(eol + 1, csv.find('\n', eol + 1) - eol - 1);
+  // RFC-4180 quoting: the comma inside the name must not add a column.
+  EXPECT_EQ(row.rfind("\"TPC-D,Q6\",", 0), 0u) << row;
+  const auto cols = [](const std::string& line) {
+    std::size_t n = 1;
+    bool quoted = false;
+    for (char c : line) {
+      if (c == '"') quoted = !quoted;
+      if (c == ',' && !quoted) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(cols(row), cols(header));
+}
+
 TEST(Report, WriteTextFileRoundtrip) {
   const std::string path = ::testing::TempDir() + "/selcache_csv_test.csv";
   EXPECT_TRUE(core::write_text_file(path, "x,y\n1,2\n"));

@@ -181,18 +181,19 @@ TEST(Timing, MonotoneInMemoryLatency) {
 }
 
 /// A machine with the bypass scheme attached, its controller driven by the
-/// stream's toggles.
+/// stream's toggles, pricing `cfg` at each of `lats`.
 struct BypassMachine {
   memsys::Hierarchy hierarchy;
   hw::BypassScheme scheme;
   hw::Controller controller;
   TimingModel cpu;
 
-  BypassMachine(Cycle mem_latency, const std::vector<PricePoint>& points)
+  BypassMachine(Cycle mem_latency, const std::vector<Cycle>& lats,
+                const CpuConfig& cfg = {})
       : hierarchy(with_mem_latency(mem_latency)),
         scheme(hw::BypassSchemeConfig{}),
         controller(&scheme),
-        cpu(points, hierarchy, controller) {
+        cpu(cfg, lats, hierarchy, controller) {
     hierarchy.attach_hw(&scheme);
   }
 
@@ -253,15 +254,13 @@ TEST(Timing, OneModelPricesEveryLatencyLikeSeparateModels) {
   // The priced model's own hierarchy sits at 200 cycles, so two points
   // reprice each fetch downwards and one upwards.
   const std::vector<Cycle> lats = {100, 150, 200, 300};
-  std::vector<PricePoint> points;
-  for (Cycle lat : lats) points.push_back({CpuConfig{}, lat});
-  BypassMachine priced(200, points);
+  BypassMachine priced(200, lats);
   drive_random_stream(priced.cpu);
   ASSERT_EQ(priced.cpu.points(), lats.size());
 
   for (std::size_t i = 0; i < lats.size(); ++i) {
     SCOPED_TRACE("mem latency " + std::to_string(lats[i]));
-    BypassMachine solo(lats[i], {{CpuConfig{}, lats[i]}});
+    BypassMachine solo(lats[i], {lats[i]});
     drive_random_stream(solo.cpu);
     EXPECT_EQ(priced.cpu.cycles(i), solo.cpu.cycles());
     EXPECT_EQ(priced.stats(i).all(), solo.stats(0).all());
@@ -278,14 +277,15 @@ TEST(Timing, OneModelPricesEveryLatencyLikeSeparateModels) {
     EXPECT_LT(priced.cpu.cycles(i - 1), priced.cpu.cycles(i));
 }
 
-/// A machine without a scheme, pricing `points`.
+/// A machine without a scheme, pricing `cfg` at each of `lats`.
 struct PlainMachine {
   memsys::Hierarchy hierarchy{memsys::HierarchyConfig{}};
   hw::Controller controller{nullptr};
   TimingModel cpu;
 
-  explicit PlainMachine(const std::vector<PricePoint>& points)
-      : cpu(points, hierarchy, controller) {}
+  explicit PlainMachine(const std::vector<Cycle>& lats,
+                        const CpuConfig& cfg = {})
+      : cpu(cfg, lats, hierarchy, controller) {}
 };
 
 /// The stream of `cpu`, with its markers counted at points [first, ...)
@@ -313,9 +313,8 @@ StatSet cpu_stats(const TimingModel& cpu, std::size_t point) {
 /// model, then forks onto a copy of that machine: its points read exactly
 /// as a model that ran the markers itself, before and after the fork.
 TEST(Timing, MarkedPointsAndTheirForkPriceLikeAModelRunningTheMarkers) {
-  const std::vector<PricePoint> points = {{CpuConfig{}, 100},
-                                          {CpuConfig{}, 300}};
-  std::vector<PricePoint> twice = points;
+  const std::vector<Cycle> points = {100, 300};
+  std::vector<Cycle> twice = points;
   twice.insert(twice.end(), points.begin(), points.end());
   PlainMachine twin(twice);
   PlainMachine solo(points);
@@ -389,12 +388,11 @@ struct SharedStream {
 
 /// One predictor (and one stream side) shared by two models of k points
 /// each prices every point as separate models with predictors of their own
-/// do: every point pays its own mispredict penalty on the one verdict.
+/// do: each model pays its own mispredict penalty on the one verdict.
 TEST(Timing, SharedPredictorPricesLikeSeparatePredictors) {
   CpuConfig slow_redirect;
   slow_redirect.mispredict_penalty = 7;
-  const std::vector<PricePoint> points = {
-      {CpuConfig{}, 100}, {slow_redirect, 200}, {CpuConfig{}, 300}};
+  const std::vector<Cycle> points = {100, 200, 300};
 
   SharedStream shared;
   memsys::HierarchyConfig hc;
@@ -402,11 +400,12 @@ TEST(Timing, SharedPredictorPricesLikeSeparatePredictors) {
   hw::BypassScheme bypass((hw::BypassSchemeConfig()));
   bypass_h.attach_hw(&bypass);
   hw::Controller plain_ctl(nullptr), bypass_ctl(&bypass);
-  TimingModel plain(points, plain_h, plain_ctl, &shared.bpred);
-  TimingModel bypassed(points, bypass_h, bypass_ctl, &shared.bpred);
+  TimingModel plain(slow_redirect, points, plain_h, plain_ctl, &shared.bpred);
+  TimingModel bypassed(CpuConfig{}, points, bypass_h, bypass_ctl,
+                       &shared.bpred);
   shared.models = {&plain, &bypassed};
 
-  PlainMachine solo_plain(points);
+  PlainMachine solo_plain(points, slow_redirect);
   BypassMachine solo_bypassed(hc.mem.access_latency, points);
   Rng shared_rng(11), plain_rng(11), bypass_rng(11);
   Addr shared_at = 0x100000, plain_at = 0x100000, bypass_at = 0x100000;
@@ -426,31 +425,15 @@ TEST(Timing, SharedPredictorPricesLikeSeparatePredictors) {
   bypass_h.export_stats(a);
   solo_bypassed.hierarchy.export_stats(b);
   EXPECT_EQ(a.all(), b.all());
-  // Both verdicts occurred, and the points' penalties differ.
+  // Both verdicts occurred, and the models' penalties differ.
   const StatSet s = cpu_stats(plain, 1);
   EXPECT_GT(s.get("bpred.mispredicted"), 0u);
   EXPECT_GT(s.get("bpred.correct"), 0u);
   EXPECT_EQ(s.get("cpu.branch_penalty_cycles"),
             7 * s.get("bpred.mispredicted"));
+  EXPECT_EQ(cpu_stats(bypassed, 1).get("cpu.branch_penalty_cycles"),
+            CpuConfig{}.mispredict_penalty * s.get("bpred.mispredicted"));
   EXPECT_EQ(&plain.predictor(), &bypassed.predictor());
-}
-
-TEST(Timing, PricedPointsMustAgreeOnIfetchModeling) {
-  CpuConfig no_ifetch;
-  no_ifetch.model_ifetch = false;
-  memsys::Hierarchy h((memsys::HierarchyConfig()));
-  hw::Controller ctl(nullptr);
-  EXPECT_THROW(TimingModel({{CpuConfig{}, 100}, {no_ifetch, 200}}, h, ctl),
-               std::logic_error);
-}
-
-TEST(Timing, PricedPointsMustAgreeOnPredictorSize) {
-  CpuConfig small_table;
-  small_table.bimodal_entries = 512;
-  memsys::Hierarchy h((memsys::HierarchyConfig()));
-  hw::Controller ctl(nullptr);
-  EXPECT_THROW(TimingModel({{CpuConfig{}, 100}, {small_table, 200}}, h, ctl),
-               std::logic_error);
 }
 
 TEST(Timing, StatsExportComplete) {

@@ -15,7 +15,7 @@
 #include "hw/sldt.h"
 #include "trace/jsonl.h"
 #include "trace/recorder.h"
-#include "trace/sink.h"
+#include "trace/recording.h"
 
 namespace selcache::fault {
 namespace {
@@ -228,8 +228,7 @@ TEST(Degradation, EmitsStructuredTraceEvent) {
   BrokenScheme scheme;
   hw::Controller ctl(&scheme);
   trace::Recording rec;
-  trace::MemorySink sink(rec);
-  trace::Recorder recorder(sink, 1000);
+  trace::Recorder recorder(rec, 1000);
   ctl.set_trace(&recorder);
   ctl.set_degrade_policy(
       hw::DegradePolicy{.integrity_checks = true, .check_interval = 1});

@@ -287,8 +287,7 @@ TEST(Mat, EpochSnapshotsAccumulateDeltasNotTotals) {
 
 TEST(Mat, DecayEmitsTraceEvent) {
   trace::Recording out;
-  trace::MemorySink sink(out);
-  trace::Recorder rec(sink, 1000);
+  trace::Recorder rec(out, 1000);
   Mat m(MatConfig{.entries = 16, .macro_block_size = 1024, .counter_max = 255,
                   .decay_interval = 4});
   m.set_trace(&rec);
@@ -300,8 +299,7 @@ TEST(Mat, DecayEmitsTraceEvent) {
 
 TEST(Controller, EmitsToggleEventsWithRegionProvenance) {
   trace::Recording out;
-  trace::MemorySink sink(out);
-  trace::Recorder rec(sink, 1000);
+  trace::Recorder rec(out, 1000);
   VictimScheme s(VictimSchemeConfig{});
   Controller c(&s);
   c.set_trace(&rec);
@@ -318,8 +316,7 @@ TEST(Controller, EmitsToggleEventsWithRegionProvenance) {
 
 TEST(BypassScheme, BypassEmitsTraceEventWithAddress) {
   trace::Recording out;
-  trace::MemorySink sink(out);
-  trace::Recorder rec(sink, 1000);
+  trace::Recorder rec(out, 1000);
   BypassScheme s(test_bypass_config());
   s.set_trace(&rec);
   s.set_active(true);
@@ -335,8 +332,7 @@ TEST(BypassScheme, BypassEmitsTraceEventWithAddress) {
 
 TEST(VictimScheme, PromotionEmitsTraceEvent) {
   trace::Recording out;
-  trace::MemorySink sink(out);
-  trace::Recorder rec(sink, 1000);
+  trace::Recorder rec(out, 1000);
   VictimScheme s(VictimSchemeConfig{});
   s.set_trace(&rec);
   s.set_active(true);
@@ -347,6 +343,17 @@ TEST(VictimScheme, PromotionEmitsTraceEvent) {
   ASSERT_EQ(out.events.size(), 1u);
   EXPECT_EQ(out.events[0].kind, trace::EventKind::VictimPromotion);
   EXPECT_EQ(out.events[0].addr, 0x400u);
+}
+
+/// The names a command line or run spec may hold map back to the kinds
+/// to_string names; the empty name is bypass, and no other name resolves.
+TEST(SchemeKind, ByNameRoundTripsWithToStringAndRejectsOtherNames) {
+  for (SchemeKind k :
+       {SchemeKind::Bypass, SchemeKind::Victim, SchemeKind::None})
+    EXPECT_EQ(scheme_by_name(to_string(k)), k) << to_string(k);
+  EXPECT_EQ(scheme_by_name(""), SchemeKind::Bypass);
+  for (const char* n : {"prefetch", "bypass+victim", "Bypass", "victim ", "?"})
+    EXPECT_EQ(scheme_by_name(n), std::nullopt) << n;
 }
 
 }  // namespace

@@ -1,10 +1,16 @@
 // Shift/mask indexing must agree with the reference div/mod formulas for
 // every cache, TLB, and MAT geometry the experiments actually use — the
-// hot-path optimization is only legal because these are equal everywhere.
+// hot-path optimization is only legal because these are equal everywhere —
+// and every table refuses, when built, a geometry where they would differ.
 #include <gtest/gtest.h>
 
 #include "core/machine_config.h"
+#include "hw/bypass_buffer.h"
 #include "hw/mat.h"
+#include "hw/sldt.h"
+#include "hw/stride_prefetcher.h"
+#include "memsys/miss_classifier.h"
+#include "memsys/victim_cache.h"
 #include "support/rng.h"
 
 namespace selcache {
@@ -80,6 +86,35 @@ TEST(IndexingEquivalence, MatFrequencyUnchangedByShiftIndexing) {
                               rng.below(cfg.macro_block_size);
     ASSERT_EQ(mat.frequency(same_mb_addr), before + 1);
   }
+}
+
+/// Each table checks its geometry once, at construction: a size that is
+/// not a power of two throws instead of indexing by division.
+TEST(IndexingEquivalence, EveryTableRejectsASizeThatIsNotAPowerOfTwo) {
+  using memsys::CacheConfig;
+  using memsys::TlbConfig;
+  EXPECT_THROW(memsys::Cache(CacheConfig{.size_bytes = 24 * 1024}),
+               std::logic_error);
+  EXPECT_THROW(memsys::Cache(CacheConfig{.block_size = 24}), std::logic_error);
+  EXPECT_THROW(memsys::Tlb(TlbConfig{.entries = 12, .assoc = 4}),
+               std::logic_error);  // 3 sets
+  EXPECT_THROW(memsys::Tlb(TlbConfig{.page_size = 3000}), std::logic_error);
+  EXPECT_THROW(hw::Mat(hw::MatConfig{.entries = 3000}), std::logic_error);
+  EXPECT_THROW(hw::Mat(hw::MatConfig{.macro_block_size = 1000}),
+               std::logic_error);
+  EXPECT_THROW(hw::Mat(hw::MatConfig{.decay_interval = 1000}),
+               std::logic_error);
+  EXPECT_NO_THROW(hw::Mat(hw::MatConfig{.decay_interval = 0}));  // no decay
+  EXPECT_THROW(hw::Sldt(hw::SldtConfig{.entries = 100}), std::logic_error);
+  EXPECT_THROW(hw::Sldt(hw::SldtConfig{.block_size = 24}), std::logic_error);
+  EXPECT_THROW(hw::Sldt(hw::SldtConfig{.macro_block_size = 1000}),
+               std::logic_error);
+  EXPECT_THROW(hw::Sldt(hw::SldtConfig{.counter_entries = 1000}),
+               std::logic_error);
+  EXPECT_THROW(hw::BypassBuffer(64, 12), std::logic_error);
+  EXPECT_THROW(memsys::VictimCache("v", 4, 24), std::logic_error);
+  EXPECT_THROW(hw::StridePrefetcher({.block_size = 24}), std::logic_error);
+  EXPECT_THROW(memsys::MissClassifier(16, 24), std::logic_error);
 }
 
 }  // namespace

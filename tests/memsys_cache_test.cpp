@@ -213,16 +213,6 @@ TEST(Cache, SetIndexMatchesDivModReference) {
   }
 }
 
-TEST(Tlb, NonPow2PageSizeStillTranslates) {
-  // The shift fast path must fall back to division for odd page sizes.
-  Tlb t(TlbConfig{.name = "odd", .entries = 8, .assoc = 2, .page_size = 3000,
-                  .miss_penalty = 5});
-  EXPECT_EQ(t.access(0), 5u);
-  EXPECT_EQ(t.access(2999), 0u);   // same page
-  EXPECT_EQ(t.access(3000), 5u);   // next page
-  EXPECT_TRUE(t.probe(3000));
-}
-
 TEST(VictimCache, InsertExtractRoundtrip) {
   VictimCache v("v", 4, 32);
   EXPECT_EQ(v.insert(0x100, true), std::nullopt);

@@ -273,6 +273,30 @@ TEST_F(CheckpointTest, FreshCompleteRunMatchesPlainEngine) {
   for (const auto& c : st.cells) EXPECT_EQ(c.status, "done") << c.workload;
 }
 
+TEST_F(CheckpointTest, LedgerQuotesWorkloadNamesContainingCommas) {
+  ASSERT_TRUE(run_checkpointed(dir_, demo_spec(), {}).error.empty());
+  std::ifstream in(fs::path(dir_) / "cells.csv");
+  std::string header, line;
+  ASSERT_TRUE(std::getline(in, header));
+  const auto cols = [](const std::string& l) {
+    std::size_t n = 1;
+    bool quoted = false;
+    for (char c : l) {
+      if (c == '"') quoted = !quoted;
+      if (c == ',' && !quoted) ++n;
+    }
+    return n;
+  };
+  // RFC-4180 quoting: the comma inside the name must not add a column.
+  std::size_t rows = 0;
+  while (std::getline(in, line)) {
+    ++rows;
+    EXPECT_EQ(line.rfind("\"TPC-D,Q6\",", 0), 0u) << line;
+    EXPECT_EQ(cols(line), cols(header)) << line;
+  }
+  EXPECT_EQ(rows, core::kAllVersions.size());
+}
+
 /// A pre-tripped stop token suspends before any cell starts: each cell sees
 /// the stop and returns without journaling, at any thread count, so every
 /// cell stays `planned` with no attempt. Resume with the token cleared

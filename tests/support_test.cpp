@@ -32,14 +32,19 @@ TEST(Bitutil, Pow2) {
   EXPECT_FALSE(is_pow2(24));
   EXPECT_EQ(log2_exact(1), 0u);
   EXPECT_EQ(log2_exact(32), 5u);
+  const Pow2 block(32, "block size");
+  EXPECT_EQ(block.value(), 32u);
+  EXPECT_EQ(127u >> block.shift(), 127u / 32);
+  EXPECT_EQ(127u & block.mask(), 127u % 32);
+  EXPECT_EQ(Pow2().value(), 1u);
+  EXPECT_THROW(Pow2(0, "size"), std::logic_error);
+  EXPECT_THROW(Pow2(24, "size"), std::logic_error);
 }
 
 TEST(Bitutil, AlignAndBlocks) {
   EXPECT_EQ(align_up(0, 4096), 0u);
   EXPECT_EQ(align_up(1, 4096), 4096u);
   EXPECT_EQ(align_up(4096, 4096), 4096u);
-  EXPECT_EQ(block_of(127, 32), 3u);
-  EXPECT_EQ(block_base(127, 32), 96u);
 }
 
 TEST(Rng, Deterministic) {

@@ -18,8 +18,7 @@ namespace {
 
 TEST(Recorder, EmitsDeltaEncodedEpochsAtBoundaries) {
   Recording out;
-  MemorySink sink(out);
-  Recorder rec(sink, 10);
+  Recorder rec(out, 10);
   std::uint64_t live = 0;  // a component's cumulative counter
   rec.register_source([&live](StatSet& s) { s.add("x.count", live); });
 
@@ -44,8 +43,7 @@ TEST(Recorder, EmitsDeltaEncodedEpochsAtBoundaries) {
 
 TEST(Recorder, FinishWithoutTailEmitsNothingExtra) {
   Recording out;
-  MemorySink sink(out);
-  Recorder rec(sink, 5);
+  Recorder rec(out, 5);
   rec.register_source([](StatSet& s) { s.add("x", 1); });
   for (int i = 0; i < 10; ++i) rec.note_access();
   rec.finish();  // exactly on a boundary: no empty tail epoch
@@ -56,8 +54,7 @@ TEST(Recorder, FinishOnEmptyRunEmitsOneEpoch) {
   // A zero-access run (empty workload) still produces one epoch so drains
   // and end-of-run counters have somewhere to land.
   Recording out;
-  MemorySink sink(out);
-  Recorder rec(sink, 100);
+  Recorder rec(out, 100);
   rec.finish();
   ASSERT_EQ(out.epochs.size(), 1u);
   EXPECT_EQ(out.epochs[0].end_access, 0u);
@@ -65,8 +62,7 @@ TEST(Recorder, FinishOnEmptyRunEmitsOneEpoch) {
 
 TEST(Recorder, StampsEventsWithAccessIndexAndEpoch) {
   Recording out;
-  MemorySink sink(out);
-  Recorder rec(sink, 10);
+  Recorder rec(out, 10);
   rec.event({.kind = EventKind::Toggle, .on = true});
   for (int i = 0; i < 13; ++i) rec.note_access();
   rec.event({.kind = EventKind::MatDecay});

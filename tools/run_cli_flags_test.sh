@@ -45,6 +45,15 @@ expect 0 "$cli" predict Perl base                    # non-analyzable is not an 
 expect 0 "$cli" predict Vpenta base --check
 expect 0 "$cli" predict Vpenta base --check --predict-classify
 
+# A workload name with a comma is one quoted CSV field: each of the five
+# predict-matrix --csv rows of TPC-D,Q6 starts with it quoted.
+"$cli" predict-matrix --workload TPC-D,Q6 --csv > "$tmp/matrix.csv" 2>&1
+if [ "$(grep -c '^"TPC-D,Q6",' "$tmp/matrix.csv")" -ne 5 ] ||
+   grep -q '^TPC-D' "$tmp/matrix.csv"; then
+  echo "FAIL: predict-matrix --csv does not quote the workload TPC-D,Q6"
+  fails=$((fails + 1))
+fi
+
 # No command reaches the tape engine: --batch and --reuse-tape are unknown
 # flags and tape is an unknown command.
 expect 2 "$cli" sweep --workload Perl --batch abc

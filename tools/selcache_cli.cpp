@@ -236,13 +236,6 @@ std::optional<core::Version> version_by_name(const std::string& n) {
   return std::nullopt;
 }
 
-std::optional<hw::SchemeKind> scheme_by_name(const std::string& n) {
-  if (n.empty() || n == "bypass") return hw::SchemeKind::Bypass;
-  if (n == "victim") return hw::SchemeKind::Victim;
-  if (n == "none") return hw::SchemeKind::None;
-  return std::nullopt;
-}
-
 const workloads::WorkloadInfo* workload_by_name(const std::string& n) {
   for (const auto& w : workloads::all_workloads())
     if (w.name == n) return &w;
@@ -270,7 +263,7 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   const auto version =
       version_by_name(flags.count("version") ? flags.at("version") : "");
   const auto scheme =
-      scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
+      hw::scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
   if (w == nullptr || !machine || !version || !scheme) return usage();
 
   core::RunOptions opt;
@@ -326,7 +319,7 @@ int cmd_trace(const std::string& wname, const std::string& vname,
   const auto machine =
       machine_by_name(flags.count("machine") ? flags.at("machine") : "");
   const auto scheme =
-      scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
+      hw::scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
   if (!machine || !scheme) return usage();
 
   core::RunOptions opt;
@@ -570,7 +563,7 @@ int cmd_faultsim(const std::string& wname, const std::string& vname,
   const auto machine =
       machine_by_name(flags.count("machine") ? flags.at("machine") : "");
   const auto scheme =
-      scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
+      hw::scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
   if (!machine || !scheme) return usage();
 
   core::RunOptions opt;
@@ -825,7 +818,7 @@ int finish_checkpoint(const std::string& run_dir, const run::RunSpec& spec,
   }
 
   const auto machine = core::machine_by_name(spec.machine);
-  const auto scheme = scheme_by_name(spec.scheme);
+  const auto scheme = hw::scheme_by_name(spec.scheme);
   if (!machine || !scheme || out.rows.empty()) {
     std::fprintf(stderr, "selcache: run %s produced no result\n",
                  out.id.c_str());
@@ -971,7 +964,7 @@ int cmd_sweep(const std::map<std::string, std::string>& flags, bool suite) {
   const auto machine =
       machine_by_name(flags.count("machine") ? flags.at("machine") : "");
   const auto scheme =
-      scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
+      hw::scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
   if ((!suite && w == nullptr) || !machine || !scheme) return usage();
   core::RunOptions opt;
   opt.scheme = *scheme;
@@ -1182,7 +1175,7 @@ int cmd_run_file(const std::string& path,
   const auto version =
       version_by_name(flags.count("version") ? flags.at("version") : "");
   const auto scheme =
-      scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
+      hw::scheme_by_name(flags.count("scheme") ? flags.at("scheme") : "");
   if (!machine || !version || !scheme) return usage();
   core::RunOptions opt;
   opt.scheme = *scheme;
@@ -1338,7 +1331,8 @@ int cmd_predict_matrix(const std::map<std::string, std::string>& flags) {
       const std::string verdict =
           c.analyzable ? "analyzable" : "non-analyzable";
       if (csv) {
-        std::printf("%s,%s,%s,%s,%.6f,%s,%.6f,%s,%zu\n", w->name.c_str(),
+        std::printf("%s,%s,%s,%s,%.6f,%s,%.6f,%s,%zu\n",
+                    csv_field(w->name).c_str(),
                     core::version_key(v), to_string(w->category),
                     verdict.c_str(), pred.analyzable_fraction(),
                     c.analyzable ? TextTable::num(c.pred_ratio, 6).c_str()
